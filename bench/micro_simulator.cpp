@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator itself: mesh
- * routing, collective timing, token routing, and full engine steps.
+ * routing, collective timing, gating, token routing, and full engine
+ * steps.
  * These guard the simulator's own performance (wall-clock, not
  * simulated time).
  */
@@ -40,6 +41,39 @@ BM_RingAllReduce(benchmark::State &state)
         benchmark::DoNotOptimize(er.allReduce(1e6, true));
 }
 BENCHMARK(BM_RingAllReduce)->Arg(4)->Arg(8);
+
+/**
+ * Gating: one sampleCountsInto() per iteration over 4 DP groups.
+ * Args: gating mode (0 Balanced, 1 SingleScenario, 2 MixedScenario),
+ * experts, tokens per group. Items are alias draws (tokens × top-k ×
+ * groups), so items/s is draws per second.
+ */
+void
+BM_Gating(benchmark::State &state)
+{
+    constexpr int kGroups = 4;
+    const GatingMode modes[] = {GatingMode::Balanced,
+                                GatingMode::SingleScenario,
+                                GatingMode::MixedScenario};
+    WorkloadConfig cfg;
+    cfg.mode = modes[state.range(0)];
+    cfg.numExperts = static_cast<int>(state.range(1));
+    cfg.topK = 8;
+    const int tokens = static_cast<int>(state.range(2));
+    WorkloadGenerator gen(cfg);
+    std::vector<std::vector<int>> counts;
+    int iteration = 0;
+    for (auto _ : state) {
+        gen.sampleCountsInto(iteration++, 0, tokens, kGroups, counts);
+        benchmark::DoNotOptimize(counts.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kGroups * tokens *
+                            cfg.topK);
+}
+BENCHMARK(BM_Gating)
+    ->ArgNames({"mode", "experts", "tokens"})
+    ->ArgsProduct({{0, 1, 2}, {128, 256}, {128, 1024}});
 
 void
 BM_TokenRouting(benchmark::State &state)

@@ -28,11 +28,29 @@ class Rng
     /** Construct from a 64-bit seed; equal seeds yield equal streams. */
     explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-    /** Next raw 64-bit value. */
-    uint64_t next();
+    /** Next raw 64-bit value. Inline: gating draws it per token. */
+    uint64_t next()
+    {
+        const uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double uniform()
+    {
+        // 53 high bits -> double in [0, 1). They fit int64_t, whose
+        // conversion is one instruction (uint64_t needs a fix-up
+        // sequence) and exact, so the value is unchanged.
+        return static_cast<double>(static_cast<int64_t>(next() >> 11)) *
+            0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
@@ -66,6 +84,11 @@ class Rng
     Rng fork();
 
   private:
+    static uint64_t rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     uint64_t state_[4];
     bool haveSpareNormal_ = false;
     double spareNormal_ = 0.0;

@@ -19,44 +19,90 @@ AliasTable::build(const std::vector<double> &weights)
     }
     MOE_ASSERT(total > 0.0, "weights sum to zero");
 
-    prob_.resize(n);
-    alias_.resize(n);
+    slots_.resize(n);
     small_.clear();
     large_.clear();
     const double scale = static_cast<double>(n) / total;
     for (std::size_t i = 0; i < n; ++i) {
-        prob_[i] = weights[i] * scale;
-        alias_[i] = i;
-        (prob_[i] < 1.0 ? small_ : large_).push_back(i);
+        slots_[i] = {weights[i] * scale, i};
+        (slots_[i].prob < 1.0 ? small_ : large_).push_back(i);
     }
     while (!small_.empty() && !large_.empty()) {
         const std::size_t s = small_.back();
         small_.pop_back();
         const std::size_t l = large_.back();
         large_.pop_back();
-        alias_[s] = l;
-        prob_[l] = (prob_[l] + prob_[s]) - 1.0;
-        (prob_[l] < 1.0 ? small_ : large_).push_back(l);
+        slots_[s].alias = l;
+        slots_[l].prob = (slots_[l].prob + slots_[s].prob) - 1.0;
+        (slots_[l].prob < 1.0 ? small_ : large_).push_back(l);
     }
     // Floating-point residue: leftover slots carry full probability.
     // Zero-weight categories can never be left over (their mass is
     // exactly 0, so a large partner always remains), so this cannot
     // make an impossible category samplable.
     for (const std::size_t l : large_)
-        prob_[l] = 1.0;
+        slots_[l].prob = 1.0;
     for (const std::size_t s : small_)
-        prob_[s] = 1.0;
+        slots_[s].prob = 1.0;
 }
 
-std::size_t
-AliasTable::sample(Rng &rng) const
+void
+AliasTable::sampleInto(Rng &rng, int draws, std::vector<int> &row)
 {
-    const double scaled = rng.uniform() * static_cast<double>(prob_.size());
-    std::size_t idx = static_cast<std::size_t>(scaled);
-    if (idx >= prob_.size())
-        idx = prob_.size() - 1;
-    const double frac = scaled - static_cast<double>(idx);
-    return frac < prob_[idx] ? idx : alias_[idx];
+    MOE_ASSERT(draws >= 0, "negative draw count");
+    const std::size_t n = slots_.size();
+    MOE_ASSERT(n > 0, "sampling an unbuilt alias table");
+    row.assign(n, 0);
+
+    // Signed conversions throughout: scaled lies in [0, n], where the
+    // int64_t conversions are exact single instructions (the unsigned
+    // ones need a fix-up sequence), so indices and fractions are
+    // bitwise those of the plain size_t arithmetic.
+    const Slot *slots = slots_.data();
+    const std::int64_t last = static_cast<std::int64_t>(n) - 1;
+    const double width = static_cast<double>(last + 1);
+    const auto pick = [slots, last, width](double u) {
+        const double scaled = u * width;
+        std::int64_t idx = static_cast<std::int64_t>(scaled);
+        // u < 1, but u·n can round up to exactly n.
+        idx = idx < last ? idx : last;
+        const double frac = scaled - static_cast<double>(idx);
+        const Slot &slot = slots[idx];
+        // All ones when the draw lands on the alias part of the
+        // column; a mask instead of a branch, which would mispredict
+        // about every other draw under a skewed affinity.
+        const std::size_t toAlias =
+            0 - static_cast<std::size_t>(frac >= slot.prob);
+        const auto i = static_cast<std::size_t>(idx);
+        return i ^ ((i ^ slot.alias) & toAlias);
+    };
+
+    int *h0 = row.data();
+    int d = 0;
+    // Four sub-histograms break the store-to-load chain on hot
+    // experts; worth their 3n zero-and-sum only once draws reach n.
+    if (static_cast<std::size_t>(draws) >= n) {
+        subHist_.assign(3 * n, 0);
+        int *h1 = subHist_.data();
+        int *h2 = h1 + n;
+        int *h3 = h2 + n;
+        for (; d + 4 <= draws; d += 4) {
+            // One statement per draw: the uniforms are consumed in
+            // draw order.
+            const std::size_t a = pick(rng.uniform());
+            const std::size_t b = pick(rng.uniform());
+            const std::size_t c = pick(rng.uniform());
+            const std::size_t e = pick(rng.uniform());
+            ++h0[a];
+            ++h1[b];
+            ++h2[c];
+            ++h3[e];
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            h0[i] += h1[i] + h2[i] + h3[i];
+    }
+    for (; d < draws; ++d)
+        ++h0[pick(rng.uniform())];
 }
 
 WorkloadGenerator::WorkloadGenerator(const WorkloadConfig &cfg)
@@ -251,11 +297,8 @@ WorkloadGenerator::sampleCountsInto(int iteration, int layer,
 
     counts.resize(static_cast<std::size_t>(dpGroups));
     const int draws = tokensPerGroup * cfg_.topK;
-    for (auto &row : counts) {
-        row.assign(alias_.size(), 0);
-        for (int d = 0; d < draws; ++d)
-            ++row[alias_.sample(rng_)];
-    }
+    for (auto &row : counts)
+        alias_.sampleInto(rng_, draws, row);
 }
 
 std::vector<double>
@@ -278,43 +321,6 @@ WorkloadGenerator::expertLoadsInto(
                    "counts row width mismatch");
         for (std::size_t e = 0; e < row.size(); ++e)
             loads[e] += row[e];
-    }
-}
-
-std::vector<int>
-sampleMultinomial(Rng &rng, const std::vector<double> &weights, int draws)
-{
-    MOE_ASSERT(!weights.empty(), "empty weight vector");
-    std::vector<double> cdf(weights.size());
-    double acc = 0.0;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        MOE_ASSERT(weights[i] >= 0.0, "negative weight");
-        acc += weights[i];
-        cdf[i] = acc;
-    }
-    MOE_ASSERT(acc > 0.0, "weights sum to zero");
-
-    std::vector<int> counts;
-    sampleMultinomialFromCdf(rng, cdf, acc, draws, counts);
-    return counts;
-}
-
-void
-sampleMultinomialFromCdf(Rng &rng, const std::vector<double> &cdf,
-                         double total, int draws, std::vector<int> &counts)
-{
-    MOE_ASSERT(!cdf.empty(), "empty CDF");
-    MOE_ASSERT(total > 0.0, "CDF total must be positive");
-    MOE_ASSERT(draws >= 0, "negative draw count");
-    counts.assign(cdf.size(), 0);
-    for (int d = 0; d < draws; ++d) {
-        const double r = rng.uniform() * total;
-        const auto it = std::upper_bound(cdf.begin(), cdf.end(), r);
-        const auto idx = static_cast<std::size_t>(
-            std::min<std::ptrdiff_t>(it - cdf.begin(),
-                                     static_cast<std::ptrdiff_t>(
-                                         cdf.size() - 1)));
-        ++counts[idx];
     }
 }
 

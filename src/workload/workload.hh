@@ -6,7 +6,10 @@
  *
  * The generator produces, per (iteration, layer), a DP×E matrix of
  * token-to-expert assignment counts by multinomial sampling of each
- * group's token·top-k slots over the effective affinity. Three regimes
+ * group's token·top-k slots over the effective affinity, one alias
+ * draw per slot (see AliasTable for the branch-free, packed-slot,
+ * sub-histogram kernel; any kernel change must keep the same uniforms
+ * in the same order, so traces stay bitwise identical). Three regimes
  * are supported:
  *  - Balanced: uniform expert probability — used by the ER-Mapping
  *    communication study to isolate mapping effects (Section VI-B);
@@ -39,8 +42,18 @@ enum class GatingMode
 /**
  * Walker/Vose alias table: O(n) build, O(1) exact multinomial draws.
  * The per-iteration gating sampler is the simulator's hottest loop
- * (tokens × top-k draws per DP group), so draws must not pay the
- * O(log n) CDF binary search.
+ * (tokens × top-k draws per DP group), so the draw kernel is tuned:
+ *  - each slot packs {prob, alias} so one draw touches one cache line;
+ *  - the accept/alias select is branch-free: under a skewed affinity
+ *    the accept test is close to a coin flip and would mispredict
+ *    about every other draw;
+ *  - draws are unrolled by four into four sub-histograms that are
+ *    summed at the end, so repeated hits on a hot expert do not
+ *    serialise on one counter's store-to-load chain.
+ * Invariant: the kernel consumes the same uniforms in the same order
+ * as one-at-a-time draws (one uniform per draw) and returns
+ * bitwise-identical counts (the integer sums are exact), so the
+ * gating trace is a pure function of the seed, whatever the kernel.
  */
 class AliasTable
 {
@@ -48,18 +61,32 @@ class AliasTable
     /** Build from unnormalised non-negative weights (Σ > 0). */
     void build(const std::vector<double> &weights);
 
-    /** Draw one index, consuming one uniform from @p rng. */
-    std::size_t sample(Rng &rng) const;
+    /**
+     * Draw @p draws indices, consuming exactly @p draws uniforms from
+     * @p rng, and assign the per-index counts to @p row (resized to
+     * size(), storage reused). Non-const: the sub-histogram scratch
+     * lives in the table, so one table must not be sampled from two
+     * threads at once.
+     */
+    void sampleInto(Rng &rng, int draws, std::vector<int> &row);
 
     /** Number of categories (0 before the first build). */
-    std::size_t size() const { return prob_.size(); }
+    std::size_t size() const { return slots_.size(); }
 
   private:
-    std::vector<double> prob_;
-    std::vector<std::size_t> alias_;
+    /** One column of the table: accept with prob, else take alias. */
+    struct Slot
+    {
+        double prob;
+        std::size_t alias;
+    };
+
+    std::vector<Slot> slots_;
     // Build worklists, kept to avoid per-build allocation.
     std::vector<std::size_t> small_;
     std::vector<std::size_t> large_;
+    // Sub-histograms 1..3 of sampleInto() (the row is sub-histogram 0).
+    std::vector<int> subHist_;
 };
 
 /** Workload generator configuration. */
@@ -201,24 +228,6 @@ class WorkloadGenerator
     std::vector<double> aliasMix_;
     std::vector<double> mixScratch_;
 };
-
-/**
- * Multinomial sampling helper: draw @p draws samples from the
- * distribution proportional to @p weights, returning per-index counts.
- * Uses CDF binary search, O(draws · log n).
- */
-std::vector<int> sampleMultinomial(Rng &rng,
-                                   const std::vector<double> &weights,
-                                   int draws);
-
-/**
- * Allocation-lean multinomial core: draw @p draws samples against a
- * prebuilt inclusive CDF whose final value is @p total, writing
- * per-index counts into @p counts (assigned, storage reused).
- */
-void sampleMultinomialFromCdf(Rng &rng, const std::vector<double> &cdf,
-                              double total, int draws,
-                              std::vector<int> &counts);
 
 } // namespace moentwine
 

@@ -26,6 +26,16 @@ TEST(Rng, SameSeedSameStream)
         EXPECT_EQ(a.next(), b.next());
 }
 
+// Pins the xoshiro256** / splitmix64 stream: every simulated trace is
+// a function of it, so it must not move with refactors.
+TEST(Rng, PinnedStream)
+{
+    Rng rng(1);
+    EXPECT_EQ(rng.next(), 0xb3f2af6d0fc710c5ULL);
+    EXPECT_EQ(rng.next(), 0x853b559647364ceaULL);
+    EXPECT_EQ(rng.next(), 0x92f89756082a4514ULL);
+}
+
 TEST(Rng, DifferentSeedsDifferentStreams)
 {
     Rng a(1);

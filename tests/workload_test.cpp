@@ -5,13 +5,80 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "workload/scenario.hh"
 #include "workload/workload.hh"
 
 using namespace moentwine;
+
+namespace {
+
+/**
+ * Reference multinomial sampler: CDF binary search, O(draws · log n).
+ * Slower than the alias kernel and on a different stream, but simple
+ * enough to be obviously right; the tests check the kernel's
+ * distribution against the same affinity.
+ */
+std::vector<int>
+sampleMultinomial(Rng &rng, const std::vector<double> &weights, int draws)
+{
+    std::vector<double> cdf(weights.size());
+    double total = 0.0;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+        total += weights[i];
+        cdf[i] = total;
+    }
+    std::vector<int> counts(weights.size(), 0);
+    for (int d = 0; d < draws; ++d) {
+        const double r = rng.uniform() * total;
+        const auto it = std::upper_bound(cdf.begin(), cdf.end(), r);
+        const auto idx = std::min<std::ptrdiff_t>(
+            it - cdf.begin(), static_cast<std::ptrdiff_t>(cdf.size()) - 1);
+        ++counts[static_cast<std::size_t>(idx)];
+    }
+    return counts;
+}
+
+/** FNV-1a 64 over every count, each as 8 little-endian bytes. */
+void
+fnv1a(std::uint64_t &h, const std::vector<std::vector<int>> &counts)
+{
+    for (const auto &row : counts) {
+        for (const int c : row) {
+            const auto v = static_cast<std::uint64_t>(c);
+            for (int b = 0; b < 8; ++b) {
+                h ^= (v >> (8 * b)) & 0xffu;
+                h *= 0x100000001b3ULL;
+            }
+        }
+    }
+}
+
+/** Digest of 64 sampleCountsInto() calls with varying token counts. */
+std::uint64_t
+gatingDigest(GatingMode mode, int experts)
+{
+    WorkloadConfig cfg;
+    cfg.numExperts = experts;
+    cfg.topK = 8;
+    cfg.mode = mode;
+    cfg.scenario = ScenarioKind::Math;
+    cfg.seed = 42;
+    WorkloadGenerator gen(cfg);
+    std::vector<std::vector<int>> counts;
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (int it = 0; it < 64; ++it) {
+        gen.sampleCountsInto(it, 0, 1 + (it * 37) % 301, 4, counts);
+        fnv1a(h, counts);
+    }
+    return h;
+}
+
+} // namespace
 
 // ------------------------------------------------------- scenarios ----
 
@@ -61,7 +128,7 @@ TEST(Scenario, ZipfSkewsWeights)
     EXPECT_GT(maxW / minW, 10.0);
 }
 
-// ---------------------------------------------------- multinomial ----
+// ------------------------------------------- reference multinomial ----
 
 TEST(Multinomial, CountsSumToDraws)
 {
@@ -90,6 +157,107 @@ TEST(Multinomial, ZeroDraws)
     Rng rng(8);
     const auto counts = sampleMultinomial(rng, {1.0, 1.0}, 0);
     EXPECT_EQ(counts[0] + counts[1], 0);
+}
+
+// ------------------------------------------------------ alias kernel ----
+
+// Counts pinned from the one-draw-at-a-time sampler the kernel
+// replaced: any kernel change must consume the same uniforms in the
+// same order and reproduce these bit for bit. 96 experts covers the
+// non-power-of-two width, where u·n can round up to n.
+TEST(AliasKernel, PinnedBalancedStream)
+{
+    EXPECT_EQ(gatingDigest(GatingMode::Balanced, 128),
+              0x541adb6cd2983a2fULL);
+    EXPECT_EQ(gatingDigest(GatingMode::Balanced, 256),
+              0x1f4e22bdc20ceaadULL);
+    EXPECT_EQ(gatingDigest(GatingMode::Balanced, 96),
+              0x292abf2a8d753df7ULL);
+}
+
+TEST(AliasKernel, PinnedSingleScenarioStream)
+{
+    EXPECT_EQ(gatingDigest(GatingMode::SingleScenario, 128),
+              0x93404e4d3debbe47ULL);
+    EXPECT_EQ(gatingDigest(GatingMode::SingleScenario, 256),
+              0x6b6db3470ece2481ULL);
+    EXPECT_EQ(gatingDigest(GatingMode::SingleScenario, 96),
+              0x37a3344af0d2d3d6ULL);
+}
+
+TEST(AliasKernel, PinnedMixedScenarioStream)
+{
+    EXPECT_EQ(gatingDigest(GatingMode::MixedScenario, 128),
+              0x87078a634eba7c2dULL);
+    EXPECT_EQ(gatingDigest(GatingMode::MixedScenario, 256),
+              0xcbd6396c4da9a979ULL);
+    EXPECT_EQ(gatingDigest(GatingMode::MixedScenario, 96),
+              0x05ed641a4883b20aULL);
+}
+
+// Every draw consumes exactly one uniform, whichever loop takes it
+// (draws around n switch the sub-histogram path on, and the tail of
+// the unrolled loop runs for draws % 4 != 0); zero draws consume none
+// and a single category takes every draw.
+TEST(AliasKernel, OneUniformPerDraw)
+{
+    const std::vector<std::vector<double>> tables{
+        {3.0}, scenarioAffinity(ScenarioKind::Chat, 0, 96, 1.0, 5)};
+    for (const auto &weights : tables) {
+        AliasTable table;
+        table.build(weights);
+        for (const int draws : {0, 1, 3, 4, 5, 95, 96, 97, 1023}) {
+            Rng rng(6);
+            Rng reference(6);
+            std::vector<int> row{7, 7};
+            table.sampleInto(rng, draws, row);
+            ASSERT_EQ(row.size(), weights.size());
+            EXPECT_EQ(std::accumulate(row.begin(), row.end(), 0), draws);
+            for (int d = 0; d < draws; ++d)
+                reference.uniform();
+            EXPECT_EQ(rng.next(), reference.next());
+        }
+    }
+}
+
+// Per-expert frequencies of the kernel match the affinity within five
+// binomial standard deviations (plus 1e-4 slack for near-zero
+// weights), and zero-weight experts are never drawn.
+TEST(AliasKernel, FrequenciesMatchAffinity)
+{
+    constexpr int kDraws = 400000;
+    for (const int experts : {96, 256}) {
+        auto weights =
+            scenarioAffinity(ScenarioKind::Math, 0, experts, 1.0, 11);
+        for (int e = 0; e < experts; e += 7)
+            weights[static_cast<std::size_t>(e)] = 0.0;
+        const double total =
+            std::accumulate(weights.begin(), weights.end(), 0.0);
+        AliasTable table;
+        table.build(weights);
+        Rng rng(12);
+        std::vector<int> row;
+        table.sampleInto(rng, kDraws, row);
+        ASSERT_EQ(row.size(), static_cast<std::size_t>(experts));
+        for (std::size_t e = 0; e < row.size(); ++e) {
+            const double p = weights[e] / total;
+            if (p == 0.0) {
+                EXPECT_EQ(row[e], 0) << "expert " << e;
+                continue;
+            }
+            const double sigma = std::sqrt(p * (1.0 - p) / kDraws);
+            EXPECT_NEAR(row[e] / double(kDraws), p, 5.0 * sigma + 1e-4)
+                << "expert " << e << " of " << experts;
+        }
+        // The reference sampler agrees with the same bound.
+        Rng refRng(13);
+        const auto ref = sampleMultinomial(refRng, weights, kDraws);
+        for (std::size_t e = 0; e < ref.size(); ++e) {
+            const double p = weights[e] / total;
+            const double sigma = std::sqrt(p * (1.0 - p) / kDraws);
+            EXPECT_NEAR(ref[e] / double(kDraws), p, 5.0 * sigma + 1e-4);
+        }
+    }
 }
 
 // ------------------------------------------------------ generator ----
