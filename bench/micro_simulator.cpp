@@ -46,7 +46,8 @@ BENCHMARK(BM_RingAllReduce)->Arg(4)->Arg(8);
  * Gating: one sampleCountsInto() per iteration over 4 DP groups.
  * Args: gating mode (0 Balanced, 1 SingleScenario, 2 MixedScenario),
  * experts, tokens per group. Items are alias draws (tokens × top-k ×
- * groups), so items/s is draws per second.
+ * groups), so items/s is draws per second. Tokens 1-16 are small
+ * decode batches with fewer draws per group than experts.
  */
 void
 BM_Gating(benchmark::State &state)
@@ -73,7 +74,7 @@ BM_Gating(benchmark::State &state)
 }
 BENCHMARK(BM_Gating)
     ->ArgNames({"mode", "experts", "tokens"})
-    ->ArgsProduct({{0, 1, 2}, {128, 256}, {128, 1024}});
+    ->ArgsProduct({{0, 1, 2}, {128, 256}, {1, 4, 16, 128, 1024}});
 
 void
 BM_TokenRouting(benchmark::State &state)

@@ -47,7 +47,7 @@ AliasTable::build(const std::vector<double> &weights)
 }
 
 void
-AliasTable::sampleInto(Rng &rng, int draws, std::vector<int> &row)
+AliasTable::sampleInto(Rng &rng, int draws, std::vector<int> &row) const
 {
     MOE_ASSERT(draws >= 0, "negative draw count");
     const std::size_t n = slots_.size();
@@ -60,9 +60,10 @@ AliasTable::sampleInto(Rng &rng, int draws, std::vector<int> &row)
     // bitwise those of the plain size_t arithmetic.
     const Slot *slots = slots_.data();
     const std::int64_t last = static_cast<std::int64_t>(n) - 1;
-    const double width = static_cast<double>(last + 1);
-    const auto pick = [slots, last, width](double u) {
-        const double scaled = u * width;
+    const double width = static_cast<double>(n);
+    int *counts = row.data();
+    for (int d = 0; d < draws; ++d) {
+        const double scaled = rng.uniform() * width;
         std::int64_t idx = static_cast<std::int64_t>(scaled);
         // u < 1, but u·n can round up to exactly n.
         idx = idx < last ? idx : last;
@@ -74,35 +75,8 @@ AliasTable::sampleInto(Rng &rng, int draws, std::vector<int> &row)
         const std::size_t toAlias =
             0 - static_cast<std::size_t>(frac >= slot.prob);
         const auto i = static_cast<std::size_t>(idx);
-        return i ^ ((i ^ slot.alias) & toAlias);
-    };
-
-    int *h0 = row.data();
-    int d = 0;
-    // Four sub-histograms break the store-to-load chain on hot
-    // experts; worth their 3n zero-and-sum only once draws reach n.
-    if (static_cast<std::size_t>(draws) >= n) {
-        subHist_.assign(3 * n, 0);
-        int *h1 = subHist_.data();
-        int *h2 = h1 + n;
-        int *h3 = h2 + n;
-        for (; d + 4 <= draws; d += 4) {
-            // One statement per draw: the uniforms are consumed in
-            // draw order.
-            const std::size_t a = pick(rng.uniform());
-            const std::size_t b = pick(rng.uniform());
-            const std::size_t c = pick(rng.uniform());
-            const std::size_t e = pick(rng.uniform());
-            ++h0[a];
-            ++h1[b];
-            ++h2[c];
-            ++h3[e];
-        }
-        for (std::size_t i = 0; i < n; ++i)
-            h0[i] += h1[i] + h2[i] + h3[i];
+        ++counts[i ^ ((i ^ slot.alias) & toAlias)];
     }
-    for (; d < draws; ++d)
-        ++h0[pick(rng.uniform())];
 }
 
 WorkloadGenerator::WorkloadGenerator(const WorkloadConfig &cfg)
