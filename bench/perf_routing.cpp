@@ -2,21 +2,19 @@
  * @file
  * Simulator-performance benchmark of the route/traffic hot path: times
  * full engine iterations on a multi-wafer mesh and on a switch cluster,
- * with the route cache + flow aggregation enabled (the production
- * configuration) and disabled (the pre-optimisation baseline, kept
- * behind Topology::disableRouteCache() and EngineConfig::aggregateFlows).
+ * with flow aggregation enabled (the production configuration) and
+ * disabled (the per-triple flow-list baseline, kept behind
+ * EngineConfig::aggregateFlows), plus the cost of one route walk.
  *
  * Emits a stable JSON trajectory to stdout and to BENCH_routing.json so
- * future PRs have a perf baseline to beat:
- *   {"bench": ..., "iters_per_sec": ..., "ns_per_route": ...,
- *    "route_storage": {"csr_bytes": ..., "next_hop_bytes": ...}}
+ * future changes have a perf baseline to beat:
+ *   {"bench": ..., "iters_per_sec": ..., "ns_per_walk": ...,
+ *    "baseline_iters_per_sec": ..., "speedup": ...}
  * plus a serial-vs-parallel wall clock of a fig16-style grid on the
  * SweepRunner thread pool:
  *   "sweep": {"cells": ..., "jobs": ..., "speedup": ...}
- * and, since the compressed next-hop storage landed, a 1024-device
- * scale point comparing the two route representations (build time,
- * storage bytes, per-walk overhead):
- *   "scale": {"devices": 1024, "bytes_ratio": ..., ...}
+ * and the per-walk cost at 1024 devices, where routes are longest:
+ *   "scale": {"devices": 1024, "ns_per_walk": ...}
  * and, since the sparse traffic accumulator landed (schema v4), a
  * 1024-device dense-vs-sparse engine/reduction comparison plus a
  * 16384-device fine-grained-expert point where only the sparse
@@ -45,9 +43,12 @@
  * the "construction_saving_per_cell_ms" the worker-state reuse buys.
  * Rows are bitwise-compared across all four runs.
  *
+ * Schema v7 drops the route-storage sections: routing is a closed-form
+ * walk with no per-pair storage to measure or compare.
+ *
  * Usage: perf_routing [iterations] [--jobs N] [--affinity]
  *        [--trace P] [--stats P]
- *        (default 300 cached / 60 baseline; jobs default to
+ *        (default 300 aggregated / 60 baseline; jobs default to
  *        MOENTWINE_JOBS, then hardware_concurrency)
  */
 
@@ -89,8 +90,8 @@ engineThroughput(const Mapping &mapping, const EngineConfig &cfg,
                  int iterations, HwCounterValues *hw = nullptr)
 {
     InferenceEngine engine(mapping, cfg);
-    // Warm up: builds the route table, dispatch-source memo, and
-    // steady-state scratch capacities outside the timed region.
+    // Warm up: builds the dispatch-source memo and steady-state
+    // scratch capacities outside the timed region.
     engine.step();
     engine.step();
     HwCounters counters;
@@ -107,134 +108,6 @@ engineThroughput(const Mapping &mapping, const EngineConfig &cfg,
         std::printf("impossible\n"); // keep the loop observable
     return static_cast<double>(iterations) / elapsed;
 }
-
-/** Average wall-clock nanoseconds of one route(src, dst) lookup. */
-double
-nsPerRouteLookup(const Topology &topo, int samples)
-{
-    const int devices = topo.numDevices();
-    long hopsSum = 0;
-    DeviceId a = 0;
-    const auto start = Clock::now();
-    for (int i = 0; i < samples; ++i) {
-        const DeviceId b = (a * 31 + 17) % devices;
-        hopsSum += static_cast<long>(topo.route(a, b).size());
-        a = (a + 1) % devices;
-    }
-    const double elapsed = secondsSince(start);
-    if (hopsSum < 0)
-        std::printf("impossible\n");
-    return elapsed * 1e9 / static_cast<double>(samples);
-}
-
-struct BenchResult
-{
-    std::string bench;
-    double itersPerSec = 0.0;
-    double nsPerRoute = 0.0;
-    double baselineItersPerSec = 0.0;
-    double baselineNsPerRoute = 0.0;
-    std::size_t csrBytes = 0;
-    std::size_t nextHopBytes = 0;
-    /** Hardware counters of the cached (production) timed region. */
-    HwCounterValues hw{};
-
-    double speedup() const
-    {
-        return baselineItersPerSec > 0.0
-            ? itersPerSec / baselineItersPerSec
-            : 0.0;
-    }
-
-    double bytesRatio() const
-    {
-        return nextHopBytes > 0
-            ? static_cast<double>(csrBytes) /
-                static_cast<double>(nextHopBytes)
-            : 0.0;
-    }
-};
-
-/**
- * Peak route-storage footprint of both representations on @p topo:
- * builds each in turn and reads its heap bytes, then restores the
- * Auto policy (the topology rebuilds lazily on next use).
- */
-void
-measureRouteStorage(Topology &topo, std::size_t &csrBytes,
-                    std::size_t &nextHopBytes)
-{
-    topo.setRouteStorage(RouteStorageKind::CsrArena);
-    csrBytes = topo.routeStorageBytes();
-    topo.setRouteStorage(RouteStorageKind::NextHop);
-    nextHopBytes = topo.routeStorageBytes();
-    topo.setRouteStorage(RouteStorageKind::Auto);
-}
-
-/**
- * Run one platform in both modes. The topology is taken non-const so
- * the no-cache test hook can be toggled around the baseline run.
- */
-BenchResult
-runPlatform(const std::string &label, Topology &topo,
-            const Mapping &mapping, EngineConfig cfg, int iters)
-{
-    BenchResult r;
-    r.bench = label;
-
-    // Cached + aggregated (production) configuration, with the
-    // hardware-counter group around the timed region.
-    topo.enableRouteCache();
-    cfg.aggregateFlows = true;
-    r.itersPerSec = engineThroughput(mapping, cfg, iters, &r.hw);
-    r.nsPerRoute = nsPerRouteLookup(topo, 200000);
-
-    // Route-storage footprint under both representations.
-    measureRouteStorage(topo, r.csrBytes, r.nextHopBytes);
-
-    // Baseline: per-query route derivation, per-triple flow lists.
-    topo.disableRouteCache();
-    cfg.aggregateFlows = false;
-    const int baseIters = std::max(10, iters / 5);
-    r.baselineItersPerSec = engineThroughput(mapping, cfg, baseIters);
-    r.baselineNsPerRoute = nsPerRouteLookup(topo, 20000);
-    topo.enableRouteCache();
-
-    std::printf("%-24s cached %8.1f it/s | baseline %8.1f it/s | "
-                "speedup %5.2fx | route %6.1f ns vs %8.1f ns | "
-                "storage csr %zu B vs nexthop %zu B (%.1fx)\n",
-                r.bench.c_str(), r.itersPerSec, r.baselineItersPerSec,
-                r.speedup(), r.nsPerRoute, r.baselineNsPerRoute,
-                r.csrBytes, r.nextHopBytes, r.bytesRatio());
-    return r;
-}
-
-/**
- * The kilodevice scale point the compressed storage exists for: a
- * 4x(16x16) multi-wafer mesh (1024 devices). Records build time,
- * storage bytes, and per-walk overhead of each representation; the
- * CSR arena at this size is ~6x the next-hop matrix and grows with
- * average hop count, which is what capped earlier systems.
- */
-struct ScaleResult
-{
-    std::string bench;
-    int devices = 0;
-    std::size_t csrBytes = 0;
-    std::size_t nextHopBytes = 0;
-    double csrBuildSeconds = 0.0;
-    double nextHopBuildSeconds = 0.0;
-    double nsPerWalkCsr = 0.0;
-    double nsPerWalkNextHop = 0.0;
-
-    double bytesRatio() const
-    {
-        return nextHopBytes > 0
-            ? static_cast<double>(csrBytes) /
-                static_cast<double>(nextHopBytes)
-            : 0.0;
-    }
-};
 
 /** Average wall-clock nanoseconds of one full walk() link iteration. */
 double
@@ -256,38 +129,70 @@ nsPerWalk(const Topology &topo, int samples)
     return elapsed * 1e9 / static_cast<double>(samples);
 }
 
+struct BenchResult
+{
+    std::string bench;
+    double itersPerSec = 0.0;
+    double nsPerWalk = 0.0;
+    double baselineItersPerSec = 0.0;
+    /** Hardware counters of the aggregated (production) timed region. */
+    HwCounterValues hw{};
+
+    double speedup() const
+    {
+        return baselineItersPerSec > 0.0
+            ? itersPerSec / baselineItersPerSec
+            : 0.0;
+    }
+};
+
+/** Run one platform with flow aggregation on and off. */
+BenchResult
+runPlatform(const std::string &label, const Topology &topo,
+            const Mapping &mapping, EngineConfig cfg, int iters)
+{
+    BenchResult r;
+    r.bench = label;
+
+    // Aggregated (production) configuration, with the hardware-counter
+    // group around the timed region.
+    cfg.aggregateFlows = true;
+    r.itersPerSec = engineThroughput(mapping, cfg, iters, &r.hw);
+    r.nsPerWalk = nsPerWalk(topo, 200000);
+
+    // Baseline: per-triple flow lists.
+    cfg.aggregateFlows = false;
+    const int baseIters = std::max(10, iters / 5);
+    r.baselineItersPerSec = engineThroughput(mapping, cfg, baseIters);
+
+    std::printf("%-24s aggregated %8.1f it/s | baseline %8.1f it/s | "
+                "speedup %5.2fx | walk %6.1f ns\n",
+                r.bench.c_str(), r.itersPerSec, r.baselineItersPerSec,
+                r.speedup(), r.nsPerWalk);
+    return r;
+}
+
+/**
+ * Per-walk cost on a 4x(16x16) multi-wafer mesh (1024 devices), where
+ * routes are longest.
+ */
+struct ScaleResult
+{
+    std::string bench;
+    int devices = 0;
+    double nsPerWalk = 0.0;
+};
+
 ScaleResult
 runScaleBench()
 {
     ScaleResult r;
     r.bench = "wsc_4x(16x16)_1024dev";
-
-    MeshTopology mesh = MeshTopology::waferRow(4, 16);
+    const MeshTopology mesh = MeshTopology::waferRow(4, 16);
     r.devices = mesh.numDevices();
-
-    // Compressed next-hop matrix (what Auto selects at this size).
-    mesh.setRouteStorage(RouteStorageKind::NextHop);
-    auto start = Clock::now();
-    mesh.finalizeRoutes();
-    r.nextHopBuildSeconds = secondsSince(start);
-    r.nextHopBytes = mesh.routeStorageBytes();
-    r.nsPerWalkNextHop = nsPerWalk(mesh, 200000);
-
-    // CSR arena on the same topology for the memory-curve comparison.
-    mesh.setRouteStorage(RouteStorageKind::CsrArena);
-    start = Clock::now();
-    mesh.finalizeRoutes();
-    r.csrBuildSeconds = secondsSince(start);
-    r.csrBytes = mesh.routeStorageBytes();
-    r.nsPerWalkCsr = nsPerWalk(mesh, 200000);
-
-    std::printf("%-24s %d devices | storage csr %.1f MB vs nexthop "
-                "%.1f MB (%.1fx) | walk %5.1f ns vs %5.1f ns | "
-                "build %.2f s vs %.2f s\n",
-                r.bench.c_str(), r.devices, r.csrBytes / 1e6,
-                r.nextHopBytes / 1e6, r.bytesRatio(), r.nsPerWalkCsr,
-                r.nsPerWalkNextHop, r.csrBuildSeconds,
-                r.nextHopBuildSeconds);
+    r.nsPerWalk = nsPerWalk(mesh, 200000);
+    std::printf("%-24s %d devices | walk %5.1f ns\n", r.bench.c_str(),
+                r.devices, r.nsPerWalk);
     return r;
 }
 
@@ -683,8 +588,8 @@ runTrafficBench(const EngineConfig &baseCfg, int iters)
 
 /**
  * The 16384-device point only the sparse accumulator makes feasible:
- * fine-grained experts (one per device) on a 4×(64×64) mesh with
- * on-the-fly routes. The dense matrix is analytic — allocating 2.1 GB
+ * fine-grained experts (one per device) on a 4×(64×64) mesh. The dense
+ * matrix is analytic — allocating 2.1 GB
  * is what the sparse path exists to avoid.
  */
 struct TrafficScaleResult
@@ -711,8 +616,7 @@ runTrafficScaleBench()
     TrafficScaleResult r;
     r.bench = "wsc_4x(64x64)_her_16384dev";
 
-    MeshTopology mesh = MeshTopology::waferRow(4, 64);
-    mesh.disableRouteCache();
+    const MeshTopology mesh = MeshTopology::waferRow(4, 64);
     const HierarchicalErMapping her(
         mesh, decomposeTp(4, mesh.waferRows(), mesh.waferCols()));
     r.devices = mesh.numDevices();
@@ -774,7 +678,7 @@ toJson(const std::vector<BenchResult> &results, const ScaleResult &scale,
        const TrafficResult &traffic,
        const TrafficScaleResult &trafficScale)
 {
-    std::string out = "{\n  \"schema\": \"moentwine.bench.routing.v6\",\n"
+    std::string out = "{\n  \"schema\": \"moentwine.bench.routing.v7\",\n"
                       "  \"results\": [\n";
     char buf[1024];
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -782,22 +686,10 @@ toJson(const std::vector<BenchResult> &results, const ScaleResult &scale,
         std::snprintf(
             buf, sizeof(buf),
             "    {\"bench\": \"%s\", \"iters_per_sec\": %.1f, "
-            "\"ns_per_route\": %.1f, \"baseline_iters_per_sec\": %.1f, "
-            "\"baseline_ns_per_route\": %.1f, \"speedup\": %.2f, "
-            "\"route_storage\": {\"csr_bytes\": %zu, "
-            "\"next_hop_bytes\": %zu, \"bytes_ratio\": %.2f}, "
-            "\"hw\": {\"available\": %s, \"cycles\": %llu, "
-            "\"instructions\": %llu, \"ipc\": %.2f, "
-            "\"cache_misses\": %llu, \"dtlb_misses\": %llu}}%s\n",
-            r.bench.c_str(), r.itersPerSec, r.nsPerRoute,
-            r.baselineItersPerSec, r.baselineNsPerRoute, r.speedup(),
-            r.csrBytes, r.nextHopBytes, r.bytesRatio(),
-            r.hw.available ? "true" : "false",
-            static_cast<unsigned long long>(r.hw.cycles),
-            static_cast<unsigned long long>(r.hw.instructions),
-            r.hw.ipc(),
-            static_cast<unsigned long long>(r.hw.cacheMisses),
-            static_cast<unsigned long long>(r.hw.dtlbMisses),
+            "\"ns_per_walk\": %.1f, \"baseline_iters_per_sec\": %.1f, "
+            "\"speedup\": %.2f, \"hw\": %s}%s\n",
+            r.bench.c_str(), r.itersPerSec, r.nsPerWalk,
+            r.baselineItersPerSec, r.speedup(), hwJson(r.hw).c_str(),
             i + 1 < results.size() ? "," : "");
         out += buf;
     }
@@ -805,14 +697,8 @@ toJson(const std::vector<BenchResult> &results, const ScaleResult &scale,
     std::snprintf(
         buf, sizeof(buf),
         "  \"scale\": {\"bench\": \"%s\", \"devices\": %d, "
-        "\"csr_bytes\": %zu, \"next_hop_bytes\": %zu, "
-        "\"bytes_ratio\": %.2f, \"csr_build_s\": %.3f, "
-        "\"next_hop_build_s\": %.3f, \"ns_per_walk_csr\": %.1f, "
-        "\"ns_per_walk_next_hop\": %.1f},\n",
-        scale.bench.c_str(), scale.devices, scale.csrBytes,
-        scale.nextHopBytes, scale.bytesRatio(), scale.csrBuildSeconds,
-        scale.nextHopBuildSeconds, scale.nsPerWalkCsr,
-        scale.nsPerWalkNextHop);
+        "\"ns_per_walk\": %.1f},\n",
+        scale.bench.c_str(), scale.devices, scale.nsPerWalk);
     out += buf;
     std::snprintf(
         buf, sizeof(buf),
@@ -935,21 +821,21 @@ main(int argc, char **argv)
 
     {
         // Multi-wafer mesh (fig13d-style): two 8x8 wafers, HER-Mapping.
-        MeshTopology mesh = MeshTopology::waferRow(2, 8);
+        const MeshTopology mesh = MeshTopology::waferRow(2, 8);
         const HierarchicalErMapping her(mesh, ParallelismConfig{2, 4});
         results.push_back(
             runPlatform("wsc_2x(8x8)_her", mesh, her, cfg, iters));
     }
     {
         // Switch cluster (fig16 GPU baseline): 4-node DGX, TP=4.
-        SwitchClusterTopology dgx = SwitchClusterTopology::dgx(4);
+        const SwitchClusterTopology dgx = SwitchClusterTopology::dgx(4);
         const ClusterMapping cm(dgx, 4);
         results.push_back(
             runPlatform("dgx_4node_tp4", dgx, cm, cfg, iters));
     }
 
-    // Kilodevice scale point: the compressed next-hop storage vs the
-    // CSR arena on a 1024-device multi-wafer mesh.
+    // Kilodevice scale point: per-walk cost on a 1024-device
+    // multi-wafer mesh.
     const ScaleResult scale = runScaleBench();
 
     // Traffic-accumulator trajectory: dense vs sparse at 1024 devices

@@ -5,28 +5,28 @@
  * path cannot silently regress:
  *
  *  - 1024 devices (4×(16×16), HER-Mapping): built through
- *    System::make under the compressed next-hop route storage and
- *    driven through a short engine sweep — serially and on the thread
- *    pool with byte-identical results (the TSan target), plus the
- *    ≥ 4× CSR-vs-next-hop compression check (skipped with --no-csr).
+ *    System::make and driven through a short engine sweep — serially
+ *    and on the thread pool with byte-identical results (the TSan
+ *    target).
  *
  *  - 16384 devices (4×(64×64), HER-Mapping, fine-grained experts —
- *    one per device): the sparse-traffic scale point. Route caching is
- *    disabled (an all-pairs table would itself be gigabytes at this
- *    size), the Auto traffic policy must resolve to the sparse
- *    accumulator, a short engine run must complete with finite
- *    positive layer times, the sparse accumulator must undercut the
- *    analytic dense matrix by ≥ 10×, and peak RSS must stay under a
- *    pinned ceiling that the dense matrix would provably blow through
- *    (checked via VmHWM; skipped under sanitizers and off Linux).
+ *    one per device): the sparse-traffic scale point. The Auto traffic
+ *    policy must resolve to the sparse accumulator, a short engine run
+ *    must complete with finite positive layer times, the sparse
+ *    accumulator must undercut the analytic dense matrix by ≥ 10×, and
+ *    peak RSS must stay under a pinned ceiling that the dense matrix
+ *    would provably blow through (checked via VmHWM; skipped under
+ *    sanitizers and off Linux).
  *
- * Checks exit non-zero on any failure.
+ * Both points also check sampled XY walks against their defining
+ * properties. Routing stores nothing per device pair, so neither point
+ * builds any route storage. Checks exit non-zero on any failure.
  *
  * With `--trace <path>` the smoke's short engine run re-emits as a
  * sim-time Chrome trace (src/obs/trace.hh) — at 16k devices that is
  * the only tracer of the sparse-traffic engine path.
  *
- * Usage: scale_smoke [--jobs N] [--no-csr] [--devices N] [--trace P]
+ * Usage: scale_smoke [--jobs N] [--devices N] [--trace P]
  *        (N must be 4 × meshN² for integer meshN ≥ 16)
  */
 
@@ -83,26 +83,37 @@ peakRssBytes()
 #endif
 }
 
-/** Sampled walk-vs-computeRoute equivalence; returns mismatch count. */
+/**
+ * Sampled XY-walk properties: every walk is a connected chain of
+ * Manhattan length that moves along the row (column first) before it
+ * moves along the column. Returns the number of violating pairs.
+ */
 int
-checkSampledWalks(const Topology &topo)
+checkSampledWalks(const MeshTopology &mesh)
 {
-    int mismatches = 0;
-    const int devices = topo.numDevices();
+    int violations = 0;
+    const auto &links = mesh.links();
+    const int devices = mesh.numDevices();
     for (DeviceId s = 0; s < devices; s += 61) {
         for (DeviceId d = 0; d < devices; d += 67) {
-            const auto fresh = topo.computeRoute(s, d);
-            std::size_t i = 0;
-            for (const LinkId l : topo.walk(s, d)) {
-                if (i >= fresh.size() || l != fresh[i])
-                    ++mismatches;
-                ++i;
+            NodeId at = s;
+            int hops = 0;
+            bool columnPhase = false;
+            bool ok = true;
+            for (const LinkId l : mesh.walk(s, d)) {
+                const Link &link = links[static_cast<std::size_t>(l)];
+                const bool alongRow = mesh.coordOf(link.src).row ==
+                    mesh.coordOf(link.dst).row;
+                ok = ok && link.src == at && !(columnPhase && alongRow);
+                columnPhase = columnPhase || !alongRow;
+                at = link.dst;
+                ++hops;
             }
-            if (i != fresh.size())
-                ++mismatches;
+            if (!ok || at != d || hops != mesh.manhattan(s, d))
+                ++violations;
         }
     }
-    return mismatches;
+    return violations;
 }
 
 /**
@@ -133,11 +144,6 @@ meshNFromDevicesArg(const char *text)
     return meshN;
 }
 
-/**
- * The 16k-class scale point: direct mesh + HER construction with route
- * caching disabled and fine-grained experts (one per device), pinning
- * the sparse accumulator's memory win and the RSS ceiling.
- */
 /** Write @p trace to @p path (no-op on an empty path). */
 void
 writeTraceIfRequested(const TraceSink &trace, const std::string &path)
@@ -146,6 +152,11 @@ writeTraceIfRequested(const TraceSink &trace, const std::string &path)
         std::printf("wrote %s\n", path.c_str());
 }
 
+/**
+ * The 16k-class scale point: direct mesh + HER construction with
+ * fine-grained experts (one per device), pinning the sparse
+ * accumulator's memory win and the RSS ceiling.
+ */
 int
 runSparseScalePoint(int devices, int meshN, const std::string &tracePath)
 {
@@ -153,12 +164,7 @@ runSparseScalePoint(int devices, int meshN, const std::string &tracePath)
                 "traffic accumulation ==\n",
                 devices);
 
-    // No System::make here: an all-pairs route table (next-hop or CSR)
-    // is itself O(devices²) — gigabytes at 16k — so this point runs on
-    // on-the-fly XY routes. walk() falls back to a per-topology
-    // scratch, which is fine single-threaded.
-    MeshTopology mesh = MeshTopology::waferRow(4, meshN);
-    mesh.disableRouteCache();
+    const MeshTopology mesh = MeshTopology::waferRow(4, meshN);
     const HierarchicalErMapping her(
         mesh, decomposeTp(4, mesh.waferRows(), mesh.waferCols()));
     std::printf("system: %s / %s, %d devices, %zu links\n",
@@ -173,11 +179,11 @@ runSparseScalePoint(int devices, int meshN, const std::string &tracePath)
         return 1;
     }
 
-    const int mismatches = checkSampledWalks(mesh);
-    if (mismatches != 0) {
+    const int violations = checkSampledWalks(mesh);
+    if (violations != 0) {
         std::fprintf(stderr,
-                     "FAIL: %d sampled walk mismatches vs XY routes\n",
-                     mismatches);
+                     "FAIL: %d sampled walks break the XY properties\n",
+                     violations);
         return 1;
     }
     std::printf("sampled walks: OK\n");
@@ -283,12 +289,9 @@ runSparseScalePoint(int devices, int meshN, const std::string &tracePath)
 int
 main(int argc, char **argv)
 {
-    bool skipCsr = false;
     int meshN = 16;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--no-csr") == 0) {
-            skipCsr = true;
-        } else if (std::strcmp(argv[i], "--devices") == 0) {
+        if (std::strcmp(argv[i], "--devices") == 0) {
             if (i + 1 >= argc)
                 fatal("--devices expects a value");
             meshN = meshNFromDevicesArg(argv[++i]);
@@ -303,8 +306,7 @@ main(int argc, char **argv)
         return runSparseScalePoint(devices, meshN, tracePath);
     }
 
-    std::printf("== scale smoke: %d-device multi-wafer mesh, "
-                "next-hop route storage ==\n",
+    std::printf("== scale smoke: %d-device multi-wafer mesh ==\n",
                 devices);
 
     SystemConfig sc;
@@ -322,19 +324,12 @@ main(int argc, char **argv)
         std::fprintf(stderr, "FAIL: expected >= 1024 devices\n");
         return 1;
     }
-    if (!topo.usingNextHopRoutes()) {
-        std::fprintf(stderr,
-                     "FAIL: Auto policy did not select the next-hop "
-                     "storage at %d devices\n",
-                     topo.numDevices());
-        return 1;
-    }
 
-    const int mismatches = checkSampledWalks(topo);
-    if (mismatches != 0) {
+    const int violations = checkSampledWalks(*sys->mesh());
+    if (violations != 0) {
         std::fprintf(stderr,
-                     "FAIL: %d sampled walk mismatches vs XY routes\n",
-                     mismatches);
+                     "FAIL: %d sampled walks break the XY properties\n",
+                     violations);
         return 1;
     }
     std::printf("sampled walks: OK\n");
@@ -399,26 +394,6 @@ main(int argc, char **argv)
         engine.attachObs(hooks);
         engine.run(3);
         writeTraceIfRequested(trace, tracePath);
-    }
-
-    if (!skipCsr) {
-        // The memory win itself: the CSR arena on an identical mesh
-        // must be at least 4x the compressed matrix at this scale.
-        MeshTopology csrMesh = MeshTopology::waferRow(4, meshN);
-        csrMesh.setRouteStorage(RouteStorageKind::CsrArena);
-        const double csrBytes =
-            static_cast<double>(csrMesh.routeStorageBytes());
-        const double nhBytes =
-            static_cast<double>(topo.routeStorageBytes());
-        const double ratio = csrBytes / nhBytes;
-        std::printf("route storage: csr %.1f MB vs next-hop %.1f MB "
-                    "(%.1fx)\n",
-                    csrBytes / 1e6, nhBytes / 1e6, ratio);
-        if (ratio < 4.0) {
-            std::fprintf(stderr,
-                         "FAIL: compression ratio %.2f < 4.0\n", ratio);
-            return 1;
-        }
     }
 
     std::printf("scale smoke: PASS\n");

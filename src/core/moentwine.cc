@@ -9,16 +9,10 @@ System::make(const SystemConfig &cfg)
 {
     System sys;
     sys.cfg_ = cfg;
-    // Applied to the topology right after construction, before any
-    // mapping may trigger a route build.
-    const auto applyStorage = [&cfg](Topology &topo) {
-        topo.setRouteStorage(cfg.routeStorage);
-    };
     switch (cfg.platform) {
       case PlatformKind::WscBaseline: {
         sys.mesh_ = std::make_unique<MeshTopology>(
             MeshTopology::waferRow(cfg.wafers, cfg.meshN));
-        applyStorage(*sys.mesh_);
         const auto par = decomposeTp(cfg.tp, sys.mesh_->rows(),
                                      sys.mesh_->cols());
         sys.mapping_ =
@@ -28,7 +22,6 @@ System::make(const SystemConfig &cfg)
       case PlatformKind::WscEr: {
         sys.mesh_ = std::make_unique<MeshTopology>(
             MeshTopology::waferRow(cfg.wafers, cfg.meshN));
-        applyStorage(*sys.mesh_);
         const auto par = decomposeTp(cfg.tp, sys.mesh_->rows(),
                                      sys.mesh_->cols());
         sys.mapping_ = std::make_unique<ErMapping>(*sys.mesh_, par);
@@ -37,7 +30,6 @@ System::make(const SystemConfig &cfg)
       case PlatformKind::WscHer: {
         sys.mesh_ = std::make_unique<MeshTopology>(
             MeshTopology::waferRow(cfg.wafers, cfg.meshN));
-        applyStorage(*sys.mesh_);
         const auto par = decomposeTp(cfg.tp, sys.mesh_->waferRows(),
                                      sys.mesh_->waferCols());
         sys.mapping_ =
@@ -47,7 +39,6 @@ System::make(const SystemConfig &cfg)
       case PlatformKind::DgxCluster: {
         sys.cluster_ = std::make_unique<SwitchClusterTopology>(
             SwitchClusterTopology::dgx(cfg.dgxNodes));
-        applyStorage(*sys.cluster_);
         sys.mapping_ =
             std::make_unique<ClusterMapping>(*sys.cluster_, cfg.tp);
         break;
@@ -55,7 +46,6 @@ System::make(const SystemConfig &cfg)
       case PlatformKind::Nvl72: {
         sys.cluster_ = std::make_unique<SwitchClusterTopology>(
             SwitchClusterTopology::nvl72());
-        applyStorage(*sys.cluster_);
         sys.mapping_ =
             std::make_unique<ClusterMapping>(*sys.cluster_, cfg.tp);
         break;
@@ -65,10 +55,10 @@ System::make(const SystemConfig &cfg)
     // Traffic-accumulator policy is a pre-sharing configuration hook
     // on the mapping (the token router reads it per routeTokens call).
     sys.mapping_->setTrafficStorage(cfg.trafficStorage);
-    // Finalize immutability: build the all-pairs route table and the
-    // dispatch-source memos now, so the returned System carries no
-    // cold lazy caches and can be shared as shared_ptr<const System>
-    // across sweep worker threads (each worker still owns its engine).
+    // Finalize immutability: build the dispatch-source memos now, so
+    // the returned System carries no cold lazy caches and can be
+    // shared as shared_ptr<const System> across sweep worker threads
+    // (each worker still owns its engine).
     sys.mapping_->prewarmCaches();
     return sys;
 }

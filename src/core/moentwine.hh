@@ -75,14 +75,6 @@ struct SystemConfig
     /** DGX node count (DgxCluster platform only). */
     int dgxNodes = 4;
     /**
-     * All-pairs route storage policy for the topology. Auto picks the
-     * CSR arena below Topology::kNextHopAutoThreshold devices and the
-     * compressed next-hop matrix at or above it; force a kind to run
-     * the same system under both representations (they are bitwise
-     * equivalent — see tests/next_hop_test.cpp).
-     */
-    RouteStorageKind routeStorage = RouteStorageKind::Auto;
-    /**
      * Per-(src, dst) traffic-accumulator policy for the token router.
      * Auto picks the dense byte matrix below
      * TrafficAccumulator::kSparseAutoThreshold devices and the sparse
@@ -96,12 +88,10 @@ struct SystemConfig
 /**
  * Owning bundle of a topology and the mapping placed on it.
  *
- * make() finalizes every lazy cache (all-pairs routes, dispatch-source
- * memos), so a constructed System is deeply immutable behind its const
- * interface and safe to share across threads as shared_ptr<const
- * System> — the contract the sweep runner's worker pool relies on.
- * Only the single-threaded benchmarking hooks
- * (Topology::disableRouteCache()) may mutate it afterwards.
+ * make() finalizes every lazy cache (the dispatch-source memos), so a
+ * constructed System is deeply immutable behind its const interface and
+ * safe to share across threads as shared_ptr<const System> — the
+ * contract the sweep runner's worker pool relies on.
  */
 class System
 {

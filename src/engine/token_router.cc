@@ -102,9 +102,9 @@ routeTokens(const Mapping &mapping, const ExpertPlacement &placement,
 
     if (aggregate) {
         // Materialise the non-zero pairs as flows in tile-major order
-        // (cache-blocked so the downstream addFlow reduction walks
-        // routes with hot next-hop rows); combine mirrors dispatch
-        // (same bytes, reversed direction).
+        // (cache-blocked so the downstream addFlow reduction touches
+        // the link-volume buffer with locality); combine mirrors
+        // dispatch (same bytes, reversed direction).
         out.pairBytes.forEachTiled(
             [&out](DeviceId s, DeviceId d, double bytes) {
                 out.dispatch.push_back(Flow{s, d, bytes});

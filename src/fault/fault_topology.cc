@@ -18,7 +18,6 @@ FaultTopology::FaultTopology(const Topology &base)
     }
     degradeFactor_.assign(links.size(), 1.0);
     failed_.assign(links.size(), 0);
-    setRouteStorage(base.routeStorage());
 }
 
 std::string
@@ -68,35 +67,25 @@ FaultTopology::restoreLink(LinkId link)
     applyBandwidth(link);
 }
 
-std::vector<LinkId>
-FaultTopology::computeRoute(DeviceId src, DeviceId dst) const
+LinkId
+FaultTopology::nextLink(NodeId at, DeviceId dst) const
 {
     // Fault-free and degrade-only overlays keep the base paths; only
     // failures force the reroute trees.
     if (failedLinkCount_ == 0)
-        return base_->computeRoute(src, dst);
-    MOE_ASSERT(!towardDst_.empty(),
-               "computeRoute before rebuildAfterFaults");
-    std::vector<LinkId> out;
-    if (src == dst)
-        return out;
-    NodeId n = src;
-    while (n != dst) {
-        const LinkId l = towardDst_[static_cast<std::size_t>(n) *
-                                        static_cast<std::size_t>(devices_) +
-                                    static_cast<std::size_t>(dst)];
-        if (l < 0)
-            return {}; // unreachable: reported, never mis-routed
-        out.push_back(l);
-        n = links_[static_cast<std::size_t>(l)].dst;
-    }
-    return out;
+        return base_->nextLink(at, dst);
+    MOE_ASSERT(!towardDst_.empty(), "route query before rebuildAfterFaults");
+    const LinkId l = towardDst_[static_cast<std::size_t>(at) *
+                                    static_cast<std::size_t>(devices_) +
+                                static_cast<std::size_t>(dst)];
+    MOE_ASSERT(l >= 0, "route query on an unreachable pair; check "
+                       "reachable() first");
+    return l;
 }
 
 void
 FaultTopology::rebuildAfterFaults()
 {
-    invalidateRouteStorage();
     if (failedLinkCount_ == 0) {
         towardDst_.clear();
         isolated_.clear();

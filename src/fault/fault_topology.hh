@@ -9,18 +9,16 @@
  * failed link at a vanishingly small epsilon so any accidental use
  * explodes a timing instead of passing silently. Routing:
  *
- *  - With no failed links, computeRoute() delegates to the base
- *    topology, so a degrade-only overlay reproduces the base paths
- *    exactly (the rebuilt scalar tables differ only where bandwidth
- *    changed).
+ *  - With no failed links, nextLink() delegates to the base topology,
+ *    so a degrade-only overlay reproduces the base paths exactly (the
+ *    path scalars differ only where bandwidth changed).
  *  - With failed links, per-destination min-hop trees are built over
  *    the live links (reverse BFS from each destination; ties broken by
- *    ascending link id), which makes the rerouted function node-
- *    locally deterministic — the property NextHopTable::build()
- *    verifies — so the overlay reuses the RouteStorageKind machinery
- *    unchanged. A pair with no live path gets an empty route and is
- *    reported via reachable()/isolatedDevices(); walking it trips the
- *    PathWalker's loud no-next-hop assertion rather than mis-routing.
+ *    ascending link id), and nextLink() follows them. A pair with no
+ *    live path is reported via reachable()/isolatedDevices(); any
+ *    route query on it (walk(), hops(), the path scalars, flowTime(),
+ *    addFlow()) asserts loudly rather than mis-routing or charging
+ *    the transfer as free.
  *
  * Devices cut off from the largest mutually-reachable component
  * (smallest lowest-member tie-break) are reported as isolated; the
@@ -37,7 +35,7 @@
 
 namespace moentwine {
 
-class FaultTopology : public Topology
+class FaultTopology final : public Topology
 {
   public:
     /**
@@ -49,8 +47,7 @@ class FaultTopology : public Topology
 
     /**
      * Build an overlay of @p base. The base must outlive the overlay;
-     * its links are copied in id order so LinkIds coincide, and the
-     * base's route-storage policy is inherited.
+     * its links are copied in id order so LinkIds coincide.
      */
     explicit FaultTopology(const Topology &base);
 
@@ -58,8 +55,14 @@ class FaultTopology : public Topology
     int numNodes() const override { return nodes_; }
     std::string name() const override;
 
-    std::vector<LinkId> computeRoute(DeviceId src,
-                                     DeviceId dst) const override;
+    LinkId nextLink(NodeId at, DeviceId dst) const override;
+
+    /** The base's closed form while no link is failed, else a walk. */
+    int hops(DeviceId src, DeviceId dst) const override
+    {
+        return failedLinkCount_ == 0 ? base_->hops(src, dst)
+                                     : Topology::hops(src, dst);
+    }
 
     /** Run the link at factor × nameplate (replaces prior degrade). */
     void degradeLink(LinkId link, double bwFactor);
@@ -80,11 +83,10 @@ class FaultTopology : public Topology
     int failedLinkCount() const { return failedLinkCount_; }
 
     /**
-     * Recompute routes after a batch of link mutations: drops the
-     * built route storage and, when failures are present, rebuilds the
-     * per-destination reroute trees and the isolation report. Call
-     * once per fault boundary, after all of that boundary's link
-     * events (FaultInjector does).
+     * Recompute routes after a batch of link mutations: when failures
+     * are present, rebuilds the per-destination reroute trees and the
+     * isolation report. Call once per fault boundary, after all of
+     * that boundary's link events (FaultInjector does).
      */
     void rebuildAfterFaults();
 

@@ -158,7 +158,6 @@ Mapping::dispatchSourceCached(int group, int rank, DeviceId expertDevice,
 void
 Mapping::prewarmCaches() const
 {
-    topo_.finalizeRoutes();
     // Force both dispatch memo tables through the once-guard.
     if (dp() > 0 && numDevices() > 0) {
         (void)dispatchSourceCached(0, 0, 0, true);

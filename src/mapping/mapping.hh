@@ -152,10 +152,10 @@ class Mapping
 
     /**
      * Eagerly build every lazy cache a const mapping query could
-     * otherwise populate on first use: the topology's all-pairs route
-     * table and both dispatch-source memo tables. System::make calls
-     * this so a System handed to sweep worker threads as
-     * shared_ptr<const> has no cold caches left to contend on.
+     * otherwise populate on first use: both dispatch-source memo
+     * tables. System::make calls this so a System handed to sweep
+     * worker threads as shared_ptr<const> has no cold caches left to
+     * contend on.
      */
     void prewarmCaches() const;
 

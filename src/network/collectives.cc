@@ -19,8 +19,8 @@ roundsFor(RingOp op, int p)
 /**
  * Per-round serialisation cost of forwarding one chunk between
  * consecutive ring members: store-and-forward over every link of the
- * deterministic route, volume term only. O(1) from the route cache's
- * per-pair Σ 1/bandwidth.
+ * deterministic route, volume term only: chunk × the route's
+ * Σ 1/bandwidth.
  */
 double
 edgeVolumeCost(const Topology &topo, DeviceId src, DeviceId dst,
@@ -62,8 +62,8 @@ ringCollectiveAppend(const Topology &topo,
             const DeviceId src = ring[i];
             const DeviceId dst = ring[(i + 1) % p];
             // addFlow walks the deterministic route in place, so this
-            // stays allocation-free under both route storages (ring
-            // neighbours are distinct devices and chunk is positive).
+            // stays allocation-free (ring neighbours are distinct
+            // devices and chunk is positive).
             scratch.traffic.addFlow(src, dst,
                                     chunk * static_cast<double>(rounds));
         }

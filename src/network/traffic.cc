@@ -14,7 +14,7 @@ flowTime(const Topology &topo, DeviceId src, DeviceId dst, double bytes)
         return 0.0;
     // Eq.(1): each hop stores and forwards the full payload, so the
     // total is bytes × Σ 1/bw plus the summed link latencies — both
-    // precomputed per pair by the route cache.
+    // accumulated along one walk of the route each.
     return bytes * topo.pathInvBandwidthSum(src, dst) +
         topo.pathLatency(src, dst);
 }
@@ -47,11 +47,9 @@ PhaseTraffic::addFlow(DeviceId src, DeviceId dst, double bytes)
     MOE_ASSERT(bytes >= 0.0, "flow volume must be non-negative");
     if (src == dst || bytes == 0.0)
         return;
-    // Walk the deterministic route without borrowing an arena slice:
-    // under the CSR storage the walker iterates the cached view, under
-    // the compressed storage it follows next-hop links — either way
-    // the link order (and therefore the latency summation) is the one
-    // computeRoute() defines, and no allocation happens.
+    // Walk the deterministic route in place (one nextLink() per hop):
+    // the link order, and therefore the latency summation, is the
+    // route's, and no allocation happens.
     double pathLatency = 0.0;
     for (const LinkId l : topo_->walk(src, dst)) {
         MOE_ASSERT(l >= 0 && static_cast<std::size_t>(l) < volume_.size(),

@@ -42,8 +42,8 @@ struct Flow
 
 /**
  * Eq.(1) store-and-forward latency of a single transfer along the
- * topology's deterministic route. Answered from the route cache's
- * per-pair scalars without walking links.
+ * topology's deterministic route, from Topology::pathInvBandwidthSum()
+ * and Topology::pathLatency().
  */
 double flowTime(const Topology &topo, DeviceId src, DeviceId dst,
                 double bytes);
@@ -65,8 +65,7 @@ class PhaseTraffic
 
     /**
      * Add a flow along the topology's deterministic route, walked in
-     * place (Topology::walk()): allocation-free under both route
-     * storages.
+     * place (Topology::walk()): allocation-free.
      */
     void addFlow(DeviceId src, DeviceId dst, double bytes);
 

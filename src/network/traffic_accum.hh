@@ -10,8 +10,7 @@
  * therefore becomes the memory wall at 10k+ devices: devices² doubles
  * is ~2 GB per phase at 16k, allocated and cleared every iteration.
  *
- * TrafficAccumulator hides the storage choice behind one interface,
- * mirroring the RouteStorageKind policy of the routing core:
+ * TrafficAccumulator hides the storage choice behind one interface:
  *
  *  - Dense: a devices² double matrix (today's representation; O(1)
  *    add, O(devices²) memory and clear);
@@ -33,10 +32,10 @@
  * tile-major order: (src-tile, dst-tile, src, dst) with
  * kTileDevices×kTileDevices tiles. The tiling is what blocks the
  * matrix→PhaseTraffic::addFlow reduction for cache locality: flows of
- * one (src, dst) block walk routes with hot next-hop rows instead of
- * striding the full matrix. Systems with at most kTileDevices devices
- * fit in a single tile, so their emission order is plain row-major —
- * identical to the historical dense scan.
+ * one (src, dst) block walk neighbouring routes, so they touch a small
+ * set of link volumes instead of striding the whole mesh. Systems with
+ * at most kTileDevices devices fit in a single tile, so their emission
+ * order is plain row-major — identical to the historical dense scan.
  */
 
 #ifndef MOENTWINE_NETWORK_TRAFFIC_ACCUM_HH
@@ -92,10 +91,10 @@ class TrafficAccumulator
 
     /**
      * Edge length of the (src, dst) emission tiles. 64×64 pairs cover
-     * a 32 KB dense block and keep the destination next-hop columns of
-     * one tile resident across the route walks of its flows. Also the
-     * compatibility knob: systems with <= kTileDevices devices emit in
-     * plain row-major order, bit-identical to the pre-tiling scan.
+     * a 32 KB dense block and keep the link volumes touched by one
+     * tile's route walks resident. Also the compatibility knob:
+     * systems with <= kTileDevices devices emit in plain row-major
+     * order, bit-identical to the pre-tiling scan.
      */
     static constexpr int kTileDevices = 64;
 

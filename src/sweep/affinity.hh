@@ -5,8 +5,8 @@
  * The playbook is the classic locality-first one: pin each worker
  * thread to one core so its working set stays in that core's private
  * caches, and — on multi-socket boxes — build per-NUMA-node copies of
- * the hot read-only tables (the System's route/next-hop storage and
- * expert placements) on a thread already pinned to that node, so
+ * the hot read-only tables (the System's topology links, dispatch memos
+ * and expert placements) on a thread already pinned to that node, so
  * first-touch places every page node-locally.
  *
  * Graceful degradation is the contract, mirroring obs/hw_counters.hh:

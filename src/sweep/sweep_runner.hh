@@ -32,8 +32,8 @@
  * affinity enabled on a multi-socket box (or with
  * SweepOptions::numaNodesOverride forcing replication), each NUMA
  * node gets its own System replica, built by a thread pinned to that
- * node so first-touch places the hot read-only tables (route/next-hop
- * storage, dispatch memos, expert placements) node-locally. The
+ * node so first-touch places the hot read-only tables (topology links,
+ * dispatch memos, expert placements) node-locally. The
  * replica build is deterministic, so rows never depend on it.
  *
  * Job-count convention, used by every converted bench driver:

@@ -1,15 +1,13 @@
 /**
  * @file
  * Basic graph vocabulary shared by the topology headers: node/device/
- * link identifiers, the Link record, and the borrowed PathView range.
- * Split out of topology.hh so the route-storage headers
- * (next_hop_table.hh) can name these types without a circular include.
+ * link identifiers and the Link record. Kept apart from topology.hh so
+ * headers that only name ids (fault plans, traffic accumulators) do not
+ * pull in the routing interface.
  */
 
 #ifndef MOENTWINE_TOPOLOGY_GRAPH_HH
 #define MOENTWINE_TOPOLOGY_GRAPH_HH
-
-#include <cstddef>
 
 namespace moentwine {
 
@@ -30,42 +28,6 @@ struct Link
     NodeId dst;
     double bandwidth;
     double latency;
-};
-
-/**
- * Non-owning view of a deterministic route: a contiguous LinkId range
- * borrowed from the owning topology's route arena (or, with the route
- * cache disabled or the next-hop storage active, from a per-topology
- * scratch buffer that the next route() call overwrites). Valid while
- * the topology is alive and, on the scratch-backed paths, only until
- * the next route() call.
- */
-class PathView
-{
-  public:
-    using value_type = LinkId;
-    using const_iterator = const LinkId *;
-
-    PathView() = default;
-
-    PathView(const LinkId *data, std::size_t size)
-        : data_(data), size_(size)
-    {
-    }
-
-    const_iterator begin() const { return data_; }
-    const_iterator end() const { return data_ + size_; }
-
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-
-    LinkId operator[](std::size_t i) const { return data_[i]; }
-    LinkId front() const { return data_[0]; }
-    LinkId back() const { return data_[size_ - 1]; }
-
-  private:
-    const LinkId *data_ = nullptr;
-    std::size_t size_ = 0;
 };
 
 } // namespace moentwine

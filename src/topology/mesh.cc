@@ -24,20 +24,31 @@ MeshTopology::MeshTopology(const MeshSpec &spec)
                (c0 / spec.meshCols != c1 / spec.meshCols);
     };
 
-    auto connect = [&](int r0, int c0, int r1, int c1) {
+    coords_.reserve(static_cast<std::size_t>(numDevices()));
+    for (DeviceId d = 0; d < numDevices(); ++d)
+        coords_.push_back(Coord{d / cols_, d % cols_});
+    ports_.assign(static_cast<std::size_t>(numDevices()) * kPorts, -1);
+    auto port = [&](DeviceId d, Port p) -> LinkId & {
+        return ports_[static_cast<std::size_t>(d) * kPorts + p];
+    };
+    // Connect (r0, c0) to its east/south neighbour (r1, c1) both ways.
+    auto connect = [&](int r0, int c0, int r1, int c1, Port forward,
+                       Port back) {
         const bool cross = crossesWafer(r0, c0, r1, c1);
         const double bw = cross ? spec.crossBandwidth : spec.linkBandwidth;
         const double lat = cross ? spec.crossLatency : spec.linkLatency;
-        addLink(deviceAt(r0, c0), deviceAt(r1, c1), bw, lat);
-        addLink(deviceAt(r1, c1), deviceAt(r0, c0), bw, lat);
+        const DeviceId a = deviceAt(r0, c0);
+        const DeviceId b = deviceAt(r1, c1);
+        port(a, forward) = addLink(a, b, bw, lat);
+        port(b, back) = addLink(b, a, bw, lat);
     };
 
     for (int r = 0; r < rows_; ++r) {
         for (int c = 0; c < cols_; ++c) {
             if (c + 1 < cols_)
-                connect(r, c, r, c + 1);
+                connect(r, c, r, c + 1, East, West);
             if (r + 1 < rows_)
-                connect(r, c, r + 1, c);
+                connect(r, c, r + 1, c, South, North);
         }
     }
 }
@@ -62,32 +73,21 @@ MeshTopology::waferRow(int wafers, int n)
     return MeshTopology(spec);
 }
 
-std::vector<LinkId>
-MeshTopology::computeRoute(DeviceId src, DeviceId dst) const
+LinkId
+MeshTopology::nextLink(NodeId at, DeviceId dst) const
 {
-    MOE_ASSERT(src >= 0 && src < numDevices(), "route: bad src device");
-    MOE_ASSERT(dst >= 0 && dst < numDevices(), "route: bad dst device");
-    std::vector<LinkId> path;
-    Coord cur = coordOf(src);
-    const Coord goal = coordOf(dst);
+    MOE_ASSERT(at >= 0 && at < numDevices() && dst >= 0 &&
+                   dst < numDevices() && at != dst,
+               "mesh nextLink: bad node pair");
     // X first (move along the row, changing the column), then Y.
-    while (cur.col != goal.col) {
-        const int next = cur.col + (goal.col > cur.col ? 1 : -1);
-        const LinkId l = linkBetween(deviceAt(cur.row, cur.col),
-                                     deviceAt(cur.row, next));
-        MOE_ASSERT(l >= 0, "mesh adjacency missing during XY routing");
-        path.push_back(l);
-        cur.col = next;
-    }
-    while (cur.row != goal.row) {
-        const int next = cur.row + (goal.row > cur.row ? 1 : -1);
-        const LinkId l = linkBetween(deviceAt(cur.row, cur.col),
-                                     deviceAt(next, cur.col));
-        MOE_ASSERT(l >= 0, "mesh adjacency missing during XY routing");
-        path.push_back(l);
-        cur.row = next;
-    }
-    return path;
+    const Coord a = coords_[static_cast<std::size_t>(at)];
+    const Coord b = coords_[static_cast<std::size_t>(dst)];
+    Port p;
+    if (a.col != b.col)
+        p = b.col > a.col ? East : West;
+    else
+        p = b.row > a.row ? South : North;
+    return ports_[static_cast<std::size_t>(at) * kPorts + p];
 }
 
 std::string
@@ -109,7 +109,7 @@ Coord
 MeshTopology::coordOf(DeviceId d) const
 {
     MOE_ASSERT(d >= 0 && d < numDevices(), "coordOf: bad device");
-    return Coord{d / cols_, d % cols_};
+    return coords_[static_cast<std::size_t>(d)];
 }
 
 DeviceId

@@ -12,6 +12,8 @@
  * Routing is deterministic dimension-ordered XY: first along the row
  * (column index changes), then along the column. This is the standard
  * deadlock-free mesh routing assumed by the paper's congestion analysis.
+ * nextLink() compares two coordinates and reads a per-device neighbour
+ * array, so routing stores nothing per device pair.
  */
 
 #ifndef MOENTWINE_TOPOLOGY_MESH_HH
@@ -72,7 +74,7 @@ struct MeshSpec
 /**
  * Wafer-scale 2-D mesh (single- or multi-wafer).
  */
-class MeshTopology : public Topology
+class MeshTopology final : public Topology
 {
   public:
     /** Build a mesh from a full specification. */
@@ -89,8 +91,13 @@ class MeshTopology : public Topology
 
     int numDevices() const override { return rows_ * cols_; }
 
-    std::vector<LinkId> computeRoute(DeviceId src,
-                                     DeviceId dst) const override;
+    LinkId nextLink(NodeId at, DeviceId dst) const override;
+
+    /** XY routes are minimal: the Manhattan distance. */
+    int hops(DeviceId src, DeviceId dst) const override
+    {
+        return manhattan(src, dst);
+    }
 
     std::string name() const override;
 
@@ -143,9 +150,24 @@ class MeshTopology : public Topology
     const MeshSpec &spec() const { return spec_; }
 
   private:
+    /** Outgoing neighbour directions, indexing ports_. */
+    enum Port
+    {
+        East,  ///< column + 1
+        West,  ///< column - 1
+        South, ///< row + 1
+        North, ///< row - 1
+        kPorts
+    };
+
     MeshSpec spec_;
     int rows_;
     int cols_;
+    // Coordinate of each device, so routing divides nothing per hop.
+    std::vector<Coord> coords_;
+    // Outgoing link of device d toward each Port at d × kPorts + port
+    // (-1 on the mesh edge).
+    std::vector<LinkId> ports_;
 };
 
 } // namespace moentwine

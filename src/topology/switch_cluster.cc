@@ -15,6 +15,9 @@ SwitchClusterTopology::SwitchClusterTopology(const SwitchClusterSpec &spec)
     const bool multiNode = spec.numNodes > 1;
     totalNodes_ = devices + spec.numNodes + (multiNode ? 1 : 0);
 
+    // Link layout, which nextLink() relies on: device d's uplink and
+    // downlink are links 2d and 2d + 1; node n's switch→spine and
+    // spine→switch links follow at 2 × devices + 2n and + 1.
     // Device ↔ node-switch links.
     for (DeviceId d = 0; d < devices; ++d) {
         const NodeId sw = switchOf(nodeOf(d));
@@ -62,26 +65,22 @@ SwitchClusterTopology::nvl72()
     return SwitchClusterTopology(spec);
 }
 
-std::vector<LinkId>
-SwitchClusterTopology::computeRoute(DeviceId src, DeviceId dst) const
+LinkId
+SwitchClusterTopology::nextLink(NodeId at, DeviceId dst) const
 {
-    MOE_ASSERT(src >= 0 && src < numDevices(), "route: bad src device");
-    MOE_ASSERT(dst >= 0 && dst < numDevices(), "route: bad dst device");
-    std::vector<LinkId> path;
-    if (src == dst)
-        return path;
-
-    const NodeId srcSw = switchOf(nodeOf(src));
-    const NodeId dstSw = switchOf(nodeOf(dst));
-    path.push_back(linkBetween(src, srcSw));
-    if (srcSw != dstSw) {
-        path.push_back(linkBetween(srcSw, spine()));
-        path.push_back(linkBetween(spine(), dstSw));
-    }
-    path.push_back(linkBetween(dstSw, dst));
-    for (LinkId l : path)
-        MOE_ASSERT(l >= 0, "switch-cluster adjacency missing");
-    return path;
+    const int devices = numDevices();
+    MOE_ASSERT(at >= 0 && at < totalNodes_ && dst >= 0 && dst < devices &&
+                   at != dst,
+               "switch-cluster nextLink: bad node pair");
+    if (at < devices)
+        return 2 * at; // device → its node switch
+    const int dstNode = nodeOf(dst);
+    const LinkId spineLinks = 2 * devices;
+    if (at == devices + spec_.numNodes)
+        return spineLinks + 2 * dstNode + 1; // spine → dst's switch
+    const int node = at - devices;
+    return node == dstNode ? 2 * dst + 1          // switch → dst
+                           : spineLinks + 2 * node; // switch → spine
 }
 
 std::string

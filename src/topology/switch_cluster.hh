@@ -13,6 +13,9 @@
  *
  * NVL72 is the single-node special case: every device hangs off one
  * switch at full NVLink bandwidth, so all traffic is "intra-node".
+ *
+ * Routing is device→switch(→spine→switch)→device; nextLink() works it
+ * out from the node ids and the fixed link-creation order.
  */
 
 #ifndef MOENTWINE_TOPOLOGY_SWITCH_CLUSTER_HH
@@ -47,7 +50,7 @@ struct SwitchClusterSpec
 /**
  * Cluster of devices behind per-node switches and an optional spine.
  */
-class SwitchClusterTopology : public Topology
+class SwitchClusterTopology final : public Topology
 {
   public:
     explicit SwitchClusterTopology(const SwitchClusterSpec &spec);
@@ -65,8 +68,13 @@ class SwitchClusterTopology : public Topology
 
     int numNodes() const override { return totalNodes_; }
 
-    std::vector<LinkId> computeRoute(DeviceId src,
-                                     DeviceId dst) const override;
+    LinkId nextLink(NodeId at, DeviceId dst) const override;
+
+    /** Up and down through the node switch, plus the spine across nodes. */
+    int hops(DeviceId src, DeviceId dst) const override
+    {
+        return src == dst ? 0 : sameNode(src, dst) ? 2 : 4;
+    }
 
     std::string name() const override;
 

@@ -6,249 +6,104 @@
  * A topology is a directed graph of unidirectional links between nodes.
  * Nodes [0, numDevices()) are compute devices; a topology may add
  * internal nodes beyond that range (e.g. switches in a DGX cluster).
- * Routing is deterministic: route(src, dst) always returns the same link
- * sequence, which is what lets the analytical congestion model accumulate
- * per-link traffic volumes reproducibly.
  *
- * Because routes are deterministic and topologies immutable after
- * construction, all-pairs routing is precomputed once into one of two
- * interchangeable storages selected by a RouteStorage policy:
+ * Routing is deterministic and node-local: each topology states its
+ * rule once, as nextLink(at, dst) — the link a transfer standing at node
+ * `at` takes toward device `dst` (dimension-ordered XY on the mesh,
+ * device→switch→spine→switch→device on switch clusters). That is what
+ * lets the analytical congestion model accumulate per-link volumes
+ * reproducibly. Nothing is stored per device pair, so a topology costs
+ * O(links) memory at any size.
  *
- *  - RouteTable (CSR arena): every path stored explicitly, O(devices² ×
- *    avg hops) memory; route() returns a stable borrowed PathView.
- *  - NextHopTable (compressed): one first-hop link per (node, dst),
- *    O(devices²) memory; link sequences are reconstructed on the fly
- *    by a PathWalker cursor (see Topology::walk()).
- *
- * Both storages precompute the per-pair scalars, so hops(),
- * pathLatency(), pathBandwidth() and pathInvBandwidthSum() are O(1)
- * non-allocating lookups either way, and both answer bitwise identical
- * values. The policy defaults to Auto: CSR below
- * kNextHopAutoThreshold devices (compact, stable views), compressed at
- * or above it (kilodevice meshes and switch clusters whose arena would
- * dominate RSS). Consumers that iterate links should prefer walk();
- * route() stays PathView-compatible but materialises into a per-
- * topology scratch under the compressed storage.
+ * walk() is an allocation-free cursor over nextLink(). pathLatency(),
+ * pathBandwidth() and pathInvBandwidthSum() walk the route and
+ * accumulate link by link in path order, so each scalar is a pure
+ * function of the link sequence; hops() walks too unless the topology
+ * knows its closed form. A constructed topology is immutable behind its
+ * const interface and safe to share across threads through const
+ * references.
  */
 
 #ifndef MOENTWINE_TOPOLOGY_TOPOLOGY_HH
 #define MOENTWINE_TOPOLOGY_TOPOLOGY_HH
 
-#include <atomic>
 #include <cstddef>
-#include <mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "topology/graph.hh"
-#include "topology/next_hop_table.hh"
 
 namespace moentwine {
 
 class Topology;
 
 /**
- * All-pairs route cache over the compute devices of a topology.
- *
- * Paths are stored back to back in one arena vector indexed by a
- * (src, dst) offset table (CSR layout), so a route lookup is two loads
- * and no allocation. Per-pair scalars answer the Eq.(1) ingredients
- * without re-walking links:
- *  - latency(): sum of per-link latencies along the route;
- *  - minBandwidth(): bottleneck link bandwidth;
- *  - invBandwidthSum(): Σ 1/bw over the route's links, so the
- *    store-and-forward volume term of Eq.(1) is bytes × invBandwidthSum.
+ * Forward range over one deterministic route: starts at the source and
+ * follows Topology::nextLink() until the destination. Construction and
+ * iteration never allocate, which is what keeps PhaseTraffic::addFlow()
+ * allocation-free. Obtain one from Topology::walk(); it borrows the
+ * topology.
  */
-class RouteTable
+class RouteWalk
 {
   public:
-    RouteTable() = default;
-
-    // Copies/moves transfer the table data and the built flag. They
-    // exist so topology factories can return by value; copying a table
-    // that another thread is concurrently building is not supported
-    // (finalized topologies are shared by pointer, never copied).
-    RouteTable(const RouteTable &other) { *this = other; }
-    RouteTable(RouteTable &&other) noexcept { *this = std::move(other); }
-    RouteTable &operator=(const RouteTable &other);
-    RouteTable &operator=(RouteTable &&other) noexcept;
-
-    /** Precompute all-pairs routes by calling topo.computeRoute(). */
-    void build(const Topology &topo);
-
-    /**
-     * True once build() has run (and the cache is not disabled). An
-     * acquire load: a true result makes the arena built by another
-     * thread visible, which is what lets worker threads share one
-     * finalized topology without synchronising per query.
-     */
-    bool built() const { return built_.load(std::memory_order_acquire); }
-
-    /**
-     * Test hook: drop the table and make built() stay false so the
-     * owning topology falls back to computeRoute() on every query.
-     * Used by bench/perf_routing to measure the no-cache baseline.
-     */
-    void disableCache();
-
-    /** Re-enable caching after disableCache() (table rebuilds lazily). */
-    void enableCache() { disabled_ = false; }
-
-    /** True while the test hook holds the cache off. */
-    bool disabled() const { return disabled_; }
-
-    /** Drop the table so the storage policy can switch (rebuilds lazily). */
-    void reset();
-
-    /** Cached route; empty when src == dst. */
-    PathView path(DeviceId src, DeviceId dst) const
+    /** Sentinel for range-for support. */
+    struct End
     {
-        const std::size_t p = pairIndex(src, dst);
-        const std::size_t begin = offsets_[p];
-        return PathView(paths_.data() + begin, offsets_[p + 1] - begin);
+    };
+
+    /** Single-pass input iterator; one nextLink() call per hop. */
+    class Iterator
+    {
+      public:
+        Iterator(const Topology &topo, NodeId at, DeviceId dst)
+            : topo_(&topo), at_(at), dst_(dst)
+        {
+            step();
+        }
+
+        LinkId operator*() const { return link_; }
+
+        Iterator &operator++()
+        {
+            step();
+            return *this;
+        }
+
+        bool operator!=(End) const { return link_ >= 0; }
+
+      private:
+        /** Take the next hop; link_ becomes -1 at the destination. */
+        inline void step();
+
+        const Topology *topo_;
+        NodeId at_;
+        DeviceId dst_;
+        LinkId link_ = -1;
+    };
+
+    RouteWalk(const Topology &topo, DeviceId src, DeviceId dst)
+        : topo_(&topo), src_(src), dst_(dst)
+    {
     }
 
-    /** Hop count of the cached route. */
-    int hops(DeviceId src, DeviceId dst) const
-    {
-        const std::size_t p = pairIndex(src, dst);
-        return static_cast<int>(offsets_[p + 1] - offsets_[p]);
-    }
-
-    /** Sum of per-link latencies along the cached route. */
-    double latency(DeviceId src, DeviceId dst) const
-    {
-        return latency_[pairIndex(src, dst)];
-    }
-
-    /** Bottleneck bandwidth of the cached route (0 for zero-hop). */
-    double minBandwidth(DeviceId src, DeviceId dst) const
-    {
-        return minBw_[pairIndex(src, dst)];
-    }
-
-    /** Σ 1/bandwidth over the cached route's links. */
-    double invBandwidthSum(DeviceId src, DeviceId dst) const
-    {
-        return invBwSum_[pairIndex(src, dst)];
-    }
-
-    /** Heap footprint of the built arena (route-storage bytes). */
-    std::size_t storageBytes() const;
+    Iterator begin() const { return Iterator(*topo_, src_, dst_); }
+    End end() const { return End{}; }
 
   private:
-    std::size_t pairIndex(DeviceId src, DeviceId dst) const
-    {
-        return static_cast<std::size_t>(src) *
-                   static_cast<std::size_t>(devices_) +
-               static_cast<std::size_t>(dst);
-    }
-
-    int devices_ = 0;
-    // Release-published by build(); see built(). Makes the table safe
-    // to race-check from concurrent const queries.
-    std::atomic<bool> built_{false};
-    bool disabled_ = false;
-    std::vector<std::size_t> offsets_;
-    std::vector<LinkId> paths_;
-    std::vector<double> latency_;
-    std::vector<double> minBw_;
-    std::vector<double> invBwSum_;
-};
-
-/**
- * Which all-pairs route storage a topology builds. Both storages
- * answer every route query with bitwise identical results; they trade
- * arena memory (CSR) against per-walk pointer chasing (NextHop).
- */
-enum class RouteStorageKind
-{
-    /** CSR below Topology::kNextHopAutoThreshold devices, else NextHop. */
-    Auto,
-    /** Explicit per-path arena (RouteTable). */
-    CsrArena,
-    /** Compressed first-hop matrix (NextHopTable). */
-    NextHop,
+    const Topology *topo_;
+    DeviceId src_;
+    DeviceId dst_;
 };
 
 /**
  * Base class for all network topologies.
- *
- * Route queries are served from a lazily built route storage (CSR
- * arena or next-hop matrix, see RouteStorageKind). The lazy build is
- * guarded (double-checked mutex + release-published flag), so a fully
- * constructed topology is safe to share across threads through `const`
- * references — including concurrent first use. One exception: route()
- * materialises into an unguarded per-topology scratch when the
- * next-hop storage is active (or the cache is disabled); concurrent
- * consumers must use walk() or the scalar queries, which is what all
- * of src/ does. Call finalizeRoutes() to pay the build cost eagerly
- * (System::make does) so worker threads never contend on the guard.
- *
- * The disableRouteCache()/enableRouteCache() and setRouteStorage()
- * hooks mutate cache state and are NOT thread-safe; they exist for
- * single-threaded configuration and benchmarking only.
  */
 class Topology
 {
   public:
     virtual ~Topology() = default;
-
-    /**
-     * Auto-policy cutover: systems at or above this many devices build
-     * the compressed next-hop matrix instead of the CSR arena. Below
-     * it the arena is small (a few MB) and keeps route() views stable;
-     * above it the arena's O(devices² × avg hops) growth dominates
-     * RSS, which is what blocked kilodevice systems.
-     */
-    static constexpr int kNextHopAutoThreshold = 512;
-
-    // Copy/move keep links, adjacency, the storage policy, and any
-    // built route tables, and start with a fresh (unheld) build mutex.
-    // They exist so concrete factories can return by value; topologies
-    // in active concurrent use are shared by const pointer/reference,
-    // never copied.
-    Topology(const Topology &other)
-        : links_(other.links_),
-          outIndex_(other.outIndex_),
-          storageKind_(other.storageKind_),
-          routes_(other.routes_),
-          nextHops_(other.nextHops_)
-    {
-    }
-
-    Topology(Topology &&other) noexcept
-        : links_(std::move(other.links_)),
-          outIndex_(std::move(other.outIndex_)),
-          storageKind_(other.storageKind_),
-          routes_(std::move(other.routes_)),
-          nextHops_(std::move(other.nextHops_))
-    {
-    }
-
-    Topology &operator=(const Topology &other)
-    {
-        links_ = other.links_;
-        outIndex_ = other.outIndex_;
-        storageKind_ = other.storageKind_;
-        routes_ = other.routes_;
-        nextHops_ = other.nextHops_;
-        uncachedScratch_.clear();
-        return *this;
-    }
-
-    Topology &operator=(Topology &&other) noexcept
-    {
-        links_ = std::move(other.links_);
-        outIndex_ = std::move(other.outIndex_);
-        storageKind_ = other.storageKind_;
-        routes_ = std::move(other.routes_);
-        nextHops_ = std::move(other.nextHops_);
-        uncachedScratch_.clear();
-        return *this;
-    }
 
     /** Number of compute devices (excludes internal switch nodes). */
     virtual int numDevices() const = 0;
@@ -260,36 +115,33 @@ class Topology
     const std::vector<Link> &links() const { return links_; }
 
     /**
-     * Deterministic route between two compute devices, freshly derived
-     * (allocates). Consumers should prefer walk() or the cached route().
+     * The routing rule: the link a transfer at node @p at takes toward
+     * compute device @p dst (requires at != dst). Pure and thread-safe.
+     * Asserts when no route leaves @p at toward @p dst, so an
+     * unreachable pair can never be charged as free.
+     */
+    virtual LinkId nextLink(NodeId at, DeviceId dst) const = 0;
+
+    /** Allocation-free cursor over the route src → dst. */
+    RouteWalk walk(DeviceId src, DeviceId dst) const
+    {
+        return RouteWalk(*this, src, dst);
+    }
+
+    /**
+     * The route src → dst collected into a vector (allocates; for tests
+     * and cold callers — hot paths use walk()).
      * @return Link indices in traversal order; empty when src == dst.
      */
-    virtual std::vector<LinkId> computeRoute(DeviceId src,
-                                             DeviceId dst) const = 0;
+    std::vector<LinkId> computeRoute(DeviceId src, DeviceId dst) const;
 
     /**
-     * Deterministic route between two compute devices as a contiguous
-     * view. Under the CSR storage the view borrows the arena and stays
-     * valid for the topology's lifetime; under the next-hop storage
-     * (or with the cache disabled) it is materialised into a per-
-     * topology scratch that the next route() call on this topology
-     * overwrites — single-threaded use only in those modes. Link-
-     * iterating hot paths should use walk() instead, which never
-     * materialises.
-     * @return Borrowed link-id view; empty when src == dst.
+     * Hop count of the deterministic route (0 when src == dst). Walks
+     * the route; topologies with a closed-form length override it
+     * (balancers and the dispatch table ask for millions of these at
+     * kilodevice scale).
      */
-    PathView route(DeviceId src, DeviceId dst) const;
-
-    /**
-     * Allocation-free cursor over the deterministic route, uniform
-     * across both route storages (and the disabled-cache mode, where
-     * it walks the scratch route() just derived). Safe to use
-     * concurrently from many threads on a finalized topology.
-     */
-    PathWalker walk(DeviceId src, DeviceId dst) const;
-
-    /** Hop count of the deterministic route (0 when src == dst). */
-    int hops(DeviceId src, DeviceId dst) const;
+    virtual int hops(DeviceId src, DeviceId dst) const;
 
     /** Sum of per-link latencies along the deterministic route. */
     double pathLatency(DeviceId src, DeviceId dst) const;
@@ -312,100 +164,29 @@ class Topology
      */
     LinkId linkBetween(NodeId src, NodeId dst) const;
 
-    /** The CSR route cache (built on first use; CSR storage only). */
-    const RouteTable &routeTable() const;
-
-    /** The compressed route storage (next-hop storage only). */
-    const NextHopTable &nextHopTable() const;
-
-    /**
-     * Select the all-pairs route storage. A configuration hook, NOT
-     * thread-safe: call before the topology is shared (System::make
-     * applies SystemConfig::routeStorage here). Any previously built
-     * storage is dropped and rebuilt lazily under the new policy.
-     */
-    void setRouteStorage(RouteStorageKind kind);
-
-    /** The configured storage policy (Auto until overridden). */
-    RouteStorageKind routeStorage() const { return storageKind_; }
-
-    /** The policy Auto resolves to for this topology's size. */
-    RouteStorageKind activeRouteStorage() const
-    {
-        if (storageKind_ != RouteStorageKind::Auto)
-            return storageKind_;
-        return numDevices() >= kNextHopAutoThreshold
-            ? RouteStorageKind::NextHop
-            : RouteStorageKind::CsrArena;
-    }
-
-    /** True once the compressed next-hop storage is built and serving. */
-    bool usingNextHopRoutes() const { return nextHops_.built(); }
-
-    /**
-     * Heap bytes of the built route storage (whichever representation
-     * is active; builds it first). The number perf_routing records.
-     */
-    std::size_t routeStorageBytes() const;
-
-    /**
-     * Test hook: route every query through computeRoute() instead of
-     * the cache (bench/perf_routing's no-cache baseline). The scratch-
-     * backed PathView returned by route() in this mode is invalidated
-     * by the next route() call on this topology.
-     */
-    void disableRouteCache();
-
-    /** Undo disableRouteCache(); the storage rebuilds on next query. */
-    void enableRouteCache() { routes_.enableCache(); }
-
-    /**
-     * Eagerly build the all-pairs route storage (no-op when it is
-     * already built or disabled). Invoked at topology finalization by
-     * System::make so a System can be shared as shared_ptr<const>
-     * across sweep worker threads with no lazy state left to race on.
-     */
-    void finalizeRoutes() const { ensureRoutes(); }
-
   protected:
     Topology() = default;
 
     /** Append a link and register it in the adjacency index. */
     LinkId addLink(NodeId src, NodeId dst, double bandwidth, double latency);
 
-    /**
-     * Drop any built route storage so the next query rebuilds it from
-     * computeRoute(). For subclasses whose link state changes after
-     * construction (the fault overlay mutates bandwidths and reroutes
-     * around failed links); a finalized base topology stays immutable.
-     * NOT thread-safe — callers must quiesce route queries first, which
-     * the engine guarantees by applying faults at iteration boundaries.
-     */
-    void invalidateRouteStorage();
-
     std::vector<Link> links_;
 
   private:
-    /** Build the active route storage if absent and caching is enabled. */
-    void ensureRoutes() const;
-
     // Per-source dst → link-id adjacency index (O(1) linkBetween).
     std::vector<std::unordered_map<NodeId, LinkId>> outIndex_;
-
-    // Storage policy; resolved by activeRouteStorage() at build time.
-    RouteStorageKind storageKind_ = RouteStorageKind::Auto;
-
-    // Lazily built all-pairs storages (at most one is ever built);
-    // mutable so const queries can build.
-    mutable RouteTable routes_;
-    mutable NextHopTable nextHops_;
-    // Serialises the lazy build when several threads race on first use.
-    mutable std::mutex routeBuildMutex_;
-    // Backing storage for route() views while the cache is disabled or
-    // the next-hop storage is active. Deliberately unguarded: those
-    // route() modes are single-threaded (tests and benchmarking).
-    mutable std::vector<LinkId> uncachedScratch_;
 };
+
+inline void
+RouteWalk::Iterator::step()
+{
+    if (at_ == dst_) {
+        link_ = -1;
+        return;
+    }
+    link_ = topo_->nextLink(at_, dst_);
+    at_ = topo_->links()[static_cast<std::size_t>(link_)].dst;
+}
 
 } // namespace moentwine
 

@@ -141,11 +141,11 @@ TEST(FaultTopologyTest, NoRouteTraversesAFailedLink)
         for (DeviceId d = 0; d < ft.numDevices(); ++d) {
             if (s == d)
                 continue;
-            const std::vector<LinkId> path = ft.computeRoute(s, d);
-            if (!ft.reachable(s, d)) {
-                EXPECT_TRUE(path.empty());
+            // Unreachable pairs are reported; routing them asserts
+            // (UnreachablePairQueriesDie).
+            if (!ft.reachable(s, d))
                 continue;
-            }
+            const std::vector<LinkId> path = ft.computeRoute(s, d);
             ASSERT_FALSE(path.empty());
             // Connected chain s → d over live links only.
             NodeId at = s;
@@ -215,7 +215,31 @@ TEST(FaultTopologyTest, FullyCutDeviceIsIsolated)
     EXPECT_FALSE(ft.reachable(0, 5));
     EXPECT_FALSE(ft.reachable(5, 0));
     EXPECT_TRUE(ft.reachable(5, 10));
-    EXPECT_TRUE(ft.computeRoute(0, 5).empty());
+}
+
+TEST(FaultTopologyTest, UnreachablePairQueriesDie)
+{
+    // A cut-off pair must never be charged as a free transfer: every
+    // route query on it asserts, whatever the system size.
+    const MeshTopology mesh = MeshTopology::singleWafer(4);
+    FaultTopology ft(mesh);
+    for (const NodeId n : {1, 4}) {
+        ft.failLink(mesh.linkBetween(0, n));
+        ft.failLink(mesh.linkBetween(n, 0));
+    }
+    ft.rebuildAfterFaults();
+    ASSERT_FALSE(ft.reachable(0, 5));
+
+    EXPECT_DEATH((void)ft.hops(0, 5), "unreachable");
+    EXPECT_DEATH((void)ft.hops(5, 0), "unreachable");
+    EXPECT_DEATH((void)ft.pathLatency(0, 5), "unreachable");
+    EXPECT_DEATH((void)ft.pathInvBandwidthSum(0, 5), "unreachable");
+    EXPECT_DEATH((void)ft.computeRoute(0, 5), "unreachable");
+    EXPECT_DEATH((void)flowTime(ft, 0, 5, 1e9), "unreachable");
+    PhaseTraffic traffic(ft);
+    EXPECT_DEATH(traffic.addFlow(0, 5, 1e9), "unreachable");
+    // Reachable pairs on the same overlay still route normally.
+    EXPECT_GT(ft.hops(5, 10), 0);
 }
 
 TEST(FaultInjectorTest, AdvanceIsOrderedAndIdempotent)

@@ -5,7 +5,7 @@
  * matrix must preserve every quantity the congestion model reads —
  * per-link volumes (totalByteHops, maxLinkVolume), injected bytes,
  * per-device token loads, and per-expert loads. Also checks that a
- * full engine run is invariant under the cache/aggregation toggles.
+ * full engine run is invariant under the aggregation toggle.
  */
 
 #include <gtest/gtest.h>
@@ -146,8 +146,8 @@ TEST(FlowAggregation, PairBytesMatrixMatchesFlowList)
 
 TEST(FlowAggregation, EngineInvariantUnderPerfToggles)
 {
-    // One engine on the fast path, one with the route cache disabled
-    // and aggregation off: identical simulated timelines.
+    // One engine on the fast path, one with aggregation off:
+    // identical simulated timelines.
     auto makeConfig = [] {
         EngineConfig ec;
         ec.model = qwen3();
@@ -160,12 +160,11 @@ TEST(FlowAggregation, EngineInvariantUnderPerfToggles)
         return ec;
     };
 
-    MeshTopology fastMesh = MeshTopology::singleWafer(4);
+    const MeshTopology fastMesh = MeshTopology::singleWafer(4);
     const ErMapping fastEr(fastMesh, ParallelismConfig{2, 2});
     InferenceEngine fast(fastEr, makeConfig());
 
-    MeshTopology slowMesh = MeshTopology::singleWafer(4);
-    slowMesh.disableRouteCache();
+    const MeshTopology slowMesh = MeshTopology::singleWafer(4);
     const ErMapping slowEr(slowMesh, ParallelismConfig{2, 2});
     EngineConfig slowCfg = makeConfig();
     slowCfg.aggregateFlows = false;

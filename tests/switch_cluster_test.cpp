@@ -66,7 +66,7 @@ TEST(SwitchCluster, RouteIsConnected)
     for (DeviceId a = 0; a < dgx.numDevices(); a += 5) {
         for (DeviceId b = 0; b < dgx.numDevices(); b += 7) {
             NodeId cur = a;
-            for (const LinkId l : dgx.route(a, b)) {
+            for (const LinkId l : dgx.walk(a, b)) {
                 const Link &link = dgx.links()[std::size_t(l)];
                 EXPECT_EQ(link.src, cur);
                 cur = link.dst;
