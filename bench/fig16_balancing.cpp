@@ -11,8 +11,8 @@
  * achieves the best MoE computation and all-to-all latency.
  *
  * The full model × schedule × workload × strategy product runs on the
- * SweepRunner work-stealing pool (`--jobs N`, MOENTWINE_JOBS;
- * `--affinity` / MOENTWINE_AFFINITY pins workers); one WSC system is
+ * SweepRunner worker pool (`--jobs N`, MOENTWINE_JOBS, else the
+ * CPUs the process may run on); one WSC system is
  * built once and shared read-only by every worker, and each worker
  * re-seeds its cached engine across cells instead of reconstructing
  * it (cell.worker->engine()) — rows stay byte-identical to `--jobs 1`

@@ -4,7 +4,6 @@
  *
  * Every driver honours the same flag vocabulary:
  *   --jobs N         worker count (resolved by benchjobs, not here)
- *   --affinity       pin sweep workers to CPUs (resolved by benchjobs)
  *   --trace <path>   write a Chrome trace-event JSON (src/obs/trace.hh)
  *   --stats <path>   write the merged StatRegistry JSON
  *   --devices N      device-count override (scale_smoke)
@@ -73,20 +72,11 @@ positionals(int argc, char **argv)
 {
     static const char *const kValueFlags[] = {"--jobs", "--trace",
                                               "--stats", "--devices"};
-    static const char *const kBoolFlags[] = {"--affinity"};
     std::vector<std::string> out;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--", 0) == 0) {
             bool known = false;
-            for (const char *flag : kBoolFlags) {
-                if (arg == flag) {
-                    known = true;
-                    break;
-                }
-            }
-            if (known)
-                continue;
             for (const char *flag : kValueFlags) {
                 if (arg == flag) {
                     ++i; // skip the flag's value

@@ -4,10 +4,8 @@
  *
  * Every driver honours the same convention:
  *   `--jobs N` argument (last occurrence wins) > `MOENTWINE_JOBS` env
- *   > hardware_concurrency()
- * and the same affinity chain:
- *   `--affinity` flag > `MOENTWINE_AFFINITY` env ("1"/"0") > off
- * These helpers are the one place those conventions are spelled, so a
+ *   > the CPUs the process may run on
+ * These helpers are the one place that convention is spelled, so a
  * driver's main() reduces to `benchjobs::makeRunner(argc, argv)` (or
  * `benchjobs::resolve(argc, argv)` when it needs the bare count).
  */
@@ -28,24 +26,11 @@ resolve(int argc, char **argv)
         SweepRunner::jobsFromArgs(argc, argv));
 }
 
-/** The SweepOptions a driver's command line asks for: jobs and
- *  affinity resolved, everything else at production defaults
- *  (stealing + per-worker engine reuse on). */
-inline SweepOptions
-optionsFromArgs(int argc, char **argv)
-{
-    SweepOptions opts;
-    opts.jobs = SweepRunner::jobsFromArgs(argc, argv);
-    opts.affinity = SweepRunner::affinityFromArgs(argc, argv);
-    return opts;
-}
-
-/** A SweepRunner configured by optionsFromArgs() for a driver's
- *  command line. */
+/** A SweepRunner sized by a driver's command line. */
 inline SweepRunner
 makeRunner(int argc, char **argv)
 {
-    return SweepRunner(optionsFromArgs(argc, argv));
+    return SweepRunner(SweepRunner::jobsFromArgs(argc, argv));
 }
 
 } // namespace benchjobs

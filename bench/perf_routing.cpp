@@ -33,23 +33,24 @@
  *   --trace <path>  sim-time trace of a short observed engine run
  *   --stats <path>  StatRegistry JSON of the same run
  *
- * Since the work-stealing sweep execution (schema v6), the "sweep"
- * section carries the scheduler counters (steals, prebuilds, engine
- * reuses) and a "sweep_exec" section measures per-worker engine reuse
- * on a 1024-device fine-grained-experts grid: the same grid run
- * serially (row reference), with per-cell engine rebuilds, with
- * per-worker reuse, and with reuse plus CPU pinning (`--affinity`),
- * each with per-run hw{} counters and per-cell construction cost —
- * the "construction_saving_per_cell_ms" the worker-state reuse buys.
- * Rows are bitwise-compared across all four runs.
+ * The "sweep" section carries the scheduler counters (steals, engine
+ * builds and reuses), and a "sweep_exec" section measures per-worker
+ * engine reuse on a 1024-device fine-grained-experts grid: the same
+ * grid run serially (row reference), in parallel with a fresh engine
+ * constructed in every cell ("rebuild"), and in parallel through the
+ * worker's engine pool ("reuse"), each with per-run hw{} counters and
+ * per-cell construction cost — the "construction_saving_per_cell_ms"
+ * the worker-state reuse buys. Rows are bitwise-compared across all
+ * three runs.
  *
  * Schema v7 drops the route-storage sections: routing is a closed-form
- * walk with no per-pair storage to measure or compare.
+ * walk with no per-pair storage to measure or compare. Schema v8 drops
+ * the pinned sweep_exec run and the NUMA, pinning and prebuild keys:
+ * the sweep has one scheduler and no placement knobs.
  *
- * Usage: perf_routing [iterations] [--jobs N] [--affinity]
- *        [--trace P] [--stats P]
+ * Usage: perf_routing [iterations] [--jobs N] [--trace P] [--stats P]
  *        (default 300 aggregated / 60 baseline; jobs default to
- *        MOENTWINE_JOBS, then hardware_concurrency)
+ *        MOENTWINE_JOBS, then the CPUs the process may run on)
  */
 
 #include <algorithm>
@@ -58,6 +59,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -290,10 +292,10 @@ runSweepBench(int jobs)
  * The worker-state-reuse trajectory: a 1024-device fine-grained-
  * experts grid where each cell's engine owns tens of MB of traffic
  * scratch, so per-cell construction is a real fraction of cell time.
- * One grid, four schedules — serial reference, per-cell rebuild,
- * per-worker reuse, reuse + pinning — rows bitwise-compared across
- * all of them, per-cell construction cost measured inside the cell
- * function, hw counters around each parallel drain.
+ * One grid, three passes — serial reference, per-cell rebuild,
+ * per-worker reuse — rows bitwise-compared across all of them,
+ * per-cell construction cost measured inside the cell function, hw
+ * counters around each parallel drain.
  */
 constexpr int kExecIterations = 2;
 
@@ -346,15 +348,20 @@ struct ExecRun
     std::vector<SweepResult> rows;
 };
 
+/**
+ * One pass over the exec grid. With @p fresh set, every cell
+ * constructs its own engine (the rebuild baseline); otherwise cells
+ * take the worker's pooled engine.
+ */
 ExecRun
 runExecOnce(const std::string &name, const SweepGrid &grid,
-            const SweepOptions &opts)
+            const SweepOptions &opts, bool fresh)
 {
     const int devices = grid.systems[0].meshN * grid.systems[0].meshN *
         grid.systems[0].wafers;
     std::atomic<long long> warmNs{0};
-    const SweepRunner::CellFn cell = [&warmNs,
-                                      devices](const SweepCell &c) {
+    const SweepRunner::CellFn cell = [&warmNs, devices,
+                                      fresh](const SweepCell &c) {
         const EngineConfig ec = execEngineConfig(c.point, devices);
         // Warm cost = engine acquisition plus the first iteration:
         // the engine allocates its traffic/routing scratch lazily on
@@ -362,8 +369,12 @@ runExecOnce(const std::string &name, const SweepGrid &grid,
         // (and their page faults) inside step 0 — exactly the cost a
         // reused engine's retained capacity avoids.
         const auto t0 = Clock::now();
+        std::unique_ptr<InferenceEngine> own;
+        if (fresh)
+            own = std::make_unique<InferenceEngine>(c.system->mapping(),
+                                                    ec);
         InferenceEngine &engine =
-            c.worker->engine(c.system->mapping(), ec);
+            fresh ? *own : c.worker->engine(c.system->mapping(), ec);
         double layer =
             engine.step().layerTime(ec.pipelineStages);
         warmNs.fetch_add(
@@ -383,6 +394,8 @@ runExecOnce(const std::string &name, const SweepGrid &grid,
     const auto start = Clock::now();
     r.rows = runner.run(grid, cell, &r.stats);
     r.seconds = secondsSince(start);
+    if (fresh) // the cells bypassed the pool: one build per cell
+        r.stats.engineBuilds = static_cast<std::int64_t>(grid.cells());
     r.warmSecondsPerCell = static_cast<double>(warmNs.load()) * 1e-9 /
         static_cast<double>(grid.cells());
     return r;
@@ -395,7 +408,7 @@ struct ExecBenchResult
     std::size_t cells = 0;
     int jobs = 1;
     double serialSeconds = 0.0;
-    std::vector<ExecRun> runs; ///< rebuild, reuse, pinned
+    std::vector<ExecRun> runs; ///< rebuild, reuse
     bool rowsIdentical = false;
 
     /** What per-worker reuse saves per cell vs rebuilding. */
@@ -417,24 +430,14 @@ runExecBench(int jobs)
     serial.jobs = 1;
     // Serial reference also reuses: reuse may never change a row, so
     // the reference must not special-case it away.
-    const ExecRun ref = runExecOnce("serial", grid, serial);
+    const ExecRun ref = runExecOnce("serial", grid, serial, false);
     r.serialSeconds = ref.seconds;
 
-    SweepOptions rebuild;
-    rebuild.jobs = jobs;
-    rebuild.reuseWorkerState = false;
-    rebuild.collectHw = true;
-    r.runs.push_back(runExecOnce("rebuild", grid, rebuild));
-
-    SweepOptions reuse = rebuild;
-    reuse.reuseWorkerState = true;
-    r.runs.push_back(runExecOnce("reuse", grid, reuse));
-
-    // The pinned pass runs whether or not the driver got --affinity:
-    // the trajectory wants the pinned-vs-unpinned hw delta every time.
-    SweepOptions pinned = reuse;
-    pinned.affinity = true;
-    r.runs.push_back(runExecOnce("pinned", grid, pinned));
+    SweepOptions parallel;
+    parallel.jobs = jobs;
+    parallel.collectHw = true;
+    r.runs.push_back(runExecOnce("rebuild", grid, parallel, true));
+    r.runs.push_back(runExecOnce("reuse", grid, parallel, false));
 
     r.rowsIdentical = true;
     for (const ExecRun &run : r.runs)
@@ -446,13 +449,13 @@ runExecBench(int jobs)
     for (const ExecRun &run : r.runs) {
         std::printf("%-24s %-8s %6.2f s | warm %6.2f ms/cell | "
                     "steals %lld | builds %lld | reuses %lld | "
-                    "pinned %d/%d\n",
+                    "workers %d\n",
                     r.bench.c_str(), run.name.c_str(), run.seconds,
                     run.warmSecondsPerCell * 1e3,
                     static_cast<long long>(run.stats.steals),
                     static_cast<long long>(run.stats.engineBuilds),
                     static_cast<long long>(run.stats.engineReuses),
-                    run.stats.pinned, run.stats.workers);
+                    run.stats.workers);
     }
     std::printf("%-24s reuse saves %.2f ms/cell | rows %s\n",
                 r.bench.c_str(), r.constructionSavingPerCellMs,
@@ -678,7 +681,7 @@ toJson(const std::vector<BenchResult> &results, const ScaleResult &scale,
        const TrafficResult &traffic,
        const TrafficScaleResult &trafficScale)
 {
-    std::string out = "{\n  \"schema\": \"moentwine.bench.routing.v7\",\n"
+    std::string out = "{\n  \"schema\": \"moentwine.bench.routing.v8\",\n"
                       "  \"results\": [\n";
     char buf[1024];
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -728,13 +731,12 @@ toJson(const std::vector<BenchResult> &results, const ScaleResult &scale,
         "  \"sweep\": {\"bench\": \"%s\", \"cells\": %zu, "
         "\"jobs\": %d, \"serial_seconds\": %.3f, "
         "\"parallel_seconds\": %.3f, \"speedup\": %.2f, "
-        "\"steals\": %lld, \"prebuilds\": %lld, "
+        "\"steals\": %lld, "
         "\"engine_builds\": %lld, \"engine_reuses\": %lld, "
         "\"rows_identical\": %s},\n",
         sweep.bench.c_str(), sweep.cells, sweep.jobs,
         sweep.serialSeconds, sweep.parallelSeconds, sweep.speedup(),
         static_cast<long long>(sweep.stats.steals),
-        static_cast<long long>(sweep.stats.prebuilds),
         static_cast<long long>(sweep.stats.engineBuilds),
         static_cast<long long>(sweep.stats.engineReuses),
         sweep.rowsIdentical ? "true" : "false");
@@ -742,12 +744,11 @@ toJson(const std::vector<BenchResult> &results, const ScaleResult &scale,
     std::snprintf(
         buf, sizeof(buf),
         "  \"sweep_exec\": {\"bench\": \"%s\", \"devices\": %d, "
-        "\"cells\": %zu, \"jobs\": %d, \"numa_nodes\": %d, "
+        "\"cells\": %zu, \"jobs\": %d, "
         "\"serial_seconds\": %.3f, "
         "\"construction_saving_per_cell_ms\": %.3f, "
         "\"rows_identical\": %s,\n    \"runs\": [\n",
         exec.bench.c_str(), exec.devices, exec.cells, exec.jobs,
-        exec.runs.empty() ? 1 : exec.runs.back().stats.numaNodes,
         exec.serialSeconds, exec.constructionSavingPerCellMs,
         exec.rowsIdentical ? "true" : "false");
     out += buf;
@@ -765,15 +766,12 @@ toJson(const std::vector<BenchResult> &results, const ScaleResult &scale,
             buf, sizeof(buf),
             "      {\"name\": \"%s\", \"seconds\": %.3f, "
             "\"warm_ms_per_cell\": %.3f, \"workers\": %d, "
-            "\"pinned_workers\": %d, \"steals\": %lld, "
-            "\"prebuilds\": %lld, \"prebuild_steals\": %lld, "
+            "\"steals\": %lld, "
             "\"engine_builds\": %lld, \"engine_reuses\": %lld, "
             "\"worker_busy_s\": %s, \"hw\": %s}%s\n",
             run.name.c_str(), run.seconds,
             run.warmSecondsPerCell * 1e3, run.stats.workers,
-            run.stats.pinned, static_cast<long long>(run.stats.steals),
-            static_cast<long long>(run.stats.prebuilds),
-            static_cast<long long>(run.stats.prebuildSteals),
+            static_cast<long long>(run.stats.steals),
             static_cast<long long>(run.stats.engineBuilds),
             static_cast<long long>(run.stats.engineReuses),
             busy.c_str(), hwJson(run.stats.hw).c_str(),

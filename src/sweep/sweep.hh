@@ -1,10 +1,9 @@
 /**
  * @file
  * Umbrella header of the parallel sweep subsystem: grid declaration
- * (sweep_grid.hh), work-stealing execution with per-worker state
- * (sweep_runner.hh, work_deque.hh, worker_context.hh), and CPU/NUMA
- * placement helpers (affinity.hh). Bench drivers include this and
- * write:
+ * (sweep_grid.hh) and block-cursor parallel execution with per-worker
+ * engine reuse (sweep_runner.hh, worker_context.hh). Bench drivers
+ * include this and write:
  *
  * @code
  *   SweepGrid grid;
@@ -12,10 +11,7 @@
  *   grid.systems = {wscErCfg};
  *   grid.balancers = {BalancerKind::None, BalancerKind::NonInvasive};
  *
- *   SweepOptions opts;
- *   opts.jobs = SweepRunner::jobsFromArgs(argc, argv);
- *   opts.affinity = SweepRunner::affinityFromArgs(argc, argv);
- *   const SweepRunner runner(opts);
+ *   const SweepRunner runner(SweepRunner::jobsFromArgs(argc, argv));
  *   const auto rows = runner.run(grid, [](const SweepCell &cell) {
  *       EngineConfig ec;
  *       ec.model = cell.point.modelConfig();
@@ -34,10 +30,8 @@
 #ifndef MOENTWINE_SWEEP_SWEEP_HH
 #define MOENTWINE_SWEEP_SWEEP_HH
 
-#include "sweep/affinity.hh"
 #include "sweep/sweep_grid.hh"
 #include "sweep/sweep_runner.hh"
-#include "sweep/work_deque.hh"
 #include "sweep/worker_context.hh"
 
 #endif // MOENTWINE_SWEEP_SWEEP_HH

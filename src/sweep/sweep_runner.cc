@@ -1,5 +1,6 @@
 #include "sweep/sweep_runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -11,10 +12,12 @@
 #include <string>
 #include <thread>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "common/logging.hh"
 #include "obs/stat_registry.hh"
-#include "sweep/affinity.hh"
-#include "sweep/work_deque.hh"
 
 namespace moentwine {
 
@@ -52,33 +55,15 @@ secondsSince(const std::chrono::steady_clock::time_point &t0)
 
 } // namespace
 
-double
-SweepRunStats::busyMeanSeconds() const
-{
-    if (workerBusySeconds.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double s : workerBusySeconds)
-        sum += s;
-    return sum / static_cast<double>(workerBusySeconds.size());
-}
-
 void
 SweepRunStats::publishTo(StatRegistry &registry) const
 {
     registry.add(registry.counter("sweep.cells"), cells);
-    registry.add(registry.counter("sweep.prebuilds"), prebuilds);
     registry.add(registry.counter("sweep.steals"), steals);
-    registry.add(registry.counter("sweep.prebuild_steals"),
-                 prebuildSteals);
     registry.add(registry.counter("sweep.engine.builds"), engineBuilds);
     registry.add(registry.counter("sweep.engine.reuses"), engineReuses);
     registry.set(registry.gauge("sweep.workers"),
                  static_cast<double>(workers));
-    registry.set(registry.gauge("sweep.numa_nodes"),
-                 static_cast<double>(numaNodes));
-    registry.set(registry.gauge("sweep.workers_pinned"),
-                 static_cast<double>(pinned));
     const StatRegistry::Handle busy =
         registry.distribution("sweep.worker.busy_s");
     for (double s : workerBusySeconds)
@@ -90,15 +75,13 @@ SweepRunStats::publishTo(StatRegistry &registry) const
 }
 
 SweepRunner::SweepRunner(int jobs)
-    : jobs_(resolveJobs(jobs))
 {
-    opts_.jobs = jobs_;
+    opts_.jobs = resolveJobs(jobs);
 }
 
-SweepRunner::SweepRunner(const SweepOptions &opts)
-    : opts_(opts), jobs_(resolveJobs(opts.jobs))
+SweepRunner::SweepRunner(const SweepOptions &opts) : opts_(opts)
 {
-    opts_.jobs = jobs_;
+    opts_.jobs = resolveJobs(opts.jobs);
 }
 
 int
@@ -113,6 +96,14 @@ SweepRunner::resolveJobs(int requested)
                   std::string(env) + "')");
         return fromEnv;
     }
+#if defined(__linux__)
+    // hardware_concurrency() counts every CPU of the box; under
+    // `taskset` or a container cpuset that oversubscribes the pool.
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0)
+        return CPU_COUNT(&set);
+#endif
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
 }
@@ -145,24 +136,6 @@ SweepRunner::jobsFromArgs(int argc, char **argv)
     return jobs;
 }
 
-bool
-SweepRunner::affinityFromArgs(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--affinity") == 0)
-            return true;
-    }
-    if (const char *env = std::getenv("MOENTWINE_AFFINITY")) {
-        if (std::strcmp(env, "1") == 0)
-            return true;
-        if (std::strcmp(env, "0") == 0)
-            return false;
-        fatal("MOENTWINE_AFFINITY expects '1' or '0' (got '" +
-              std::string(env) + "')");
-    }
-    return false;
-}
-
 std::vector<SweepResult>
 SweepRunner::run(const SweepGrid &grid, const CellFn &fn,
                  SweepRunStats *stats) const
@@ -174,28 +147,13 @@ SweepRunner::run(const SweepGrid &grid, const CellFn &fn,
     if (cells == 0)
         return rows;
 
-    const std::size_t workers = std::min<std::size_t>(
-        static_cast<std::size_t>(jobs_), cells);
+    const std::size_t workers =
+        std::min(static_cast<std::size_t>(opts_.jobs), cells);
 
-    // NUMA replication degree: detection only matters when workers
-    // are actually pinned (an unpinned worker has no home node); the
-    // override forces the replication path on single-socket boxes.
-    int nodes = 1;
-    if (opts_.numaNodesOverride > 0)
-        nodes = opts_.numaNodesOverride;
-    else if (opts_.affinity)
-        nodes = std::max(1, affinity::numaNodeCount());
-
-    // One System per (system, TP) axis pair and NUMA node, shared by
-    // every cell with those coordinates on that node. Slots build
-    // under a call_once — normally satisfied by a stealable prebuild
-    // item before any cell needs it, with the once-guard as backstop
-    // for cells that outrun their prebuild (and as the only mechanism
-    // on the serial and non-stealing paths). The config always comes
-    // from SweepPoint::systemConfig(), the single source of truth for
-    // the TP-override rule; replicas of a slot are built from the
-    // same config and are therefore identical — which replica a cell
-    // reads is unobservable in its row.
+    // One System per (system, TP) axis pair, shared by every cell with
+    // those coordinates and built by the first cell that needs it. The
+    // config always comes from SweepPoint::systemConfig(), the single
+    // source of truth for the TP-override rule.
     struct SystemSlot
     {
         std::once_flag once;
@@ -203,19 +161,15 @@ SweepRunner::run(const SweepGrid &grid, const CellFn &fn,
     };
     const std::size_t nTp =
         grid.tpDegrees.empty() ? 1 : grid.tpDegrees.size();
-    const std::size_t nSlots = grid.systems.size() * nTp;
-    std::vector<SystemSlot> slots(nSlots *
-                                  static_cast<std::size_t>(nodes));
-    const auto systemFor = [&](const SweepPoint &p,
-                               int node) -> std::shared_ptr<const System> {
+    std::vector<SystemSlot> slots(grid.systems.size() * nTp);
+    const auto systemFor =
+        [&](const SweepPoint &p) -> std::shared_ptr<const System> {
         if (p.system < 0)
             return nullptr;
         const std::size_t t =
             p.tp < 0 ? 0 : static_cast<std::size_t>(p.tp);
         SystemSlot &slot =
-            slots[(static_cast<std::size_t>(p.system) * nTp + t) *
-                      static_cast<std::size_t>(nodes) +
-                  static_cast<std::size_t>(node)];
+            slots[static_cast<std::size_t>(p.system) * nTp + t];
         std::call_once(slot.once, [&] {
             slot.system =
                 std::make_shared<System>(System::make(p.systemConfig()));
@@ -223,240 +177,104 @@ SweepRunner::run(const SweepGrid &grid, const CellFn &fn,
         return slot.system;
     };
 
+    // Worker w's block of the grid, [w*cells/W, (w+1)*cells/W). Any
+    // worker may claim from any block; the cursor only ever grows, so
+    // each index below `end` is handed out exactly once and a block
+    // found empty stays empty.
+    struct Block
+    {
+        std::atomic<std::size_t> next{0};
+        std::size_t end = 0;
+    };
+    std::vector<Block> blocks(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+        blocks[w].next.store(w * cells / workers,
+                             std::memory_order_relaxed);
+        blocks[w].end = (w + 1) * cells / workers;
+    }
+
     std::atomic<bool> failed{false};
     std::exception_ptr firstError;
     std::mutex errorMutex;
-    const auto recordError = [&] {
-        std::lock_guard<std::mutex> lock(errorMutex);
-        if (!firstError)
-            firstError = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
+
+    // Per-worker state and tallies; each worker touches only its own
+    // entry, and the caller reads them after the join.
+    struct Worker
+    {
+        WorkerContext ctx;
+        std::int64_t cells = 0;
+        std::int64_t steals = 0;
+        double busySeconds = 0.0;
+        HwCounterValues hw{};
     };
+    std::vector<Worker> pool(workers);
 
-    // Rows are written at their grid index, making the output order
-    // independent of completion order, stealing, and placement.
-    const auto runCell = [&](std::size_t i, WorkerContext &ctx) {
-        const SweepPoint point = grid.pointAt(i);
-        SweepCell cell{point, systemFor(point, ctx.numaNode()), &ctx};
-        rows[i] = fn(cell);
-        rows[i].index = i;
-    };
-
-    std::vector<std::unique_ptr<WorkerContext>> contexts;
-    contexts.reserve(std::max<std::size_t>(workers, 1));
-    for (std::size_t w = 0; w < std::max<std::size_t>(workers, 1); ++w)
-        contexts.push_back(std::make_unique<WorkerContext>(
-            static_cast<int>(w), opts_.reuseWorkerState));
-
-    // Per-worker scheduler tallies; each worker writes only its own
-    // slot, the main thread reads after join.
-    std::vector<std::int64_t> cellCount(contexts.size(), 0);
-    std::vector<std::int64_t> prebuildCount(contexts.size(), 0);
-    std::vector<std::int64_t> stealCount(contexts.size(), 0);
-    std::vector<std::int64_t> prebuildStealCount(contexts.size(), 0);
-    std::vector<double> busySeconds(contexts.size(), 0.0);
-    std::vector<HwCounterValues> hwParts(contexts.size());
-
-    const auto fillStats = [&] {
-        if (!stats)
-            return;
-        stats->workers = static_cast<int>(contexts.size());
-        stats->numaNodes = nodes;
-        stats->stealing = opts_.stealing && workers > 1;
-        stats->affinity = opts_.affinity;
-        stats->reuse = opts_.reuseWorkerState;
-        stats->workerItems.assign(contexts.size(), 0);
-        stats->workerSteals.assign(contexts.size(), 0);
-        stats->workerBusySeconds = busySeconds;
-        for (std::size_t w = 0; w < contexts.size(); ++w) {
-            stats->cells += cellCount[w];
-            stats->prebuilds += prebuildCount[w];
-            stats->steals += stealCount[w];
-            stats->prebuildSteals += prebuildStealCount[w];
-            stats->workerItems[w] = cellCount[w] + prebuildCount[w];
-            stats->workerSteals[w] = stealCount[w];
-            if (contexts[w]->pinnedCpu() >= 0)
-                ++stats->pinned;
-            stats->engineBuilds += contexts[w]->engineBuilds();
-            stats->engineReuses += contexts[w]->engineReuses();
-            stats->hw.cycles += hwParts[w].cycles;
-            stats->hw.instructions += hwParts[w].instructions;
-            stats->hw.cacheMisses += hwParts[w].cacheMisses;
-            stats->hw.dtlbMisses += hwParts[w].dtlbMisses;
-            stats->hw.available =
-                stats->hw.available || hwParts[w].available;
-        }
-    };
-
-    if (workers <= 1) {
-        // Serial reference path: inline on the calling thread in grid
-        // order. The calling thread is never pinned — affinity is a
-        // pool-worker concern, and leaking a mask change past run()
-        // would constrain the caller's whole process.
-        WorkerContext &ctx = *contexts[0];
+    // Worker w drains its own block, then the others in the order
+    // w+1, w+2, ... (mod W). Rows are written at their grid index, so
+    // the output order is independent of who ran what.
+    const auto drain = [&](std::size_t w) {
+        Worker &me = pool[w];
         HwCounters hw;
         if (opts_.collectHw)
             hw.start();
-        const auto t0 = std::chrono::steady_clock::now();
-        try {
-            for (std::size_t i = 0; i < cells; ++i) {
-                runCell(i, ctx);
-                ++cellCount[0];
-            }
-        } catch (...) {
-            recordError();
-        }
-        busySeconds[0] = secondsSince(t0);
-        if (opts_.collectHw)
-            hwParts[0] = hw.stop();
-        fillStats();
-        if (firstError)
-            std::rethrow_exception(firstError);
-        return rows;
-    }
-
-    // Worker placement, decided before the pool starts so a worker's
-    // NUMA node is known to the preloader and never changes. A worker
-    // is pinned round-robin over the CPUs the process is actually
-    // allowed to run on (container cpusets shrink that set below
-    // 0..N-1); its node is the pinned CPU's node, or round-robin when
-    // the override forces replication without real pinning.
-    std::vector<int> pinCpu(workers, -1);
-    if (opts_.affinity) {
-        const std::vector<int> cpus = affinity::allowedCpus();
-        if (!cpus.empty()) {
-            for (std::size_t w = 0; w < workers; ++w)
-                pinCpu[w] = cpus[w % cpus.size()];
-        }
-    }
-    for (std::size_t w = 0; w < workers; ++w) {
-        int node = 0;
-        if (opts_.numaNodesOverride > 0) {
-            node = static_cast<int>(w % static_cast<std::size_t>(nodes));
-        } else if (nodes > 1 && pinCpu[w] >= 0) {
-            node = affinity::nodeOfCpu(pinCpu[w]);
-            if (node < 0 || node >= nodes)
-                node = 0;
-        }
-        contexts[w]->numaNode_ = node;
-    }
-
-    // Preload the deques. Worker w owns the contiguous cell block
-    // [w*cells/W, (w+1)*cells/W); the system axis is outermost in the
-    // grid's row-major order, so blocks keep same-platform cells
-    // together and the worker's engine pool hits. Cells are pushed in
-    // reverse so the owner (LIFO bottom) walks its block in ascending
-    // grid order while thieves (FIFO top) eat the block's tail.
-    // Prebuild items — one per (system, TP) slot, dealt round-robin —
-    // are pushed last so every owner finalizes its platforms before
-    // touching cells; an idle worker can steal a prebuild just like a
-    // cell, which is what keeps same-platform warm-up from
-    // serializing on the first worker to need it.
-    std::vector<SweepWorkDeque> deques(opts_.stealing ? workers : 0);
-    if (opts_.stealing) {
-        for (std::size_t w = 0; w < workers; ++w) {
-            const std::size_t begin = w * cells / workers;
-            const std::size_t end = (w + 1) * cells / workers;
-            for (std::size_t i = end; i > begin; --i)
-                deques[w].push(SweepWorkItem{SweepWorkItem::Kind::Cell,
-                                             i - 1});
-        }
-        for (std::size_t k = nSlots; k > 0; --k) {
-            const std::size_t slot = k - 1;
-            const std::size_t sys = slot / nTp;
-            const std::size_t tp = slot % nTp;
-            // Representative cell of the slot: index 0 on every other
-            // axis (at() accepts 0 for unswept axes too).
-            const std::size_t rep =
-                grid.at(0, static_cast<int>(sys), static_cast<int>(tp),
-                        0, 0, 0, 0, 0, 0, 0, 0);
-            deques[slot % workers].push(
-                SweepWorkItem{SweepWorkItem::Kind::Prebuild, rep});
-        }
-    }
-
-    // Legacy drain (stealing disabled): a shared atomic cursor over
-    // the cell range — dynamic balancing without locality.
-    std::atomic<std::size_t> next{0};
-
-    const auto workerLoop = [&](std::size_t w) {
-        WorkerContext &ctx = *contexts[w];
-        if (pinCpu[w] >= 0) {
-            if (affinity::pinSelfToCpu(pinCpu[w]))
-                ctx.pinnedCpu_ = pinCpu[w];
-            else
-                warn("sweep: could not pin worker " + std::to_string(w) +
-                     " to cpu " + std::to_string(pinCpu[w]) +
-                     "; running unpinned");
-        }
-        HwCounters hw;
-        if (opts_.collectHw)
-            hw.start();
-        SweepWorkItem item;
-        bool ownLive = opts_.stealing;
-        for (;;) {
-            if (failed.load(std::memory_order_relaxed))
-                break;
-            bool got = false;
-            bool stolen = false;
-            if (opts_.stealing) {
-                if (ownLive) {
-                    got = deques[w].takeBottom(item);
-                    if (!got)
-                        ownLive = false; // drained for good: no pushes
-                }
-                if (!got) {
-                    // Deterministic victim order w+1, w+2, ... A full
-                    // empty sweep means done: items only disappear,
-                    // and a lost steal race means someone else
-                    // claimed that item and will execute it.
-                    for (std::size_t v = 1; v < workers && !got; ++v) {
-                        if (deques[(w + v) % workers].stealTop(item)) {
-                            got = true;
-                            stolen = true;
-                        }
-                    }
-                }
-            } else {
+        for (std::size_t b = 0;
+             b < workers && !failed.load(std::memory_order_relaxed); ++b) {
+            Block &block = blocks[(w + b) % workers];
+            while (!failed.load(std::memory_order_relaxed)) {
                 const std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i < cells) {
-                    item = SweepWorkItem{SweepWorkItem::Kind::Cell, i};
-                    got = true;
+                    block.next.fetch_add(1, std::memory_order_relaxed);
+                if (i >= block.end)
+                    break;
+                const auto t0 = std::chrono::steady_clock::now();
+                try {
+                    const SweepPoint point = grid.pointAt(i);
+                    rows[i] = fn(SweepCell{point, systemFor(point),
+                                           &me.ctx});
+                    rows[i].index = i;
+                } catch (...) {
+                    std::lock_guard<std::mutex> lock(errorMutex);
+                    if (!firstError)
+                        firstError = std::current_exception();
+                    failed.store(true, std::memory_order_relaxed);
+                    break;
                 }
+                me.busySeconds += secondsSince(t0);
+                ++me.cells;
+                if (b > 0)
+                    ++me.steals;
             }
-            if (!got)
-                break;
-            const auto t0 = std::chrono::steady_clock::now();
-            try {
-                if (item.kind == SweepWorkItem::Kind::Prebuild) {
-                    systemFor(grid.pointAt(item.index), ctx.numaNode());
-                    ++prebuildCount[w];
-                    if (stolen)
-                        ++prebuildStealCount[w];
-                } else {
-                    runCell(item.index, ctx);
-                    ++cellCount[w];
-                }
-                if (stolen)
-                    ++stealCount[w];
-            } catch (...) {
-                recordError();
-                break;
-            }
-            busySeconds[w] += secondsSince(t0);
         }
         if (opts_.collectHw)
-            hwParts[w] = hw.stop();
+            me.hw = hw.stop();
     };
 
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w)
-        pool.emplace_back(workerLoop, w);
-    for (std::thread &t : pool)
-        t.join();
-    fillStats();
+    if (workers == 1) {
+        drain(0);
+    } else {
+        std::vector<std::thread> threads;
+        threads.reserve(workers);
+        for (std::size_t w = 0; w < workers; ++w)
+            threads.emplace_back(drain, w);
+        for (std::thread &t : threads)
+            t.join();
+    }
+
+    if (stats) {
+        stats->workers = static_cast<int>(workers);
+        for (const Worker &w : pool) {
+            stats->cells += w.cells;
+            stats->steals += w.steals;
+            stats->engineBuilds += w.ctx.engineBuilds();
+            stats->engineReuses += w.ctx.engineReuses();
+            stats->workerItems.push_back(w.cells);
+            stats->workerBusySeconds.push_back(w.busySeconds);
+            stats->hw.cycles += w.hw.cycles;
+            stats->hw.instructions += w.hw.instructions;
+            stats->hw.cacheMisses += w.hw.cacheMisses;
+            stats->hw.dtlbMisses += w.hw.dtlbMisses;
+            stats->hw.available = stats->hw.available || w.hw.available;
+        }
+    }
     if (firstError)
         std::rethrow_exception(firstError);
     return rows;

@@ -8,16 +8,8 @@ WorkerContext::engine(const Mapping &mapping, const EngineConfig &cfg)
     for (PoolEntry &entry : pool_) {
         if (entry.mapping != &mapping)
             continue;
-        if (reuse_) {
-            ++engineReuses_;
-            entry.engine->reset(cfg);
-        } else {
-            // Rebuild baseline: same lifetime shape (the entry owns
-            // the engine), none of the scratch reuse.
-            ++engineBuilds_;
-            entry.engine =
-                std::make_unique<InferenceEngine>(mapping, cfg);
-        }
+        ++engineReuses_;
+        entry.engine->reset(cfg);
         return *entry.engine;
     }
     ++engineBuilds_;

@@ -18,9 +18,7 @@
  * counters back only after the pool joins. No member is synchronized.
  *
  * Cell functions that build their own state (the serving drivers
- * construct ServeSimulators) simply ignore the context; they still
- * get the scheduler-level benefits (stealing, prebuild items,
- * affinity).
+ * construct ServeSimulators) simply ignore the context.
  */
 
 #ifndef MOENTWINE_SWEEP_WORKER_CONTEXT_HH
@@ -37,41 +35,20 @@ namespace moentwine {
 class WorkerContext
 {
   public:
-    /**
-     * @param id    Worker index in [0, jobs).
-     * @param reuse Reuse cached engines (the production setting);
-     *              false rebuilds per call — the rebuild baseline the
-     *              perf_routing trajectory compares against.
-     */
-    explicit WorkerContext(int id = 0, bool reuse = true)
-        : id_(id), reuse_(reuse)
-    {
-    }
-
+    WorkerContext() = default;
     WorkerContext(const WorkerContext &) = delete;
     WorkerContext &operator=(const WorkerContext &) = delete;
 
     /**
      * An engine for @p mapping under @p cfg, in exactly the state
-     * InferenceEngine(mapping, cfg) would construct. With reuse
-     * enabled, a cached engine for the same mapping is reset() and
-     * returned; otherwise (first sighting of the platform, or reuse
-     * disabled) a new engine is built and cached. The reference stays
-     * valid until the next engine() call on this context with reuse
-     * disabled, or until the context dies — within one cell either
-     * way.
+     * InferenceEngine(mapping, cfg) would construct. A cached engine
+     * for the same mapping is reset() and returned; on the first
+     * sighting of the platform a new engine is built and cached. The
+     * reference lives as long as the context; the next engine() call
+     * for the same mapping resets it.
      */
     InferenceEngine &engine(const Mapping &mapping,
                             const EngineConfig &cfg);
-
-    /** Worker index in [0, jobs). */
-    int id() const { return id_; }
-
-    /** CPU this worker is pinned to; -1 when unpinned. */
-    int pinnedCpu() const { return pinnedCpu_; }
-
-    /** NUMA node whose System replicas this worker reads. */
-    int numaNode() const { return numaNode_; }
 
     /** Engines handed out by resetting a cached one. */
     std::int64_t engineReuses() const { return engineReuses_; }
@@ -80,18 +57,12 @@ class WorkerContext
     std::int64_t engineBuilds() const { return engineBuilds_; }
 
   private:
-    friend class SweepRunner; // placement fields set at pool start
-
     struct PoolEntry
     {
         const Mapping *mapping = nullptr;
         std::unique_ptr<InferenceEngine> engine;
     };
 
-    int id_ = 0;
-    bool reuse_ = true;
-    int pinnedCpu_ = -1;
-    int numaNode_ = 0;
     std::vector<PoolEntry> pool_;
     std::int64_t engineReuses_ = 0;
     std::int64_t engineBuilds_ = 0;

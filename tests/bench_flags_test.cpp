@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the shared bench CLI helpers (bench/flags.hh): last-wins
- * value flags mirroring SweepRunner::jobsFromArgs, the boolean
- * --affinity flag being known to positionals(), and the strict
- * numeric parsing.
+ * value flags mirroring SweepRunner::jobsFromArgs, positionals()
+ * skipping known flags' values and rejecting unknown flags, and the
+ * strict numeric parsing.
  */
 
 #include <gtest/gtest.h>
@@ -38,12 +38,13 @@ TEST(BenchFlags, StringFlagSkipsItsValueWhenScanning)
               "--stats");
 }
 
-TEST(BenchFlags, PositionalsKnowAffinityTakesNoValue)
+TEST(BenchFlags, PositionalsSkipKnownFlagValues)
 {
-    const char *argv[] = {"bench", "--affinity", "120", "--jobs", "2"};
-    const auto pos = benchflags::positionals(5, const_cast<char **>(argv));
+    const char *argv[] = {"bench", "--jobs", "2", "120", "--trace=t.json",
+                          "--stats", "s.json"};
+    const auto pos = benchflags::positionals(7, const_cast<char **>(argv));
     ASSERT_EQ(pos.size(), 1u);
-    EXPECT_EQ(pos[0], "120"); // not swallowed as --affinity's value
+    EXPECT_EQ(pos[0], "120");
 }
 
 TEST(BenchFlagsDeathTest, UnknownFlagIsFatal)

@@ -5,11 +5,13 @@
  *    counts, and the stability of per-cell seeds;
  *  - determinism: a real engine grid run with 4 workers produces rows
  *    bitwise-identical (labels and metric doubles) to a serial run, in
- *    identical order — under work stealing, per-worker engine reuse,
- *    forced NUMA replication, and affinity pinning alike;
- *  - the work-stealing scheduler: a deliberately skewed grid (one
- *    slow cell) keeps every worker busy and records steals, without
- *    perturbing a single row;
+ *    identical order — with per-worker engine reuse and with more
+ *    workers than CPUs alike;
+ *  - the block-cursor scheduler: every cell runs exactly once under
+ *    heavy contention, and a deliberately skewed grid (one slow cell)
+ *    keeps every worker busy and records steals, without perturbing a
+ *    single row;
+ *  - the default job count follows the thread's CPU mask;
  *  - shared-system thread safety: engines sharing one
  *    shared_ptr<const System> (and, separately, one lazily-built raw
  *    topology+mapping, exercising the once-guarded cold caches) across
@@ -21,11 +23,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "core/moentwine.hh"
 #include "sweep/sweep.hh"
@@ -33,6 +42,36 @@
 using namespace moentwine;
 
 namespace {
+
+// alarm() watchdog: a claim or termination bug in the pool hangs
+// instead of failing, so every test gets a wall-clock budget (generous
+// enough for sanitizer builds) and the binary dies loudly past it.
+constexpr unsigned kWatchdogSeconds = 120;
+
+void
+watchdogFired(int)
+{
+    static const char msg[] =
+        "sweep_test: watchdog alarm fired - likely a hung sweep pool\n";
+    const ssize_t ignored = write(STDERR_FILENO, msg, sizeof(msg) - 1);
+    (void)ignored;
+    _exit(1);
+}
+
+class Watchdog : public ::testing::EmptyTestEventListener
+{
+    void OnTestStart(const ::testing::TestInfo &) override
+    {
+        std::signal(SIGALRM, watchdogFired);
+        alarm(kWatchdogSeconds);
+    }
+    void OnTestEnd(const ::testing::TestInfo &) override { alarm(0); }
+};
+
+const bool kWatchdogInstalled = [] {
+    ::testing::UnitTest::GetInstance()->listeners().Append(new Watchdog);
+    return true;
+}();
 
 /** Engine config of one grid cell (the fig16-style serving setup). */
 EngineConfig
@@ -257,41 +296,79 @@ TEST(SweepRunnerJobsDeathTest, EveryJobsOccurrenceIsValidated)
         ::testing::ExitedWithCode(1), "positive integer");
 }
 
-TEST(SweepRunnerTest, AffinityFromArgsFlagBeatsEnv)
-{
-    const char *flag[] = {"bench", "--affinity"};
-    const char *plain[] = {"bench"};
-    ASSERT_EQ(unsetenv("MOENTWINE_AFFINITY"), 0);
-    EXPECT_TRUE(
-        SweepRunner::affinityFromArgs(2, const_cast<char **>(flag)));
-    EXPECT_FALSE(
-        SweepRunner::affinityFromArgs(1, const_cast<char **>(plain)));
-    ASSERT_EQ(setenv("MOENTWINE_AFFINITY", "1", 1), 0);
-    EXPECT_TRUE(
-        SweepRunner::affinityFromArgs(1, const_cast<char **>(plain)));
-    ASSERT_EQ(setenv("MOENTWINE_AFFINITY", "0", 1), 0);
-    EXPECT_FALSE(
-        SweepRunner::affinityFromArgs(1, const_cast<char **>(plain)));
-    // The flag wins over an env opt-out.
-    EXPECT_TRUE(
-        SweepRunner::affinityFromArgs(2, const_cast<char **>(flag)));
-    ASSERT_EQ(unsetenv("MOENTWINE_AFFINITY"), 0);
-}
-
-TEST(SweepRunnerJobsDeathTest, MalformedAffinityEnvIsFatal)
-{
-    const char *plain[] = {"bench"};
-    ASSERT_EQ(setenv("MOENTWINE_AFFINITY", "yes", 1), 0);
-    EXPECT_EXIT(
-        SweepRunner::affinityFromArgs(1, const_cast<char **>(plain)),
-        ::testing::ExitedWithCode(1), "'1' or '0'");
-    ASSERT_EQ(unsetenv("MOENTWINE_AFFINITY"), 0);
-}
-
 TEST(SweepRunnerTest, ResolvePositiveRequestWins)
 {
     EXPECT_EQ(SweepRunner::resolveJobs(5), 5);
     EXPECT_GE(SweepRunner::resolveJobs(0), 1);
+}
+
+#if defined(__linux__)
+TEST(SweepRunnerTest, ResolveJobsHonoursCpuMask)
+{
+    // The default pool size is the CPUs this thread may run on, not
+    // the box's: under `taskset -c 0` every driver must run one worker.
+    const char *env = std::getenv("MOENTWINE_JOBS");
+    const bool hadEnv = env != nullptr;
+    const std::string savedEnv = hadEnv ? env : "";
+    ASSERT_EQ(unsetenv("MOENTWINE_JOBS"), 0);
+    cpu_set_t saved;
+    CPU_ZERO(&saved);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int first = 0;
+    while (!CPU_ISSET(first, &saved))
+        ++first;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const int narrowed = SweepRunner::resolveJobs(0);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    const int restored = SweepRunner::resolveJobs(0);
+    if (hadEnv) {
+        ASSERT_EQ(setenv("MOENTWINE_JOBS", savedEnv.c_str(), 1), 0);
+    }
+
+    EXPECT_EQ(narrowed, 1);
+    EXPECT_EQ(restored, CPU_COUNT(&saved));
+}
+#endif
+
+TEST(SweepRunnerTest, EveryCellRunsExactlyOnce)
+{
+    // Identical rows cannot catch a cell that runs twice; a per-cell
+    // counter can. 16 workers over ~1000 trivial cells keep the block
+    // cursors contended, so most workers drain foreign blocks.
+    SweepGrid grid;
+    grid.params.resize(1009);
+    for (std::size_t i = 0; i < grid.params.size(); ++i)
+        grid.params[i] = static_cast<double>(i);
+    const std::size_t cells = grid.cells();
+    std::vector<std::atomic<int>> runs(cells);
+
+    SweepRunStats stats;
+    const auto rows = SweepRunner(16).run(
+        grid,
+        [&](const SweepCell &c) {
+            runs[c.point.index].fetch_add(1, std::memory_order_relaxed);
+            SweepResult row;
+            row.add("p", c.point.parameter());
+            return row;
+        },
+        &stats);
+
+    ASSERT_EQ(rows.size(), cells);
+    for (std::size_t i = 0; i < cells; ++i) {
+        EXPECT_EQ(runs[i].load(), 1) << "cell " << i;
+        EXPECT_EQ(rows[i].index, i);
+        EXPECT_EQ(rows[i].metric("p"), static_cast<double>(i));
+    }
+    EXPECT_EQ(stats.workers, 16);
+    EXPECT_EQ(stats.cells, static_cast<std::int64_t>(cells));
+    std::int64_t items = 0;
+    for (const std::int64_t n : stats.workerItems)
+        items += n;
+    EXPECT_EQ(items, static_cast<std::int64_t>(cells));
+    EXPECT_LE(stats.steals, static_cast<std::int64_t>(cells));
 }
 
 TEST(SweepRunnerTest, ParallelRowsIdenticalToSerial)
@@ -337,12 +414,11 @@ TEST(SweepRunnerTest, StealingUnderSkewKeepsAllWorkersBusy)
     const auto rows = SweepRunner(opts).run(grid, cell, &stats);
 
     expectRowsIdentical(serialRows, rows);
-    EXPECT_TRUE(stats.stealing);
     EXPECT_EQ(stats.workers, 4);
     EXPECT_EQ(stats.cells, 32);
-    // The slow cell pins worker 0 for ~250 ms while its remaining 7
-    // block cells sit in its deque; the other workers finish their
-    // ~8 ms blocks and must steal them.
+    // The slow cell holds worker 0 for ~250 ms while the other 7
+    // cells of its block wait behind its cursor; the other workers
+    // finish their ~8 ms blocks and must steal them.
     EXPECT_GE(stats.steals, 1);
     ASSERT_EQ(stats.workerItems.size(), 4u);
     for (int w = 0; w < 4; ++w)
@@ -353,31 +429,20 @@ TEST(SweepRunnerTest, StealingUnderSkewKeepsAllWorkersBusy)
 TEST(SweepRunnerTest, EngineReuseBitwiseAgainstRebuild)
 {
     // The determinism lynchpin of per-worker engine reuse: the same
-    // grid through the worker's engine pool (reset-and-reuse), through
-    // per-cell rebuilds, and serially must produce bitwise-identical
-    // rows — a reset engine is indistinguishable from a fresh one.
+    // grid through the worker's engine pool (reset-and-reuse), in
+    // parallel and serially, must produce rows bitwise-identical to
+    // the fresh-engine-per-cell reference — a reset engine is
+    // indistinguishable from a fresh one.
     const SweepGrid grid = engineGrid();
 
     const SweepRunner serial(1);
     const auto serialRows = serial.run(grid, runCellReused);
 
-    SweepOptions reuse;
-    reuse.jobs = 4;
-    reuse.reuseWorkerState = true;
     SweepRunStats reuseStats;
     const auto reusedRows =
-        SweepRunner(reuse).run(grid, runCellReused, &reuseStats);
-
-    SweepOptions rebuild;
-    rebuild.jobs = 4;
-    rebuild.reuseWorkerState = false;
-    SweepRunStats rebuildStats;
-    const auto rebuiltRows =
-        SweepRunner(rebuild).run(grid, runCellReused, &rebuildStats);
+        SweepRunner(4).run(grid, runCellReused, &reuseStats);
 
     expectRowsIdentical(serialRows, reusedRows);
-    expectRowsIdentical(serialRows, rebuiltRows);
-    // And against the per-cell-constructed baseline cell function.
     expectRowsIdentical(serialRows, serial.run(grid, runCell));
 
     // The reuse run actually reused: every cell beyond each worker's
@@ -385,65 +450,23 @@ TEST(SweepRunnerTest, EngineReuseBitwiseAgainstRebuild)
     EXPECT_GT(reuseStats.engineReuses, 0);
     EXPECT_EQ(reuseStats.engineReuses + reuseStats.engineBuilds,
               static_cast<std::int64_t>(grid.cells()));
-    // The rebuild baseline never reuses.
-    EXPECT_EQ(rebuildStats.engineReuses, 0);
-    EXPECT_EQ(rebuildStats.engineBuilds,
-              static_cast<std::int64_t>(grid.cells()));
 }
 
-TEST(SweepRunnerTest, PrebuildItemsCoverEverySystemSlot)
+TEST(SweepRunnerTest, OversubscribedPoolMatchesSerial)
 {
-    // engineGrid sweeps 2 systems × (no TP axis) = 2 slots; the
-    // stealing scheduler must schedule exactly one prebuild per slot,
-    // and cells count separately from prebuilds.
-    const SweepGrid grid = engineGrid();
-    SweepOptions opts;
-    opts.jobs = 4;
-    SweepRunStats stats;
-    SweepRunner(opts).run(grid, runCellReused, &stats);
-    EXPECT_EQ(stats.prebuilds, 2);
-    EXPECT_EQ(stats.cells, static_cast<std::int64_t>(grid.cells()));
-}
-
-TEST(SweepRunnerTest, ForcedNumaReplicationIsBitwise)
-{
-    // numaNodesOverride=2 on a (possibly) single-socket box: workers
-    // alternate between two independently built System replicas.
-    // Replica builds are deterministic, so rows cannot depend on
-    // which replica a cell read.
-    const SweepGrid grid = engineGrid();
-    const SweepRunner serial(1);
-    const auto serialRows = serial.run(grid, runCellReused);
-
-    SweepOptions opts;
-    opts.jobs = 4;
-    opts.numaNodesOverride = 2;
-    SweepRunStats stats;
-    const auto rows = SweepRunner(opts).run(grid, runCellReused, &stats);
-
-    expectRowsIdentical(serialRows, rows);
-    EXPECT_EQ(stats.numaNodes, 2);
-}
-
-TEST(SweepRunnerTest, AffinityOversubscriptionDegradesGracefully)
-{
-    // More workers than allowed CPUs (this box may have very few):
-    // pinning wraps round-robin over the allowed set — or fails into
-    // unpinned execution — and either way the sweep completes with
+    // More workers than allowed CPUs: the sweep still completes with
     // rows bitwise-identical to serial.
     const SweepGrid grid = engineGrid();
     const SweepRunner serial(1);
     const auto serialRows = serial.run(grid, runCellReused);
 
-    SweepOptions opts;
-    opts.jobs = 2 * SweepRunner::resolveJobs(0);
-    opts.affinity = true;
     SweepRunStats stats;
-    const auto rows = SweepRunner(opts).run(grid, runCellReused, &stats);
+    const auto rows =
+        SweepRunner(2 * SweepRunner::resolveJobs(0))
+            .run(grid, runCellReused, &stats);
 
     expectRowsIdentical(serialRows, rows);
-    EXPECT_TRUE(stats.affinity);
-    EXPECT_LE(stats.pinned, stats.workers);
+    EXPECT_EQ(stats.cells, static_cast<std::int64_t>(grid.cells()));
 }
 
 TEST(SweepRunnerTest, RepeatedParallelRunsAreIdentical)
