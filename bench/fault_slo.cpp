@@ -8,9 +8,8 @@
  * request stream — the fault axis never perturbs the stream seed — so
  * goodput and tail-latency deltas are attributable to the injected
  * fault and the degraded-operation response (reroute, retry, shedding),
- * never to different traffic. Rows land in SWEEP_fault_slo.{json,csv}
- * and the fault summary in BENCH_fault.json; all byte-identical
- * between `--jobs 1` and `--jobs N`.
+ * never to different traffic. Rows land in SWEEP_fault_slo.{json,csv},
+ * byte-identical between `--jobs 1` and `--jobs N`.
  *
  * Observability:
  *   --trace <path>  Chrome trace-event JSON of the representative
@@ -216,29 +215,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (!tracePath.empty() && trace.writeFile(tracePath))
-        std::printf("wrote %s\n", tracePath.c_str());
-    if (!statsPath.empty()) {
-        const StatRegistry merged =
-            StatRegistry::mergedInOrder(cellStats);
-        if (std::FILE *f = std::fopen(statsPath.c_str(), "w")) {
-            const std::string json = merged.toJson();
-            std::fwrite(json.data(), 1, json.size(), f);
-            std::fclose(f);
-            std::printf("wrote %s\n", statsPath.c_str());
-        } else {
-            warn("could not write " + statsPath);
-        }
-    }
-
+    benchout::writeObsFiles(tracePath, trace, statsPath, cellStats);
     benchout::writeSweepFiles("fault_slo", rows);
-    const std::string doc = benchout::sweepJson("fault_slo", rows);
-    if (std::FILE *f = std::fopen("BENCH_fault.json", "w")) {
-        std::fputs(doc.c_str(), f);
-        std::fclose(f);
-        std::printf("wrote BENCH_fault.json\n");
-    } else {
-        warn("could not write BENCH_fault.json");
-    }
     return 0;
 }

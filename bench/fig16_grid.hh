@@ -1,9 +1,10 @@
 /**
  * @file
  * The Fig. 16 balancing grid (model × strategy × schedule × workload
- * on a 4×4 WSC under ER-Mapping), shared between the fig16_balancing
- * driver and perf_routing's serial-vs-parallel sweep benchmark so the
- * recorded trajectory always times exactly the grid the figure runs.
+ * on a 4×4 WSC under ER-Mapping) that the fig16_balancing driver runs.
+ * perfbench's paper_grid workload keeps its own copy of this grid
+ * (perfbench/workloads.cc), so the benchmark stays fixed when the
+ * figure changes.
  */
 
 #ifndef MOENTWINE_BENCH_FIG16_GRID_HH

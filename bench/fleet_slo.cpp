@@ -10,9 +10,8 @@
  * fleet capacity and dispatch policy, never to different traffic. A
  * trailing autoscaler section holds the platform fixed (4 replicas, 3
  * parked, diurnal arrivals) and toggles the reactive scaler, charging
- * the cold-start spin-up delay. Rows land in SWEEP_fleet_slo.{json,csv}
- * and the summary in BENCH_fleet.json; all byte-identical between
- * `--jobs 1` and `--jobs N`.
+ * the cold-start spin-up delay. Rows land in SWEEP_fleet_slo.{json,csv},
+ * byte-identical between `--jobs 1` and `--jobs N`.
  *
  * Observability:
  *   --trace <path>  Chrome trace-event JSON of the representative cell
@@ -245,29 +244,7 @@ main(int argc, char **argv)
     }
     std::printf("%s\n", scaler.render().c_str());
 
-    if (!tracePath.empty() && trace.writeFile(tracePath))
-        std::printf("wrote %s\n", tracePath.c_str());
-    if (!statsPath.empty()) {
-        const StatRegistry merged =
-            StatRegistry::mergedInOrder(cellStats);
-        if (std::FILE *f = std::fopen(statsPath.c_str(), "w")) {
-            const std::string json = merged.toJson();
-            std::fwrite(json.data(), 1, json.size(), f);
-            std::fclose(f);
-            std::printf("wrote %s\n", statsPath.c_str());
-        } else {
-            warn("could not write " + statsPath);
-        }
-    }
-
+    benchout::writeObsFiles(tracePath, trace, statsPath, cellStats);
     benchout::writeSweepFiles("fleet_slo", rows);
-    const std::string doc = benchout::sweepJson("fleet_slo", rows);
-    if (std::FILE *f = std::fopen("BENCH_fleet.json", "w")) {
-        std::fputs(doc.c_str(), f);
-        std::fclose(f);
-        std::printf("wrote BENCH_fleet.json\n");
-    } else {
-        warn("could not write BENCH_fleet.json");
-    }
     return 0;
 }

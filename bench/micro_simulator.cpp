@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator itself: mesh
- * routing, collective timing, gating, token routing, and full engine
- * steps.
+ * routing, collective timing, gating, token routing, dense-vs-sparse
+ * traffic reduction, and full engine steps.
  * These guard the simulator's own performance (wall-clock, not
  * simulated time).
  */
@@ -98,6 +98,66 @@ BM_TokenRouting(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TokenRouting)->Arg(4)->Arg(8);
+
+/**
+ * Traffic reduction at 1024 devices: one aggregated routeTokens plus
+ * the dispatch and combine allToAllInto per iteration, on a 4×(16×16)
+ * HER mesh with fine-grained experts (one per device, decode-sized
+ * groups, no balancer) — the regime the sparse accumulator exists for.
+ * Arg 0 forces the dense matrix, 1 the sparse hash-buffered storage;
+ * the two are bitwise equivalent (tests/traffic_accum_test.cpp), so
+ * the gap is pure overhead. This is the evidence behind
+ * TrafficAccumulator::kSparseAutoThreshold.
+ */
+void
+BM_TrafficReduce(benchmark::State &state)
+{
+    const bool sparse = state.range(0) != 0;
+    MeshTopology mesh = MeshTopology::waferRow(4, 16);
+    HierarchicalErMapping her(
+        mesh, decomposeTp(4, mesh.waferRows(), mesh.waferCols()));
+    her.setTrafficStorage(sparse ? TrafficStorageKind::Sparse
+                                 : TrafficStorageKind::Dense);
+    const int devices = mesh.numDevices();
+
+    MoEModelConfig model = qwen3();
+    model.expertsTotal = devices;
+    WorkloadConfig wc;
+    wc.mode = GatingMode::MixedScenario;
+    wc.mixPeriod = 60;
+    wc.numExperts = model.expertsTotal;
+    wc.topK = model.expertsActivated;
+    WorkloadGenerator gen(wc);
+    const EngineConfig defaults{};
+    const ExpertPlacement placement(model.expertsTotal, devices,
+                                    defaults.shadowSlots);
+    const auto counts = gen.sampleCounts(0, 0, 16, her.dp());
+
+    RoutedTraffic routed;
+    PhaseTraffic disp(mesh);
+    PhaseTraffic comb(mesh);
+    // Warm pass: reach steady-state scratch capacity untimed, so even
+    // a one-iteration smoke run times the reduction, not allocation.
+    routeTokens(her, placement, counts, model.tokenBytes(),
+                defaults.retainAllGather, model.expertsActivated, routed);
+    for (auto _ : state) {
+        routeTokens(her, placement, counts, model.tokenBytes(),
+                    defaults.retainAllGather, model.expertsActivated,
+                    routed);
+        benchmark::DoNotOptimize(allToAllInto(routed.dispatch, disp));
+        benchmark::DoNotOptimize(allToAllInto(routed.combine, comb));
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(sparse ? "sparse" : "dense");
+    state.counters["devices"] = devices;
+    state.counters["accum_bytes"] =
+        static_cast<double>(routed.pairBytes.storageBytes());
+}
+BENCHMARK(BM_TrafficReduce)
+    ->ArgName("sparse")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_EngineStepWsc(benchmark::State &state)

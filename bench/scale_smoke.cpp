@@ -30,12 +30,8 @@
  *        (N must be 4 × meshN² for integer meshN ≥ 16)
  */
 
-#include <cerrno>
-#include <climits>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -123,23 +119,14 @@ checkSampledWalks(const MeshTopology &mesh)
  * as the --jobs parsing in the sweep runner.
  */
 int
-meshNFromDevicesArg(const char *text)
+meshNFromDevicesArg(const std::string &text)
 {
-    char *end = nullptr;
-    errno = 0;
-    const long value = std::strtol(text, &end, 10);
-    if (errno == ERANGE || end == text || *end != '\0' || value <= 0 ||
-        value > INT_MAX) {
-        fatal("--devices expects a positive integer, got '" +
-              std::string(text) + "'");
-    }
-    const int devices = static_cast<int>(value);
+    const int devices = benchflags::positiveInt(text, "--devices");
     const int meshN =
         static_cast<int>(std::lround(std::sqrt(devices / 4.0)));
     if (devices % 4 != 0 || meshN * meshN * 4 != devices || meshN < 16) {
         fatal("--devices must be 4 x meshN^2 with meshN >= 16 (e.g. "
-              "1024 or 16384), got " +
-              std::string(text));
+              "1024 or 16384), got " + text);
     }
     return meshN;
 }
@@ -289,14 +276,12 @@ runSparseScalePoint(int devices, int meshN, const std::string &tracePath)
 int
 main(int argc, char **argv)
 {
-    int meshN = 16;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--devices") == 0) {
-            if (i + 1 >= argc)
-                fatal("--devices expects a value");
-            meshN = meshNFromDevicesArg(argv[++i]);
-        }
-    }
+    if (!benchflags::positionals(argc, argv).empty())
+        fatal("scale_smoke takes no positional arguments");
+    const std::string devicesArg =
+        benchflags::stringFlag(argc, argv, "--devices");
+    const int meshN =
+        devicesArg.empty() ? 16 : meshNFromDevicesArg(devicesArg);
     const std::string tracePath =
         benchflags::stringFlag(argc, argv, "--trace");
     const int devices = 4 * meshN * meshN;

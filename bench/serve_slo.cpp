@@ -7,10 +7,9 @@
  * Every cell serves the same seeded request stream for its (arrival,
  * rate) pair — balancers are compared against identical traffic — and
  * reports TTFT/TPOT percentiles, p99 latency, goodput under the SLO,
- * and queue/KV pressure. Rows land in SWEEP_serve_slo.{json,csv} and
- * the serving summary in BENCH_serving.json; both are byte-identical
- * between `--jobs 1` and `--jobs N` (cells derive all randomness from
- * their grid coordinates).
+ * and queue/KV pressure. Rows land in SWEEP_serve_slo.{json,csv},
+ * byte-identical between `--jobs 1` and `--jobs N` (cells derive all
+ * randomness from their grid coordinates).
  *
  * Observability:
  *   --trace <path>  Chrome trace-event JSON of the representative
@@ -230,29 +229,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (!tracePath.empty() && trace.writeFile(tracePath))
-        std::printf("wrote %s\n", tracePath.c_str());
-    if (!statsPath.empty()) {
-        const StatRegistry merged =
-            StatRegistry::mergedInOrder(cellStats);
-        if (std::FILE *f = std::fopen(statsPath.c_str(), "w")) {
-            const std::string json = merged.toJson();
-            std::fwrite(json.data(), 1, json.size(), f);
-            std::fclose(f);
-            std::printf("wrote %s\n", statsPath.c_str());
-        } else {
-            warn("could not write " + statsPath);
-        }
-    }
-
+    benchout::writeObsFiles(tracePath, trace, statsPath, cellStats);
     benchout::writeSweepFiles("serve_slo", rows);
-    const std::string doc = benchout::sweepJson("serving", rows);
-    if (std::FILE *f = std::fopen("BENCH_serving.json", "w")) {
-        std::fputs(doc.c_str(), f);
-        std::fclose(f);
-        std::printf("wrote BENCH_serving.json\n");
-    } else {
-        warn("could not write BENCH_serving.json");
-    }
     return 0;
 }

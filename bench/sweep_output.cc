@@ -123,5 +123,26 @@ writeSweepFiles(const std::string &bench,
     return true;
 }
 
+void
+writeObsFiles(const std::string &tracePath, const TraceSink &trace,
+              const std::string &statsPath,
+              const std::vector<StatRegistry> &cellStats)
+{
+    if (!tracePath.empty() && trace.writeFile(tracePath))
+        std::printf("wrote %s\n", tracePath.c_str());
+    if (statsPath.empty())
+        return;
+    std::FILE *f = std::fopen(statsPath.c_str(), "w");
+    if (!f) {
+        warn("could not write " + statsPath);
+        return;
+    }
+    const std::string json =
+        StatRegistry::mergedInOrder(cellStats).toJson();
+    std::fwrite(json.data(), 1, json.size(), f);
+    std::fclose(f);
+    std::printf("wrote %s\n", statsPath.c_str());
+}
+
 } // namespace benchout
 } // namespace moentwine

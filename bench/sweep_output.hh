@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/obs.hh"
 #include "sweep/sweep.hh"
 
 namespace moentwine {
@@ -40,6 +41,16 @@ std::string sweepCsv(const std::vector<SweepResult> &rows);
  */
 bool writeSweepFiles(const std::string &bench,
                      const std::vector<SweepResult> &rows);
+
+/**
+ * Write a driver's `--trace` / `--stats` outputs: @p trace to
+ * @p tracePath, and @p cellStats merged in grid order to
+ * @p statsPath. An empty path skips its file. Each written path is
+ * reported on stdout; a file that cannot be written only warns.
+ */
+void writeObsFiles(const std::string &tracePath, const TraceSink &trace,
+                   const std::string &statsPath,
+                   const std::vector<StatRegistry> &cellStats);
 
 } // namespace benchout
 } // namespace moentwine

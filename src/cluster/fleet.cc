@@ -372,6 +372,20 @@ FleetSimulator::run()
         }
         report.replicas.push_back(std::move(r));
     }
+    // Request conservation: every generated request is shed at the
+    // front door or ends in exactly one replica outcome, and every
+    // replica reports each request dispatched to it.
+    MOE_ASSERT(report.totalRequests ==
+                   report.frontDoorShed + report.completedRequests +
+                       report.shedRequests + report.failedRequests,
+               "fleet outcomes do not add up to the generated requests");
+    for (std::size_t i = 0; i < report.replicas.size(); ++i) {
+        MOE_ASSERT(report.dispatched[i] ==
+                       static_cast<int>(report.replicas[i].requests.size()),
+                   "replica " + std::to_string(i) +
+                       " reports a different request count than was "
+                       "dispatched to it");
+    }
     if (ttft.count() > 0) {
         report.ttftP50 = ttft.percentile(50.0);
         report.ttftP95 = ttft.percentile(95.0);

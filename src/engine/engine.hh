@@ -101,8 +101,9 @@ struct EngineConfig
     double emaAlpha = 0.3;
     /**
      * Aggregate dispatch/combine flows into the per-(src, dst) byte
-     * matrix before the all-to-all (the fast path). Disable only to
-     * measure the pre-aggregation baseline in bench/perf_routing.
+     * matrix before the all-to-all (the fast path). Disabling it gives
+     * the per-triple flow lists that tests/flow_aggregation_test.cpp
+     * uses as the reference the aggregated path must match.
      */
     bool aggregateFlows = true;
     /**

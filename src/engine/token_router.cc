@@ -9,7 +9,8 @@ namespace {
 /**
  * Emit dispatch/combine flows for one routed token batch. The
  * aggregated path accumulates per-(src, dst) bytes into out.pairBytes;
- * the legacy path appends one flow per (group, rank, replica) triple.
+ * the reference path (the equivalence tests' baseline) appends one
+ * flow per (group, rank, replica) triple.
  */
 void
 accumulateFlows(const Mapping &mapping, const ExpertPlacement &placement,

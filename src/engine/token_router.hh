@@ -21,8 +21,8 @@
  * the non-zero pairs as dispatch flows in cache-blocked tile-major
  * order (combine is the transpose). Both storages yield bitwise
  * identical flow lists. The unaggregated per-triple flow list is kept
- * behind an `aggregate` toggle for equivalence tests and the no-cache
- * perf baseline.
+ * behind an `aggregate` toggle as the reference that
+ * tests/flow_aggregation_test.cpp checks the aggregated path against.
  */
 
 #ifndef MOENTWINE_ENGINE_TOKEN_ROUTER_HH
@@ -75,7 +75,7 @@ struct RoutedTraffic
  * @param aggregate  Collapse flows into the per-(src, dst) matrix
  *        (default). When false, emit one flow per
  *        (group, rank, replica) triple — the pre-aggregation
- *        behaviour, kept for equivalence tests and baselines.
+ *        behaviour, kept as the equivalence tests' reference.
  */
 void routeTokens(const Mapping &mapping, const ExpertPlacement &placement,
                  const std::vector<std::vector<int>> &counts,

@@ -1,10 +1,10 @@
 /**
  * @file
- * HwCounters: a minimal perf_event_open wrapper for the benchmark
- * drivers — cycles, instructions, last-level cache misses, and dTLB
- * read misses around a timed region, so BENCH_* trajectories can say
- * *why* a change is faster (fewer misses vs fewer instructions), not
- * just that wall-clock moved.
+ * HwCounters: a minimal perf_event_open wrapper for the sweep worker
+ * loops — cycles, instructions, last-level cache misses, and dTLB read
+ * misses around a timed region, so performance numbers can say *why*
+ * a change is faster (fewer misses vs fewer instructions), not just
+ * that wall-clock moved.
  *
  * Graceful degradation is the contract: on non-Linux builds, in
  * containers/CI where perf_event_open is denied

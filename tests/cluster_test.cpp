@@ -10,7 +10,10 @@
  *  - fleet determinism: equal configs give bitwise-equal reports and
  *    byte-equal stat registries, and fleet sweep cells under
  *    SweepRunner --jobs 2 match --jobs 1 bitwise;
- *  - heterogeneous fleets (WSC next to DGX) conserve every request;
+ *  - heterogeneous fleets (WSC next to DGX) conserve every request,
+ *    and so does an autoscaled fleet under Cascade faults, where
+ *    front-door sheds, replica sheds and failures all occur and each
+ *    replica reports exactly the requests dispatched to it;
  *  - autoscaler life-cycle: cold starts charge the spin-up delay,
  *    drained replicas park empty, scale events are time-ordered;
  *  - the sweep grid's replica/router axes: innermost ordering, at()
@@ -26,6 +29,7 @@
 #include "cluster/cluster.hh"
 #include "core/moentwine.hh"
 #include "sweep/sweep.hh"
+#include "watchdog.hh"
 
 using namespace moentwine;
 
@@ -545,6 +549,71 @@ TEST(FleetSimulator, AutoscalerColdStartsAndParksReplicas)
               r.totalRequests);
     EXPECT_EQ(scaleEventKindName(ScaleEventKind::Start),
               std::string("start"));
+}
+
+TEST(FleetSimulator, CascadeFaultsUnderAutoscalerConserveRequests)
+{
+    // Replica 0 loses devices to a Cascade plan with a tight TTFT
+    // bound and no retry budget (so it sheds and fails requests),
+    // replica 2 starts parked behind the autoscaler, and a KV budget
+    // below the largest requests makes the router shed at the front
+    // door: every outcome path is live.
+    const System sys = System::make(testSystemConfig());
+    FaultScenarioSpec spec;
+    spec.startIteration = 20;
+    spec.spacing = 10;
+
+    FleetConfig fc;
+    ReplicaConfig rc;
+    rc.system = testSystemConfig();
+    rc.serve = testServeConfig(ArrivalKind::Bursty, 17);
+    rc.serve.scheduler.kvBudgetTokens = 2048;
+    fc.replicas = {rc, rc, rc};
+    ServeConfig &faulty = fc.replicas[0].serve;
+    faulty.faults = makeFaultScenario(FaultScenarioKind::Cascade,
+                                      sys.mapping().topology(), spec);
+    faulty.slo.ttft = 0.1;
+    faulty.faultPolicy.maxRetries = 0;
+    fc.replicas[2].startParked = true;
+    fc.arrival = rc.serve.arrival;
+    fc.arrival.ratePerSec = 800.0;
+    fc.arrival.promptMeanTokens = 256;
+    fc.arrival.promptMaxTokens = 4096;
+    fc.numRequests = 72;
+    fc.router = RouterPolicy::PowerOfTwo;
+    fc.autoscaler.enabled = true;
+    fc.autoscaler.evalPeriodSec = 0.02;
+    fc.autoscaler.spinUpDelaySec = 0.05;
+    fc.autoscaler.scaleUpThreshold = 4.0;
+    fc.autoscaler.scaleDownThreshold = 0.5;
+
+    FleetSimulator fleet(fc);
+    const FleetReport r = fleet.run();
+    EXPECT_GT(r.replicas[0].faultEventsApplied, 0);
+    EXPECT_FALSE(r.scaleEvents.empty());
+    EXPECT_GT(r.frontDoorShed, 0);
+    EXPECT_GT(r.shedRequests, 0);
+    EXPECT_GT(r.failedRequests, 0);
+
+    EXPECT_EQ(r.totalRequests, fc.numRequests);
+    EXPECT_EQ(r.frontDoorShed + r.completedRequests + r.shedRequests +
+                  r.failedRequests,
+              r.totalRequests);
+    ASSERT_EQ(r.dispatched.size(), r.replicas.size());
+    int dispatched = 0;
+    for (std::size_t i = 0; i < r.replicas.size(); ++i) {
+        const ServeReport &rep = r.replicas[i];
+        EXPECT_EQ(r.dispatched[i], static_cast<int>(rep.requests.size()))
+            << "replica " << i;
+        int completed = 0;
+        for (const RequestMetrics &m : rep.requests)
+            completed += m.outcome == RequestOutcome::Completed;
+        EXPECT_EQ(completed + rep.shedRequests + rep.failedRequests,
+                  r.dispatched[i])
+            << "replica " << i;
+        dispatched += r.dispatched[i];
+    }
+    EXPECT_EQ(dispatched + r.frontDoorShed, r.totalRequests);
 }
 
 // -------------------------------------------------- fleet sweep cells ----

@@ -29,6 +29,7 @@
 
 #include "core/moentwine.hh"
 #include "fault/fault.hh"
+#include "watchdog.hh"
 
 using namespace moentwine;
 

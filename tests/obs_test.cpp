@@ -28,6 +28,7 @@
 #include "fault/fault.hh"
 #include "obs/obs.hh"
 #include "serve/serve_sim.hh"
+#include "watchdog.hh"
 
 using namespace moentwine;
 

@@ -20,6 +20,7 @@
 
 #include "core/moentwine.hh"
 #include "sweep/sweep.hh"
+#include "watchdog.hh"
 
 using namespace moentwine;
 

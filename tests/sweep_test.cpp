@@ -23,7 +23,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdlib>
 #include <memory>
 #include <set>
@@ -31,47 +30,17 @@
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
 #if defined(__linux__)
 #include <sched.h>
 #endif
 
 #include "core/moentwine.hh"
 #include "sweep/sweep.hh"
+#include "watchdog.hh"
 
 using namespace moentwine;
 
 namespace {
-
-// alarm() watchdog: a claim or termination bug in the pool hangs
-// instead of failing, so every test gets a wall-clock budget (generous
-// enough for sanitizer builds) and the binary dies loudly past it.
-constexpr unsigned kWatchdogSeconds = 120;
-
-void
-watchdogFired(int)
-{
-    static const char msg[] =
-        "sweep_test: watchdog alarm fired - likely a hung sweep pool\n";
-    const ssize_t ignored = write(STDERR_FILENO, msg, sizeof(msg) - 1);
-    (void)ignored;
-    _exit(1);
-}
-
-class Watchdog : public ::testing::EmptyTestEventListener
-{
-    void OnTestStart(const ::testing::TestInfo &) override
-    {
-        std::signal(SIGALRM, watchdogFired);
-        alarm(kWatchdogSeconds);
-    }
-    void OnTestEnd(const ::testing::TestInfo &) override { alarm(0); }
-};
-
-const bool kWatchdogInstalled = [] {
-    ::testing::UnitTest::GetInstance()->listeners().Append(new Watchdog);
-    return true;
-}();
 
 /** Engine config of one grid cell (the fig16-style serving setup). */
 EngineConfig

@@ -31,6 +31,7 @@
 #include "core/moentwine.hh"
 #include "fault/fault.hh"
 #include "sweep/sweep.hh"
+#include "watchdog.hh"
 
 // Counting global allocator: lets the steady-state test assert the
 // sparse accumulation path performs zero heap allocation. Atomic to
