@@ -1,14 +1,23 @@
 /**
  * @file
  * Tests for the rebalance trigger (Eq. 2) and the greedy /
- * topology-aware balancers (Algorithm 1).
+ * topology-aware balancers (Algorithm 1), plus pinned digests of the
+ * planners' step lists (BalancerDigest.*).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <utility>
+
 #include "balancer/balancer.hh"
+#include "balancer/ni_balancer.hh"
+#include "balancer_reference.hh"
 #include "common/stats.hh"
+#include "mapping/er_mapping.hh"
 #include "topology/mesh.hh"
+#include "topology/switch_cluster.hh"
 
 using namespace moentwine;
 
@@ -229,4 +238,206 @@ TEST(TopoBalancer, Names)
     const MeshTopology mesh = MeshTopology::singleWafer(2);
     EXPECT_EQ(GreedyBalancer{}.name(), "Greedy");
     EXPECT_EQ(TopologyAwareBalancer{mesh}.name(), "Topology-aware");
+}
+
+// ------------------------------------------------- pinned digests ----
+//
+// FNV-1a digests of the (expert, src, dst) step lists and the resulting
+// expertsOn() lists over a fixed seed set, in next_hop_test's
+// RoutingDigest pattern. balancer_reference_test holds the production
+// planner to the test-only reference; these constants catch the two
+// drifting together. They were derived from the planner that scanned
+// every device per round, before the heat tournament tree, and must
+// never be regenerated to make a planner change pass.
+
+namespace {
+
+using reference::LoadShape;
+using reference::shapedLoads;
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+/** FNV-1a 64 over @p v as 8 little-endian bytes. */
+void
+mixInt(std::uint64_t &h, std::int64_t v)
+{
+    const auto u = static_cast<std::uint64_t>(v);
+    for (int b = 0; b < 8; ++b) {
+        h ^= (u >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ULL;
+    }
+}
+
+void
+mixDouble(std::uint64_t &h, double v)
+{
+    std::int64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    mixInt(h, bits);
+}
+
+void
+mixSteps(std::uint64_t &h, const std::vector<MigrationStep> &steps)
+{
+    mixInt(h, static_cast<std::int64_t>(steps.size()));
+    for (const MigrationStep &s : steps) {
+        mixInt(h, s.expert);
+        mixInt(h, s.srcDevice);
+        mixInt(h, s.dstDevice);
+    }
+}
+
+/** Every device's expertsOn() list, in order, with a separator. */
+void
+mixPlacement(std::uint64_t &h, const ExpertPlacement &p)
+{
+    for (DeviceId d = 0; d < p.numDevices(); ++d) {
+        for (const int e : p.expertsOn(d))
+            mixInt(h, e);
+        mixInt(h, -1);
+    }
+}
+
+/** Load sequence each seed re-plans through, on one placement. */
+constexpr LoadShape kShapes[] = {LoadShape::Zipf,  LoadShape::Ties,
+                                 LoadShape::Zipf,  LoadShape::Uniform,
+                                 LoadShape::Zipf,  LoadShape::Zero,
+                                 LoadShape::Ties};
+
+/** (experts, shadow slots) pairs: E ≥ D and E < D, slots 0–3. */
+using Configs = std::vector<std::pair<int, int>>;
+
+/**
+ * Digest of @p plan over every config and seed 1..@p seeds. Each seed
+ * re-plans through kShapes on one placement, so prior shadow replicas
+ * feed every snapshot; the devices in @p lost are retired after the
+ * first plan.
+ */
+template <typename Plan>
+std::uint64_t
+planDigest(int devices, const Configs &configs, int seeds,
+           const std::vector<DeviceId> &lost, Plan plan)
+{
+    std::uint64_t h = kFnvOffset;
+    for (const auto &[experts, slots] : configs) {
+        for (int seed = 1; seed <= seeds; ++seed) {
+            ExpertPlacement p(experts, devices, slots);
+            int i = 0;
+            for (const LoadShape shape : kShapes) {
+                if (i == 1)
+                    for (const DeviceId d : lost)
+                        p.markDeviceLost(d);
+                const auto loads = shapedLoads(
+                    shape, experts,
+                    static_cast<std::uint64_t>(seed * 1000 + i++));
+                mixSteps(h, plan(loads, p));
+                mixPlacement(h, p);
+            }
+        }
+    }
+    return h;
+}
+
+const Configs k16 = {{16, 1}, {35, 2}, {8, 3}, {128, 1}, {16, 0}};
+
+std::uint64_t
+greedyDigest(int devices, const Configs &configs, int seeds,
+             const std::vector<DeviceId> &lost = {})
+{
+    GreedyBalancer gb;
+    return planDigest(devices, configs, seeds, lost,
+                      [&](const std::vector<double> &loads,
+                          ExpertPlacement &p) {
+                          return gb.rebalance(loads, p);
+                      });
+}
+
+std::uint64_t
+topoDigest(const Topology &topo, const Configs &configs, int seeds,
+           const std::vector<DeviceId> &lost = {})
+{
+    TopologyAwareBalancer tb(topo);
+    return planDigest(topo.numDevices(), configs, seeds, lost,
+                      [&](const std::vector<double> &loads,
+                          ExpertPlacement &p) {
+                          return tb.rebalance(loads, p);
+                      });
+}
+
+/**
+ * NI re-plans on a 4×4 ER wafer: each plan is followed by one
+ * attention and one MoE window over @p traffic, so some migrations
+ * land between plans and others are still pending at the next one.
+ */
+std::uint64_t
+niDigest(const Configs &configs, int seeds)
+{
+    const MeshTopology mesh = MeshTopology::singleWafer(4);
+    const ErMapping er(mesh, ParallelismConfig{2, 2});
+    PhaseTraffic traffic(mesh);
+    for (DeviceId a = 0; a < mesh.numDevices(); ++a)
+        traffic.addFlow(a, (a * 5 + 3) % mesh.numDevices(), 1.5e7);
+    std::uint64_t h = kFnvOffset;
+    for (const auto &[experts, slots] : configs) {
+        for (int seed = 1; seed <= seeds; ++seed) {
+            NiBalancer ni(er, 42e6);
+            ExpertPlacement p(experts, mesh.numDevices(), slots);
+            int i = 0;
+            for (const LoadShape shape : kShapes) {
+                const auto loads = shapedLoads(
+                    shape, experts,
+                    static_cast<std::uint64_t>(seed * 1000 + i++));
+                mixInt(h, ni.plan(loads, p));
+                mixPlacement(h, p);
+                mixInt(h, ni.advanceAttention(traffic, 2e-5, p));
+                mixInt(h, ni.advanceMoe(traffic, 3e-5, p));
+                mixInt(h, static_cast<std::int64_t>(ni.pendingCount()));
+                mixDouble(h, ni.hiddenBytesMoved());
+                mixPlacement(h, p);
+            }
+        }
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(BalancerDigest, Greedy)
+{
+    EXPECT_EQ(greedyDigest(16, k16, 3), 0xb1bcaf4075a50aa2ULL);
+    EXPECT_EQ(greedyDigest(16, k16, 2, {5, 10, 0}),
+              0x1893731c1143260aULL);
+}
+
+TEST(BalancerDigest, TopologyAwareMesh)
+{
+    EXPECT_EQ(topoDigest(MeshTopology::singleWafer(4), k16, 3),
+              0x6f79b0361b647970ULL);
+    EXPECT_EQ(topoDigest(MeshTopology::singleWafer(4), k16, 2, {5, 10, 0}),
+              0xb2221fe586bd735bULL);
+    EXPECT_EQ(topoDigest(MeshTopology::singleWafer(8),
+                         {{64, 1}, {150, 2}, {32, 3}}, 2),
+              0xdf183e52df0a555bULL);
+    EXPECT_EQ(topoDigest(MeshTopology::waferRow(2, 8), {{128, 1}, {40, 2}},
+                         2),
+              0x7451a876484d852bULL);
+}
+
+TEST(BalancerDigest, TopologyAwareMesh1024)
+{
+    EXPECT_EQ(topoDigest(MeshTopology::waferRow(4, 16),
+                         {{128, 1}, {1500, 2}}, 1),
+              0x21cc18f62777db1eULL);
+}
+
+TEST(BalancerDigest, TopologyAwareSwitchCluster)
+{
+    EXPECT_EQ(topoDigest(SwitchClusterTopology::dgx(2), k16, 3),
+              0x3e372fba71034563ULL);
+}
+
+TEST(BalancerDigest, NonInvasiveReplans)
+{
+    EXPECT_EQ(niDigest({{16, 1}, {35, 2}, {8, 3}}, 3),
+              0x2759d334409cfb4bULL);
 }
