@@ -2,12 +2,15 @@
  * @file
  * google-benchmark microbenchmarks of the simulator itself: mesh
  * routing, collective timing, gating, token routing, dense-vs-sparse
- * traffic reduction, and full engine steps.
+ * traffic reduction, balancer planning, and full engine steps.
  * These guard the simulator's own performance (wall-clock, not
  * simulated time).
  */
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cstdint>
 
 #include "core/moentwine.hh"
 
@@ -158,6 +161,59 @@ BENCHMARK(BM_TrafficReduce)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+/**
+ * Algorithm 1 planning: one TopologyAwareBalancer::rebalance() per
+ * iteration of Qwen3's 128 experts with the engine's default shadow
+ * slots, re-planning from the previous target as the engine does.
+ * Loads are skewed and seeded: SingleScenario gating counts over 4 DP
+ * groups, alternating between two iterations so every plan moves
+ * replicas. Arg 0 is a 4×4 ER wafer (16 devices), 1 the 4×(16×16)
+ * mesh of scale_1024 (1024 devices).
+ */
+void
+BM_BalancerPlan(benchmark::State &state)
+{
+    const MeshTopology mesh = state.range(0) != 0
+        ? MeshTopology::waferRow(4, 16)
+        : MeshTopology::singleWafer(4);
+    const MoEModelConfig model = qwen3();
+    WorkloadConfig wc;
+    wc.mode = GatingMode::SingleScenario;
+    wc.numExperts = model.expertsTotal;
+    wc.topK = model.expertsActivated;
+    wc.seed = 7;
+    WorkloadGenerator gen(wc);
+    std::vector<double> loads[2];
+    for (int i = 0; i < 2; ++i) {
+        loads[i] = WorkloadGenerator::expertLoads(
+            gen.sampleCounts(i, 0, 256, 4), model.expertsTotal);
+    }
+    const EngineConfig defaults{};
+    ExpertPlacement placement(model.expertsTotal, mesh.numDevices(),
+                              defaults.shadowSlots);
+    TopologyAwareBalancer planner(mesh);
+    // Warm pass: reach steady-state scratch capacity untimed.
+    planner.rebalance(loads[0], placement);
+    planner.rebalance(loads[1], placement);
+    std::size_t steps = 0;
+    int i = 0;
+    for (auto _ : state) {
+        const auto &planned = planner.rebalance(loads[i], placement);
+        benchmark::DoNotOptimize(planned.data());
+        benchmark::ClobberMemory();
+        steps += planned.size();
+        i ^= 1;
+    }
+    state.counters["devices"] = mesh.numDevices();
+    state.counters["steps_per_plan"] = static_cast<double>(steps) /
+        static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
+}
+BENCHMARK(BM_BalancerPlan)
+    ->ArgName("mesh1024")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_EngineStepWsc(benchmark::State &state)

@@ -1,11 +1,11 @@
 #include "balancer/balancer.hh"
 
 #include <algorithm>
+#include <cstdlib>
 #include <limits>
-#include <set>
-#include <utility>
 
 #include "common/logging.hh"
+#include "topology/mesh.hh"
 
 namespace moentwine {
 
@@ -32,42 +32,125 @@ RebalanceTrigger::poll(double imbalance)
 
 namespace {
 
-/** Destination/source policy for the shared replication loop. */
-struct ReplicationPolicy
+/**
+ * Cold test of Algorithm 1 (paper line 5) for @p expert's next replica
+ * with per-replica share @p newShare: a free slot, not the hottest
+ * device, no existing replica, and heat staying strictly below the
+ * peak. Adding the share keeps the global peak strictly decreasing.
+ */
+struct ColdTest
 {
-    /** Pick the destination among cold candidate devices. */
-    DeviceId (*chooseDst)(const Topology *topo,
-                          const ExpertPlacement &placement,
-                          const std::vector<double> &heats,
-                          const std::vector<DeviceId> &candidates,
-                          int expert);
-    /** Pick the replica the weights are copied from. */
-    DeviceId (*chooseSrc)(const Topology *topo,
-                          const std::vector<DeviceId> &replicas,
-                          DeviceId dst);
+    const ExpertPlacement &placement;
+    const std::vector<double> &heats;
+    int expert;
+    DeviceId hottest;
+    double newShare;
+
+    bool operator()(DeviceId d) const
+    {
+        // The heat test is the cheapest and rejects most devices.
+        return heats[static_cast<std::size_t>(d)] + newShare <
+                   heats[static_cast<std::size_t>(hottest)] &&
+               d != hottest && placement.freeSlots(d) > 0 &&
+               !placement.hosts(d, expert);
+    }
 };
+
+/** True when @p d beats @p best (-1: none yet) on (heat, id). */
+bool
+colderThan(const std::vector<double> &heats, DeviceId d, DeviceId best)
+{
+    if (best < 0)
+        return true;
+    const double hd = heats[static_cast<std::size_t>(d)];
+    const double hb = heats[static_cast<std::size_t>(best)];
+    return hd < hb || (hd == hb && d < best);
+}
+
+/**
+ * Nearest cold device on a mesh, by (hops, heat, id): search Manhattan
+ * rings of growing radius around the expert's replicas and take the
+ * coldest cold device of the first ring that has one. A device reached
+ * on ring h of one replica but nearer to another was already tested on
+ * an inner ring and failed, so every cold hit of ring h is h hops away.
+ * The caller guarantees a cold device exists.
+ */
+DeviceId
+nearestOnMesh(const MeshTopology &mesh, const ColdTest &cold)
+{
+    const auto &replicas = cold.placement.replicasOf(cold.expert);
+    const int maxRadius = mesh.rows() + mesh.cols() - 2;
+    for (int h = 1; h <= maxRadius; ++h) {
+        DeviceId best = -1;
+        for (const DeviceId r : replicas) {
+            const Coord c = mesh.coordOf(r);
+            for (int dr = -h; dr <= h; ++dr) {
+                const int row = c.row + dr;
+                if (row < 0 || row >= mesh.rows())
+                    continue;
+                const int dc = h - std::abs(dr);
+                for (const int col : {c.col - dc, c.col + dc}) {
+                    if (col >= 0 && col < mesh.cols()) {
+                        const DeviceId d = mesh.deviceAt(row, col);
+                        if (cold(d) && colderThan(cold.heats, d, best))
+                            best = d;
+                    }
+                    if (dc == 0)
+                        break; // the ring's two tips are one device
+                }
+            }
+        }
+        if (best >= 0)
+            return best;
+    }
+    panic("nearestOnMesh: no cold device on any ring");
+}
+
+/** Nearest cold device by (hops, heat, id), scanning every device. */
+DeviceId
+nearestByScan(const Topology &topo, const ColdTest &cold)
+{
+    DeviceId best = -1;
+    int bestHops = std::numeric_limits<int>::max();
+    for (DeviceId d = 0; d < cold.placement.numDevices(); ++d) {
+        if (!cold(d))
+            continue;
+        int h = std::numeric_limits<int>::max();
+        for (const DeviceId r : cold.placement.replicasOf(cold.expert))
+            h = std::min(h, topo.hops(r, d));
+        if (best < 0 || h < bestHops ||
+            (h == bestHops && cold.heats[static_cast<std::size_t>(d)] <
+                                  cold.heats[static_cast<std::size_t>(
+                                      best)])) {
+            bestHops = h;
+            best = d;
+        }
+    }
+    return best;
+}
 
 /**
  * Algorithm 1's core loop: repeatedly replicate the most loaded expert
  * of the hottest device onto a colder device until no improvement is
- * possible. Returns the (expert, dst) additions in order.
+ * possible. Appends the (expert, dst) additions to @p added in order.
+ * @p topo nullptr picks the coldest destination, otherwise the nearest
+ * (@p mesh, when non-null, is @p topo as a mesh).
  */
-std::vector<std::pair<int, DeviceId>>
+void
 replicationLoop(const std::vector<double> &loads,
                 ExpertPlacement &placement, const Topology *topo,
-                const ReplicationPolicy &policy)
+                const MeshTopology *mesh,
+                std::vector<std::pair<int, DeviceId>> &added)
 {
-    std::vector<std::pair<int, DeviceId>> added;
     const int maxAdds = placement.numDevices() * placement.shadowSlots();
 
     // Track loads so each round reads the incrementally maintained
-    // heat vector and every addReplica() updates it in O(replicas) —
-    // instead of the O(devices × experts) recompute per round.
+    // heats and heat trees, and every addReplica() updates them in
+    // O(replicas × log devices).
     placement.setExpertLoads(loads);
+    const std::vector<double> &heats = placement.heats();
     for (int round = 0; round < maxAdds; ++round) {
-        const std::vector<double> &heats = placement.heats();
-        const auto hottest = static_cast<DeviceId>(
-            std::max_element(heats.begin(), heats.end()) - heats.begin());
+        const DeviceId hottest = placement.hottestDevice();
 
         // Most loaded per-replica share on the hottest device.
         int srcExpert = -1;
@@ -83,139 +166,96 @@ replicationLoop(const std::vector<double> &loads,
         if (srcExpert < 0 || share <= 0.0)
             break; // nothing worth replicating
 
-        // Cold set (paper line 5): devices whose heat would stay below
-        // the current peak after hosting one more replica share, with a
-        // free slot and no existing replica. Adding the new share to
-        // the candidate keeps the global peak strictly decreasing.
         const double newShare = loads[static_cast<std::size_t>(
                                     srcExpert)] /
             (placement.numReplicas(srcExpert) + 1);
-        std::vector<DeviceId> cold;
-        for (DeviceId d = 0; d < placement.numDevices(); ++d) {
-            if (d == hottest || placement.freeSlots(d) <= 0 ||
-                placement.hosts(d, srcExpert)) {
-                continue;
-            }
-            if (heats[static_cast<std::size_t>(d)] + newShare <
-                heats[static_cast<std::size_t>(hottest)]) {
-                cold.push_back(d);
-            }
-        }
-        if (cold.empty())
+        const ColdTest cold{placement, heats, srcExpert, hottest, newShare};
+        // The cold set is empty iff its coldest eligible device fails.
+        const DeviceId coldest =
+            placement.coldestOpenDevice(srcExpert, hottest);
+        if (coldest < 0 || !cold(coldest))
             break; // line 6: no capable destination remains
 
-        const DeviceId dst =
-            policy.chooseDst(topo, placement, heats, cold, srcExpert);
+        const DeviceId dst = !topo ? coldest
+            : mesh                 ? nearestOnMesh(*mesh, cold)
+                                   : nearestByScan(*topo, cold);
         placement.addReplica(srcExpert, dst);
         added.emplace_back(srcExpert, dst);
     }
     placement.clearExpertLoads();
-    return added;
 }
 
+/** Prior holder nearest to @p dst; ties to the lowest id. */
 DeviceId
-coldestDst(const Topology *, const ExpertPlacement &,
-           const std::vector<double> &heats,
-           const std::vector<DeviceId> &candidates, int)
+nearestHolder(const Topology &topo, const DeviceId *first,
+              const DeviceId *last, DeviceId dst)
 {
-    DeviceId best = candidates.front();
-    for (const DeviceId d : candidates) {
-        if (heats[static_cast<std::size_t>(d)] <
-            heats[static_cast<std::size_t>(best)]) {
-            best = d;
-        }
-    }
-    return best;
-}
-
-DeviceId
-nearestDst(const Topology *topo, const ExpertPlacement &placement,
-           const std::vector<double> &heats,
-           const std::vector<DeviceId> &candidates, int expert)
-{
-    DeviceId best = candidates.front();
+    DeviceId best = *first;
     int bestHops = std::numeric_limits<int>::max();
-    for (const DeviceId d : candidates) {
-        int h = std::numeric_limits<int>::max();
-        for (const DeviceId r : placement.replicasOf(expert))
-            h = std::min(h, topo->hops(r, d));
-        if (h < bestHops ||
-            (h == bestHops && heats[static_cast<std::size_t>(d)] <
-                                  heats[static_cast<std::size_t>(best)])) {
-            bestHops = h;
-            best = d;
-        }
-    }
-    return best;
-}
-
-DeviceId
-firstReplicaSrc(const Topology *, const std::vector<DeviceId> &replicas,
-                DeviceId)
-{
-    return replicas.front();
-}
-
-DeviceId
-nearestReplicaSrc(const Topology *topo,
-                  const std::vector<DeviceId> &replicas, DeviceId dst)
-{
-    DeviceId best = replicas.front();
-    int bestHops = std::numeric_limits<int>::max();
-    for (const DeviceId r : replicas) {
-        const int h = topo->hops(r, dst);
+    for (const DeviceId *r = first; r != last; ++r) {
+        const int h = topo.hops(*r, dst);
         if (h < bestHops) {
             bestHops = h;
-            best = r;
+            best = *r;
         }
     }
     return best;
-}
-
-/**
- * Shared rebalance driver: rebuild the target from native, run the
- * loop, and diff against the previous replica set to derive the weight
- * copies actually required.
- */
-std::vector<MigrationStep>
-rebalanceWith(const std::vector<double> &loads, ExpertPlacement &placement,
-              const Topology *topo, const ReplicationPolicy &policy)
-{
-    // Snapshot the replicas present before re-planning: copies to a
-    // device that already held the expert are free.
-    std::set<std::pair<int, DeviceId>> before;
-    for (int e = 0; e < placement.numExperts(); ++e)
-        for (const DeviceId d : placement.replicasOf(e))
-            before.emplace(e, d);
-
-    placement.resetToNative();
-    const auto added = replicationLoop(loads, placement, topo, policy);
-
-    std::vector<MigrationStep> steps;
-    for (const auto &[expert, dst] : added) {
-        if (before.count({expert, dst}))
-            continue;
-        // Copy sources must hold the weights *now*: pick among the
-        // replicas present before the re-plan.
-        std::vector<DeviceId> holders;
-        for (const auto &[e, d] : before)
-            if (e == expert)
-                holders.push_back(d);
-        MOE_ASSERT(!holders.empty(), "expert with no prior replica");
-        const DeviceId src = policy.chooseSrc(topo, holders, dst);
-        steps.push_back(MigrationStep{expert, src, dst});
-    }
-    return steps;
 }
 
 } // namespace
 
-std::vector<MigrationStep>
+const std::vector<MigrationStep> &
+Balancer::rebalanceWith(const std::vector<double> &loads,
+                        ExpertPlacement &placement, const Topology *topo)
+{
+    // Snapshot the replicas present before re-planning: copies to a
+    // device that already held the expert are free, and copy sources
+    // must hold the weights *now*. A counting sort by expert over the
+    // devices in id order leaves every holder list sorted by id.
+    const int experts = placement.numExperts();
+    holderStart_.assign(static_cast<std::size_t>(experts) + 1, 0);
+    for (int e = 0; e < experts; ++e) {
+        holderStart_[static_cast<std::size_t>(e) + 1] =
+            holderStart_[static_cast<std::size_t>(e)] +
+            placement.numReplicas(e);
+    }
+    holders_.resize(static_cast<std::size_t>(holderStart_.back()));
+    for (DeviceId d = 0; d < placement.numDevices(); ++d)
+        for (const int e : placement.expertsOn(d))
+            holders_[static_cast<std::size_t>(
+                holderStart_[static_cast<std::size_t>(e)]++)] = d;
+    // Filling advanced each start to the next one; shift them back.
+    for (int e = experts; e > 0; --e)
+        holderStart_[static_cast<std::size_t>(e)] =
+            holderStart_[static_cast<std::size_t>(e) - 1];
+    holderStart_[0] = 0;
+
+    placement.resetToNative();
+    added_.clear();
+    replicationLoop(loads, placement, topo,
+                    dynamic_cast<const MeshTopology *>(topo), added_);
+
+    steps_.clear();
+    for (const auto &[expert, dst] : added_) {
+        const DeviceId *first =
+            holders_.data() + holderStart_[static_cast<std::size_t>(expert)];
+        const DeviceId *last = holders_.data() +
+            holderStart_[static_cast<std::size_t>(expert) + 1];
+        if (std::binary_search(first, last, dst))
+            continue;
+        MOE_ASSERT(first != last, "expert with no prior replica");
+        const DeviceId src =
+            topo ? nearestHolder(*topo, first, last, dst) : *first;
+        steps_.push_back(MigrationStep{expert, src, dst});
+    }
+    return steps_;
+}
+
+const std::vector<MigrationStep> &
 GreedyBalancer::rebalance(const std::vector<double> &expertLoads,
                           ExpertPlacement &placement)
 {
-    const ReplicationPolicy policy{coldestDst, firstReplicaSrc};
-    return rebalanceWith(expertLoads, placement, nullptr, policy);
+    return rebalanceWith(expertLoads, placement, nullptr);
 }
 
 TopologyAwareBalancer::TopologyAwareBalancer(const Topology &topo)
@@ -223,12 +263,11 @@ TopologyAwareBalancer::TopologyAwareBalancer(const Topology &topo)
 {
 }
 
-std::vector<MigrationStep>
+const std::vector<MigrationStep> &
 TopologyAwareBalancer::rebalance(const std::vector<double> &expertLoads,
                                  ExpertPlacement &placement)
 {
-    const ReplicationPolicy policy{nearestDst, nearestReplicaSrc};
-    return rebalanceWith(expertLoads, placement, &topo_, policy);
+    return rebalanceWith(expertLoads, placement, &topo_);
 }
 
 } // namespace moentwine

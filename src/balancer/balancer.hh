@@ -6,14 +6,34 @@
  * Both balancers plan a *target* placement from the predicted expert
  * loads: starting from the native placement, they repeatedly replicate
  * the most loaded expert of the hottest device onto a colder device
- * until peak heat can no longer be reduced. They differ in destination
- * choice:
- *  - Greedy (EPLB): the globally coldest device with a free slot,
- *    copied from the expert's first (native) replica — oblivious to
- *    distance, hence long invasive migrations;
- *  - Topology-aware (Algorithm 1): among the devices whose heat would
- *    stay below the current peak, the one nearest to an existing
- *    replica — same balance quality, far shorter transfers.
+ * until peak heat can no longer be reduced. A device is *cold* for an
+ * expert when it is not the hottest device, has a free slot, does not
+ * host the expert, and heat + the expert's new per-replica share stays
+ * strictly below the peak. The balancers differ in destination and
+ * source choice:
+ *  - Greedy (EPLB): the coldest cold device, copied from the
+ *    lowest-id device that held the expert *before the re-plan* (a
+ *    native or a shadow replica) — oblivious to distance, hence long
+ *    invasive migrations;
+ *  - Topology-aware (Algorithm 1): the cold device nearest to one of
+ *    the expert's current replicas, copied from the prior holder
+ *    nearest to it — same balance quality, far shorter transfers.
+ *
+ * Tie rules: the hottest device is the std::max_element answer (lowest
+ * id among equal heats); Greedy takes the lowest id among the coldest;
+ * Topology-aware minimises (hops, heat, id); the source is the lowest-id
+ * prior holder among the nearest.
+ *
+ * Cost: a plan makes at most devices × shadowSlots additions. Each round
+ * reads the hottest device from the placement's heat tree in O(1) and
+ * the coldest eligible device in O(log devices); the cold set is empty
+ * iff that device fails the cold test, since adding the new share is
+ * monotone in heat. Topology-aware then searches Manhattan rings around
+ * the replicas on a mesh, and scans every device on other topologies
+ * (whose hops() are not Manhattan). Each addition updates the tree in
+ * O(replicas × log devices). Steady-state plans allocate nothing: the
+ * prior holders, additions and steps live in buffers the balancer
+ * reuses.
  *
  * The migration steps returned are the replica copies that must move
  * weights over the network; dropping stale shadow replicas is free.
@@ -23,6 +43,7 @@
 #define MOENTWINE_BALANCER_BALANCER_HH
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "balancer/placement.hh"
@@ -72,7 +93,8 @@ class RebalanceTrigger
 };
 
 /**
- * Base class of placement balancers.
+ * Base class of placement balancers. A balancer keeps scratch buffers
+ * between plans, so one instance must not plan on two threads at once.
  */
 class Balancer
 {
@@ -87,15 +109,36 @@ class Balancer
      *
      * The placement is reset to native and rebuilt; the returned steps
      * are the weight copies required to realise the new assignment
-     * relative to @p previous (replicas already present cost nothing).
+     * relative to the replicas held before the call (replicas already
+     * present cost nothing).
      *
      * @param expertLoads Predicted per-expert loads.
      * @param placement   Placement to mutate into the new target.
-     * @return Required weight-copy migrations.
+     * @return Required weight-copy migrations, valid until the next
+     *         rebalance() on this balancer.
      */
-    virtual std::vector<MigrationStep> rebalance(
+    virtual const std::vector<MigrationStep> &rebalance(
         const std::vector<double> &expertLoads,
         ExpertPlacement &placement) = 0;
+
+  protected:
+    /**
+     * Shared driver: snapshot the prior holders, reset to native, run
+     * the replication loop, and diff. @p topo selects the policy:
+     * nullptr plans greedily, otherwise topology-aware on @p topo.
+     */
+    const std::vector<MigrationStep> &rebalanceWith(
+        const std::vector<double> &loads, ExpertPlacement &placement,
+        const Topology *topo);
+
+  private:
+    // Prior holders per expert as CSR: expert e's holders, sorted by
+    // device id, are holders_[holderStart_[e] .. holderStart_[e + 1]).
+    std::vector<int> holderStart_;
+    std::vector<DeviceId> holders_;
+    // (expert, dst) additions of the replication loop, in order.
+    std::vector<std::pair<int, DeviceId>> added_;
+    std::vector<MigrationStep> steps_;
 };
 
 /**
@@ -106,7 +149,7 @@ class GreedyBalancer : public Balancer
   public:
     std::string name() const override { return "Greedy"; }
 
-    std::vector<MigrationStep> rebalance(
+    const std::vector<MigrationStep> &rebalance(
         const std::vector<double> &expertLoads,
         ExpertPlacement &placement) override;
 };
@@ -122,7 +165,7 @@ class TopologyAwareBalancer : public Balancer
 
     std::string name() const override { return "Topology-aware"; }
 
-    std::vector<MigrationStep> rebalance(
+    const std::vector<MigrationStep> &rebalance(
         const std::vector<double> &expertLoads,
         ExpertPlacement &placement) override;
 

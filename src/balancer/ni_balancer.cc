@@ -7,7 +7,10 @@
 namespace moentwine {
 
 NiBalancer::NiBalancer(const Mapping &mapping, double expertBytes)
-    : mapping_(mapping), expertBytes_(expertBytes)
+    : mapping_(mapping),
+      expertBytes_(expertBytes),
+      planner_(mapping.topology()),
+      budget_(mapping.topology().links().size(), -1.0)
 {
     MOE_ASSERT(expertBytes > 0.0, "expert size must be positive");
 }
@@ -16,14 +19,10 @@ int
 NiBalancer::plan(const std::vector<double> &expertLoads,
                  ExpertPlacement &placement)
 {
-    // Plan the target with Algorithm 1 on a scratch copy.
-    ExpertPlacement target = placement;
-    TopologyAwareBalancer planner(mapping_.topology());
-    const auto steps = planner.rebalance(expertLoads, target);
-
-    // Adopt the target immediately, then retract the replicas whose
-    // weights still have to travel — they activate on completion.
-    placement = target;
+    // Re-plan the target with Algorithm 1 and adopt it immediately,
+    // then retract the replicas whose weights still have to travel —
+    // they activate on completion.
+    const auto &steps = planner_.rebalance(expertLoads, placement);
     int enqueued = 0;
     for (const MigrationStep &step : steps) {
         const bool alreadyPending = std::any_of(
@@ -93,12 +92,14 @@ NiBalancer::advance(const PhaseTraffic &traffic, double window, bool local,
     if (pending_.empty() || window <= 0.0)
         return 0;
 
-    // Idle byte budget per link for this window, shared FCFS.
-    std::vector<double> budget(mapping_.topology().links().size(), -1.0);
+    // Idle byte budget per link for this window, shared FCFS. A read
+    // budget stays non-negative, so each link is touched once.
     auto budgetOf = [&](LinkId l) -> double & {
-        auto &b = budget[static_cast<std::size_t>(l)];
-        if (b < 0.0)
+        auto &b = budget_[static_cast<std::size_t>(l)];
+        if (b < 0.0) {
             b = traffic.idleBytes(l, window);
+            touched_.push_back(l);
+        }
         return b;
     };
 
@@ -123,6 +124,9 @@ NiBalancer::advance(const PhaseTraffic &traffic, double window, bool local,
             hiddenBytes_ += capacity;
         }
     }
+    for (const LinkId l : touched_)
+        budget_[static_cast<std::size_t>(l)] = -1.0;
+    touched_.clear();
 
     // Activate completed migrations.
     int completed = 0;

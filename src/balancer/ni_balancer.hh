@@ -19,6 +19,10 @@
  * chain, and a migration activates its replica only once the final
  * segment has delivered all bytes — so balancing is slightly delayed
  * but costs zero iteration latency.
+ *
+ * Planning re-plans the live placement in place and draining reuses a
+ * links-sized budget array reset through the links it touched, so a
+ * steady-state step allocates only for newly enqueued migrations.
  */
 
 #ifndef MOENTWINE_BALANCER_NI_BALANCER_HH
@@ -109,8 +113,13 @@ class NiBalancer
 
     const Mapping &mapping_;
     double expertBytes_;
+    TopologyAwareBalancer planner_;
     std::deque<Pending> pending_;
     double hiddenBytes_ = 0.0;
+    // Idle byte budget per link within one advance() (-1: not yet
+    // read), and the links read so far, for resetting.
+    std::vector<double> budget_;
+    std::vector<LinkId> touched_;
 };
 
 } // namespace moentwine

@@ -41,43 +41,6 @@ ExpertPlacement::ExpertPlacement(int numExperts, int numDevices,
     }
 }
 
-const std::vector<int> &
-ExpertPlacement::expertsOn(DeviceId d) const
-{
-    MOE_ASSERT(d >= 0 && d < numDevices_, "expertsOn: bad device");
-    return byDevice_[static_cast<std::size_t>(d)];
-}
-
-const std::vector<DeviceId> &
-ExpertPlacement::replicasOf(int expert) const
-{
-    MOE_ASSERT(expert >= 0 && expert < numExperts_,
-               "replicasOf: bad expert");
-    return byExpert_[static_cast<std::size_t>(expert)];
-}
-
-int
-ExpertPlacement::numReplicas(int expert) const
-{
-    return static_cast<int>(replicasOf(expert).size());
-}
-
-bool
-ExpertPlacement::hosts(DeviceId d, int expert) const
-{
-    const auto &experts = expertsOn(d);
-    return std::find(experts.begin(), experts.end(), expert) !=
-           experts.end();
-}
-
-int
-ExpertPlacement::freeSlots(DeviceId d) const
-{
-    MOE_ASSERT(d >= 0 && d < numDevices_, "freeSlots: bad device");
-    return capacity_[static_cast<std::size_t>(d)] -
-           static_cast<int>(byDevice_[static_cast<std::size_t>(d)].size());
-}
-
 void
 ExpertPlacement::addReplica(int expert, DeviceId d)
 {
@@ -98,11 +61,14 @@ ExpertPlacement::addReplica(int expert, DeviceId d)
              byExpert_[static_cast<std::size_t>(expert)]) {
             heats_[static_cast<std::size_t>(r)] -=
                 load / n - newShare;
+            touchHeat(r);
         }
         heats_[static_cast<std::size_t>(d)] += newShare;
     }
     byDevice_[static_cast<std::size_t>(d)].push_back(expert);
     byExpert_[static_cast<std::size_t>(expert)].push_back(d);
+    if (tracksLoads())
+        touchHeat(d);
 }
 
 void
@@ -123,6 +89,7 @@ ExpertPlacement::removeReplica(int expert, DeviceId d)
             if (r != d) {
                 heats_[static_cast<std::size_t>(r)] +=
                     load / (n - 1.0) - oldShare;
+                touchHeat(r);
             }
         }
         heats_[static_cast<std::size_t>(d)] -= oldShare;
@@ -131,6 +98,8 @@ ExpertPlacement::removeReplica(int expert, DeviceId d)
     experts.erase(std::find(experts.begin(), experts.end(), expert));
     auto &devices = byExpert_[static_cast<std::size_t>(expert)];
     devices.erase(std::find(devices.begin(), devices.end(), d));
+    if (tracksLoads())
+        touchHeat(d);
 }
 
 void
@@ -199,14 +168,29 @@ ExpertPlacement::markDeviceLost(DeviceId d)
         }
         // Native assignments sit outside the shadow budget: grow the
         // target's capacity so its freeSlots() is unchanged (and
-        // resetToNative() keeps balancer headroom intact).
-        nativeByDevice_[static_cast<std::size_t>(target)].push_back(e);
-        capacity_[static_cast<std::size_t>(target)] += 1;
+        // resetToNative() keeps balancer headroom intact). A holder
+        // that is native for e already (E < D) needs neither.
+        if (!isNative(target, e)) {
+            nativeByDevice_[static_cast<std::size_t>(target)].push_back(e);
+            capacity_[static_cast<std::size_t>(target)] += 1;
+        }
         rehomed.push_back(ExpertRehoming{e, d, target});
     }
     natives.clear();
     if (tracksLoads())
         rebuildHeats();
+
+    // Replica conservation, O(experts + devices + replicas) per loss:
+    // every expert keeps a replica and none sits on a lost device.
+    MOE_ASSERT(byDevice_[static_cast<std::size_t>(d)].empty(),
+               "lost device still hosts experts");
+    for (int e = 0; e < numExperts_; ++e) {
+        const auto &holders = byExpert_[static_cast<std::size_t>(e)];
+        MOE_ASSERT(!holders.empty(), "expert left without a replica");
+        for (const DeviceId h : holders)
+            MOE_ASSERT(!lost_[static_cast<std::size_t>(h)],
+                       "replica left on a lost device");
+    }
     return rehomed;
 }
 
@@ -234,6 +218,8 @@ ExpertPlacement::clearExpertLoads()
 {
     trackedLoads_.clear();
     heats_.clear();
+    hotTree_.clear();
+    openTree_.clear();
 }
 
 void
@@ -245,8 +231,10 @@ ExpertPlacement::updateExpertLoad(int expert, double load)
     double &tracked = trackedLoads_[static_cast<std::size_t>(expert)];
     const double perReplicaDelta =
         (load - tracked) / static_cast<double>(numReplicas(expert));
-    for (const DeviceId r : byExpert_[static_cast<std::size_t>(expert)])
+    for (const DeviceId r : byExpert_[static_cast<std::size_t>(expert)]) {
         heats_[static_cast<std::size_t>(r)] += perReplicaDelta;
+        touchHeat(r);
+    }
     tracked = load;
 }
 
@@ -257,10 +245,110 @@ ExpertPlacement::heats() const
     return heats_;
 }
 
+DeviceId
+ExpertPlacement::hottestDevice() const
+{
+    MOE_ASSERT(tracksLoads(), "hottestDevice() without attached loads");
+    return hotTree_[1];
+}
+
+DeviceId
+ExpertPlacement::coldestOpenDevice(int expert, DeviceId skip) const
+{
+    MOE_ASSERT(tracksLoads(), "coldestOpenDevice() without attached loads");
+    return coldestOpenUnder(1, expert, skip);
+}
+
+DeviceId
+ExpertPlacement::coldestOpenUnder(int node, int expert, DeviceId skip) const
+{
+    // A winner that qualifies is the subtree's answer; otherwise both
+    // children are searched, so only the paths to excluded winners
+    // (skip and the expert's holders) are ever expanded.
+    const DeviceId w = openTree_[static_cast<std::size_t>(node)];
+    if (w < 0 || (w != skip && !hosts(w, expert)))
+        return w;
+    if (node >= treeBase_)
+        return -1;
+    return colder(coldestOpenUnder(2 * node, expert, skip),
+                  coldestOpenUnder(2 * node + 1, expert, skip));
+}
+
+DeviceId
+ExpertPlacement::hotter(DeviceId a, DeviceId b) const
+{
+    if (a < 0 || b < 0)
+        return a < 0 ? b : a;
+    const double ha = heats_[static_cast<std::size_t>(a)];
+    const double hb = heats_[static_cast<std::size_t>(b)];
+    return hb > ha || (hb == ha && b < a) ? b : a;
+}
+
+DeviceId
+ExpertPlacement::colder(DeviceId a, DeviceId b) const
+{
+    if (a < 0 || b < 0)
+        return a < 0 ? b : a;
+    const double ha = heats_[static_cast<std::size_t>(a)];
+    const double hb = heats_[static_cast<std::size_t>(b)];
+    return hb < ha || (hb == ha && b < a) ? b : a;
+}
+
+void
+ExpertPlacement::touchHeat(DeviceId d)
+{
+    // Callers touch after every single-device change, so only d's path
+    // can be stale. A node whose winners stay the same and are not d
+    // feeds its ancestors exactly what it fed them before: stop there.
+    auto i = static_cast<std::size_t>(treeBase_ + d);
+    hotTree_[i] = d;
+    openTree_[i] = freeSlots(d) > 0 ? d : -1;
+    for (i /= 2; i >= 1; i /= 2) {
+        const DeviceId hot = hotter(hotTree_[2 * i], hotTree_[2 * i + 1]);
+        const DeviceId open =
+            colder(openTree_[2 * i], openTree_[2 * i + 1]);
+        if (hot == hotTree_[i] && open == openTree_[i] && hot != d &&
+            open != d) {
+            return;
+        }
+        hotTree_[i] = hot;
+        openTree_[i] = open;
+    }
+}
+
 void
 ExpertPlacement::rebuildHeats()
 {
-    heats_ = deviceHeats(trackedLoads_);
+    heats_.resize(static_cast<std::size_t>(numDevices_));
+    for (DeviceId d = 0; d < numDevices_; ++d)
+        heats_[static_cast<std::size_t>(d)] = heatOf(d, trackedLoads_);
+
+    treeBase_ = 1;
+    while (treeBase_ < numDevices_)
+        treeBase_ *= 2;
+    const auto leaves = static_cast<std::size_t>(treeBase_);
+    hotTree_.assign(2 * leaves, -1);
+    openTree_.assign(2 * leaves, -1);
+    for (DeviceId d = 0; d < numDevices_; ++d) {
+        hotTree_[leaves + static_cast<std::size_t>(d)] = d;
+        if (freeSlots(d) > 0)
+            openTree_[leaves + static_cast<std::size_t>(d)] = d;
+    }
+    for (std::size_t i = leaves - 1; i >= 1; --i) {
+        hotTree_[i] = hotter(hotTree_[2 * i], hotTree_[2 * i + 1]);
+        openTree_[i] = colder(openTree_[2 * i], openTree_[2 * i + 1]);
+    }
+}
+
+double
+ExpertPlacement::heatOf(DeviceId d, const std::vector<double> &loads) const
+{
+    double heat = 0.0;
+    for (const int e : byDevice_[static_cast<std::size_t>(d)]) {
+        heat += loads[static_cast<std::size_t>(e)] /
+            static_cast<double>(numReplicas(e));
+    }
+    return heat;
 }
 
 std::vector<double>
@@ -270,14 +358,8 @@ ExpertPlacement::deviceHeats(const std::vector<double> &expertLoads) const
                    static_cast<std::size_t>(numExperts_),
                "expert load vector width mismatch");
     std::vector<double> heats(static_cast<std::size_t>(numDevices_), 0.0);
-    for (DeviceId d = 0; d < numDevices_; ++d) {
-        double heat = 0.0;
-        for (const int e : byDevice_[static_cast<std::size_t>(d)]) {
-            heat += expertLoads[static_cast<std::size_t>(e)] /
-                static_cast<double>(numReplicas(e));
-        }
-        heats[static_cast<std::size_t>(d)] = heat;
-    }
+    for (DeviceId d = 0; d < numDevices_; ++d)
+        heats[static_cast<std::size_t>(d)] = heatOf(d, expertLoads);
     return heats;
 }
 

@@ -490,7 +490,7 @@ InferenceEngine::step(const IterationDemand &demand)
     if (cfg_.balancer != BalancerKind::None &&
         trigger_.poll(stats.imbalance)) {
         if (invasive_) {
-            const auto steps =
+            const auto &steps =
                 invasive_->rebalance(emaLoads_, placement_);
             stats.migrationsPlanned = static_cast<int>(steps.size());
             // Invasive migration interrupts inference: transfers run

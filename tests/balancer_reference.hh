@@ -4,8 +4,8 @@
  * the balancer tests share.
  *
  * The reference is the planner as it stood before the production one
- * moved to a heat tournament tree, a holder snapshot per expert,
- * Manhattan-ring destination search and scratch placements: a full
+ * moved to heat tournament trees, a holder snapshot per expert,
+ * Manhattan-ring destination search and in-place NI planning: a full
  * max_element and a full cold-set scan per round, a std::set snapshot
  * of the prior replicas, and (for NI) two placement copies per plan
  * plus a links-sized budget vector per advance. It is slow on purpose
@@ -53,9 +53,9 @@ std::vector<MigrationStep> topologyAwareRebalance(
     ExpertPlacement &placement);
 
 /**
- * NiBalancer as it stood before its scratch placement and persistent
- * budget buffer: plans on a full copy through topologyAwareRebalance()
- * and allocates a links-sized budget on every advance.
+ * NiBalancer as it stood before it planned in place and kept a budget
+ * buffer: plans on a full copy through topologyAwareRebalance() and
+ * allocates a links-sized budget on every advance.
  */
 class NiBalancer
 {

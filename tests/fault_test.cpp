@@ -333,6 +333,52 @@ TEST(FaultPlacementTest, MarkDeviceLostRehomesDeterministically)
     }
 }
 
+TEST(FaultPlacementTest, RetiringDevicesDownToOneKeepsEveryExpert)
+{
+    // Retire the devices of a 4×4 wafer one by one, in a scattered
+    // order, until a single survivor hosts everything; after each loss
+    // every expert keeps a replica, none on a lost device, and the lost
+    // devices host nothing. E ≥ D and E < D, with shadow replicas in
+    // place (and re-planned) between losses.
+    const MeshTopology mesh = MeshTopology::singleWafer(4);
+    const int order[] = {5, 0, 15, 10, 3, 12, 6, 9, 1, 14, 2, 13, 7, 8, 4};
+    for (const int experts : {40, 16, 6}) {
+        SCOPED_TRACE("experts " + std::to_string(experts));
+        ExpertPlacement p(experts, mesh.numDevices(), 2);
+        TopologyAwareBalancer tb(mesh);
+        std::vector<double> loads(static_cast<std::size_t>(experts));
+        for (int e = 0; e < experts; ++e)
+            loads[static_cast<std::size_t>(e)] = 1000.0 / (e + 1);
+        std::set<DeviceId> lost;
+        for (const int d : order) {
+            tb.rebalance(loads, p);
+            p.markDeviceLost(d);
+            lost.insert(d);
+            for (const DeviceId l : lost) {
+                EXPECT_TRUE(p.deviceLost(l));
+                EXPECT_TRUE(p.expertsOn(l).empty()) << "device " << l;
+                EXPECT_EQ(p.freeSlots(l), 0) << "device " << l;
+            }
+            for (int e = 0; e < experts; ++e) {
+                ASSERT_GE(p.numReplicas(e), 1) << "expert " << e;
+                for (const DeviceId r : p.replicasOf(e)) {
+                    EXPECT_FALSE(p.deviceLost(r))
+                        << "expert " << e << " on lost device " << r;
+                    EXPECT_TRUE(p.hosts(r, e));
+                }
+            }
+        }
+        // The survivor natively hosts every expert.
+        const DeviceId survivor = 11;
+        ASSERT_FALSE(p.deviceLost(survivor));
+        p.resetToNative();
+        for (int e = 0; e < experts; ++e) {
+            EXPECT_TRUE(p.isNative(survivor, e)) << "expert " << e;
+            EXPECT_EQ(p.replicasOf(e), std::vector<DeviceId>{survivor});
+        }
+    }
+}
+
 TEST(EngineFaultTest, EmptyAndDormantPlansAreBitwiseIdentical)
 {
     const System sys = System::make(smallWsc());

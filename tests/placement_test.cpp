@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "balancer/placement.hh"
+#include "common/rng.hh"
 
 using namespace moentwine;
 
@@ -137,6 +140,33 @@ TEST(Placement, CopySemanticsIndependent)
 
 namespace {
 
+/**
+ * The heat trees must answer exactly what scans of heats() do: the
+ * std::max_element device, and the coldest device with a free slot
+ * that is not @p skip and does not host the expert (ties: lowest id).
+ */
+void
+expectTreesMatchScan(const ExpertPlacement &p)
+{
+    const auto &heats = p.heats();
+    EXPECT_EQ(p.hottestDevice(),
+              std::max_element(heats.begin(), heats.end()) - heats.begin());
+    for (int e = 0; e < p.numExperts(); ++e) {
+        for (DeviceId skip = -1; skip < p.numDevices(); ++skip) {
+            DeviceId want = -1;
+            for (DeviceId d = 0; d < p.numDevices(); ++d) {
+                if (d != skip && p.freeSlots(d) > 0 && !p.hosts(d, e) &&
+                    (want < 0 || heats[std::size_t(d)] <
+                                     heats[std::size_t(want)])) {
+                    want = d;
+                }
+            }
+            EXPECT_EQ(p.coldestOpenDevice(e, skip), want)
+                << "expert " << e << " skip " << skip;
+        }
+    }
+}
+
 /** Tracked heats must match a from-scratch recompute (FP tolerance). */
 void
 expectHeatsMatchRecompute(const ExpertPlacement &p,
@@ -147,6 +177,7 @@ expectHeatsMatchRecompute(const ExpertPlacement &p,
     ASSERT_EQ(fresh.size(), tracked.size());
     for (std::size_t d = 0; d < fresh.size(); ++d)
         EXPECT_NEAR(tracked[d], fresh[d], 1e-9) << "device " << d;
+    expectTreesMatchScan(p);
 }
 
 } // namespace
@@ -206,4 +237,51 @@ TEST(PlacementHeatTracking, ClearStopsTracking)
     // Untracked mutations must not touch (absent) heat state.
     p.addReplica(0, 1);
     p.removeReplica(0, 1);
+}
+
+TEST(PlacementHeatTracking, TreesFollowSeededMutations)
+{
+    // Small integer loads make exact heat ties common; every mutation
+    // kind runs while loads are attached, one device loss included.
+    for (const auto &[experts, devices] :
+         std::vector<std::pair<int, int>>{{10, 7}, {5, 12}, {16, 16}}) {
+        ExpertPlacement p(experts, devices, 2);
+        Rng rng(static_cast<std::uint64_t>(experts * 100 + devices));
+        std::vector<double> loads(static_cast<std::size_t>(experts));
+        for (double &l : loads)
+            l = static_cast<double>(rng.below(4));
+        p.setExpertLoads(loads);
+        expectHeatsMatchRecompute(p, loads);
+        for (int op = 0; op < 200; ++op) {
+            const int e = static_cast<int>(
+                rng.below(static_cast<std::uint64_t>(experts)));
+            const auto d = static_cast<DeviceId>(
+                rng.below(static_cast<std::uint64_t>(devices)));
+            if (op == 100) {
+                p.markDeviceLost(d);
+            } else if (op % 50 == 49) {
+                p.resetToNative();
+            } else {
+                switch (rng.below(4)) {
+                  case 0:
+                  case 1:
+                    if (p.freeSlots(d) > 0 && !p.hosts(d, e))
+                        p.addReplica(e, d);
+                    break;
+                  case 2:
+                    if (p.hosts(d, e) && !p.isNative(d, e))
+                        p.removeReplica(e, d);
+                    break;
+                  default:
+                    loads[std::size_t(e)] =
+                        static_cast<double>(rng.below(4));
+                    p.updateExpertLoad(e, loads[std::size_t(e)]);
+                    break;
+                }
+            }
+            expectHeatsMatchRecompute(p, loads);
+            if (HasFailure())
+                return;
+        }
+    }
 }
