@@ -1,0 +1,154 @@
+/**
+ * @file
+ * Dispatch-source anchors. Every mapping names, for each (TP group,
+ * shard rank, destination device, all-gather retained) query, the device
+ * that supplies the token shard; these tests pin what it names:
+ *  - pinned FNV-1a digests over every query on ER 4×4 and 8×8 (two TP
+ *    shapes), Baseline 4×4, 8×8 and waferRow(2, 8), HER waferRow(2, 8),
+ *    DGX(2) at tp 4 and tp 16, and NVL72 at tp 4 (DispatchDigest.*);
+ *  - an exhaustive differential check of every query against the
+ *    test-only nearest-member reference (dispatch_reference.hh), on
+ *    those systems plus DGX(3) at tp 6;
+ *  - dispatchSourceRankInvariant() holds wherever a mapping claims it.
+ *
+ * The pinned constants were derived from the nearest-member scan the
+ * closed-form rules replaced; they must never be regenerated to make a
+ * dispatch change pass.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+
+#include "dispatch_reference.hh"
+
+using namespace moentwine;
+
+namespace {
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+/** FNV-1a 64 over @p v as 8 little-endian bytes. */
+void
+mix(std::uint64_t &h, std::uint64_t v)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ULL;
+    }
+}
+
+/**
+ * Digest of every dispatch source of @p m: all-gather off then on,
+ * groups, ranks and destinations in ascending order.
+ */
+std::uint64_t
+dispatchDigest(const Mapping &m)
+{
+    std::uint64_t h = kFnvOffset;
+    for (const bool ag : {false, true})
+        for (int g = 0; g < m.dp(); ++g)
+            for (int r = 0; r < m.tp(); ++r)
+                for (DeviceId d = 0; d < m.numDevices(); ++d)
+                    mix(h, static_cast<std::uint64_t>(
+                               m.dispatchSource(g, r, d, ag)));
+    return h;
+}
+
+/** Digest of the dispatch system named @p label (0 if none). */
+std::uint64_t
+digestOf(const std::string &label)
+{
+    for (const auto &s : reference::dispatchSystems())
+        if (s.label == label)
+            return dispatchDigest(*s.mapping);
+    ADD_FAILURE() << "no dispatch system " << label;
+    return 0;
+}
+
+} // namespace
+
+TEST(DispatchDigest, Er4x4)
+{
+    EXPECT_EQ(digestOf("er_4x4_tp2x2"), 0xa89c81c76812b325ULL);
+}
+
+TEST(DispatchDigest, Er8x8Tp2x2)
+{
+    EXPECT_EQ(digestOf("er_8x8_tp2x2"), 0x71c5e545ccca2325ULL);
+}
+
+TEST(DispatchDigest, Er8x8Tp4x2)
+{
+    EXPECT_EQ(digestOf("er_8x8_tp4x2"), 0x4a0cce69b4ca2325ULL);
+}
+
+TEST(DispatchDigest, Baseline4x4)
+{
+    EXPECT_EQ(digestOf("baseline_4x4_tp2x2"), 0xe6462a1145502b25ULL);
+}
+
+TEST(DispatchDigest, Baseline8x8)
+{
+    EXPECT_EQ(digestOf("baseline_8x8_tp2x2"), 0x9324861948dbe325ULL);
+}
+
+TEST(DispatchDigest, BaselineTwoWafer8x8)
+{
+    EXPECT_EQ(digestOf("baseline_2x8x8_tp2x2"), 0x85e319287ea12325ULL);
+}
+
+TEST(DispatchDigest, HerTwoWafer8x8)
+{
+    EXPECT_EQ(digestOf("her_2x8x8_tp2x2"), 0x0f4218e4b6822325ULL);
+}
+
+TEST(DispatchDigest, Dgx2Tp4)
+{
+    EXPECT_EQ(digestOf("dgx2_tp4"), 0x176f2e1e3f79eb25ULL);
+}
+
+TEST(DispatchDigest, Dgx2Tp16SpansNodes)
+{
+    EXPECT_EQ(digestOf("dgx2_tp16"), 0x82ade219f2c12b25ULL);
+}
+
+TEST(DispatchDigest, Nvl72Tp4)
+{
+    EXPECT_EQ(digestOf("nvl72_tp4"), 0x0da40bf564c69d25ULL);
+}
+
+TEST(DispatchReference, EveryQueryMatchesTheNearestMemberScan)
+{
+    for (const auto &s : reference::dispatchSystems()) {
+        const Mapping &m = *s.mapping;
+        int mismatches = 0;
+        for (const bool ag : {false, true})
+            for (int g = 0; g < m.dp(); ++g)
+                for (int r = 0; r < m.tp(); ++r)
+                    for (DeviceId d = 0; d < m.numDevices(); ++d)
+                        if (m.dispatchSource(g, r, d, ag) !=
+                            reference::dispatchSource(m, g, r, d, ag))
+                            ++mismatches;
+        EXPECT_EQ(mismatches, 0) << s.label;
+    }
+}
+
+TEST(DispatchReference, RankInvariantClaimsHold)
+{
+    for (const auto &s : reference::dispatchSystems()) {
+        const Mapping &m = *s.mapping;
+        for (const bool ag : {false, true}) {
+            if (!m.dispatchSourceRankInvariant(ag))
+                continue;
+            for (int g = 0; g < m.dp(); ++g)
+                for (int r = 1; r < m.tp(); ++r)
+                    for (DeviceId d = 0; d < m.numDevices(); ++d)
+                        ASSERT_EQ(m.dispatchSource(g, r, d, ag),
+                                  m.dispatchSource(g, 0, d, ag))
+                            << s.label << " g" << g << " r" << r
+                            << " d" << d;
+        }
+    }
+}
