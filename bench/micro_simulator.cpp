@@ -82,25 +82,63 @@ BENCHMARK(BM_Gating)
     ->ArgNames({"mode", "experts", "tokens"})
     ->ArgsProduct({{0, 1, 2}, {128, 256}, {1, 4, 16, 128, 1024}});
 
+/**
+ * Token routing: one aggregated routeTokens() per iteration into one
+ * reused RoutedTraffic, with the all-gather retained, so every logical
+ * transfer asks the mapping's dispatch rule for its source. Qwen3's 128
+ * experts with 4 tokens each per DP group, on the default placement.
+ * Args: 0 ER 4×4, 1 ER 8×8, 2 Baseline 8×8, 3 HER 2×(8×8), 4 NVL72
+ * (cluster), all at tp 4.
+ */
 void
 BM_TokenRouting(benchmark::State &state)
 {
-    const MeshTopology mesh =
-        MeshTopology::singleWafer(static_cast<int>(state.range(0)));
-    const auto par = decomposeTp(4, mesh.rows(), mesh.cols());
-    const ErMapping er(mesh, par);
-    const MoEModelConfig model = qwen3();
-    const ExpertPlacement p(model.expertsTotal, mesh.numDevices(), 0);
-    const std::vector<std::vector<int>> counts(
-        std::size_t(er.dp()),
-        std::vector<int>(std::size_t(model.expertsTotal), 4));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(routeTokens(
-            er, p, counts, model.tokenBytes(), true,
-            model.expertsActivated));
+    SystemConfig sc;
+    sc.tp = 4;
+    switch (state.range(0)) {
+      case 0:
+        sc.platform = PlatformKind::WscEr;
+        break;
+      case 1:
+        sc.platform = PlatformKind::WscEr;
+        sc.meshN = 8;
+        break;
+      case 2:
+        sc.platform = PlatformKind::WscBaseline;
+        sc.meshN = 8;
+        break;
+      case 3:
+        sc.platform = PlatformKind::WscHer;
+        sc.meshN = 8;
+        sc.wafers = 2;
+        break;
+      default:
+        sc.platform = PlatformKind::Nvl72;
+        break;
     }
+    const System sys = System::make(sc);
+    const Mapping &m = sys.mapping();
+    const MoEModelConfig model = qwen3();
+    const ExpertPlacement p(model.expertsTotal, m.numDevices(), 0);
+    const std::vector<std::vector<int>> counts(
+        std::size_t(m.dp()),
+        std::vector<int>(std::size_t(model.expertsTotal), 4));
+    RoutedTraffic routed;
+    // Warm pass: reach steady-state buffer capacity untimed.
+    routeTokens(m, p, counts, model.tokenBytes(), true,
+                model.expertsActivated, routed);
+    for (auto _ : state) {
+        routeTokens(m, p, counts, model.tokenBytes(), true,
+                    model.expertsActivated, routed);
+        benchmark::DoNotOptimize(routed.dispatch.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(sys.name());
 }
-BENCHMARK(BM_TokenRouting)->Arg(4)->Arg(8);
+BENCHMARK(BM_TokenRouting)
+    ->ArgName("system")
+    ->DenseRange(0, 4)
+    ->Unit(benchmark::kMicrosecond);
 
 /**
  * Traffic reduction at 1024 devices: one aggregated routeTokens plus

@@ -18,9 +18,11 @@
  *    would provably blow through (checked via VmHWM; skipped under
  *    sanitizers and off Linux).
  *
- * Both points also check sampled XY walks against their defining
- * properties. Routing stores nothing per device pair, so neither point
- * builds any route storage. Checks exit non-zero on any failure.
+ * Both points build their system through System::make and print how
+ * long that took, and both check sampled XY walks against their
+ * defining properties. Neither routing nor dispatch stores anything per
+ * device pair, so set-up is linear in the device count. Checks exit
+ * non-zero on any failure.
  *
  * With `--trace <path>` the smoke's short engine run re-emits as a
  * sim-time Chrome trace (src/obs/trace.hh) — at 16k devices that is
@@ -30,6 +32,7 @@
  *        (N must be 4 × meshN² for integer meshN ≥ 16)
  */
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -131,6 +134,26 @@ meshNFromDevicesArg(const std::string &text)
     return meshN;
 }
 
+/**
+ * Build the four-wafer HER-Mapping system of a scale point through
+ * System::make and print the wall time that took.
+ */
+System
+makeTimedHerSystem(int meshN)
+{
+    SystemConfig sc;
+    sc.platform = PlatformKind::WscHer;
+    sc.meshN = meshN;
+    sc.wafers = 4;
+    sc.tp = 4;
+    const auto start = std::chrono::steady_clock::now();
+    System sys = System::make(sc);
+    const std::chrono::duration<double, std::milli> took =
+        std::chrono::steady_clock::now() - start;
+    std::printf("System::make: %.2f ms\n", took.count());
+    return sys;
+}
+
 /** Write @p trace to @p path (no-op on an empty path). */
 void
 writeTraceIfRequested(const TraceSink &trace, const std::string &path)
@@ -140,9 +163,9 @@ writeTraceIfRequested(const TraceSink &trace, const std::string &path)
 }
 
 /**
- * The 16k-class scale point: direct mesh + HER construction with
- * fine-grained experts (one per device), pinning the sparse
- * accumulator's memory win and the RSS ceiling.
+ * The 16k-class scale point: a HER system with fine-grained experts
+ * (one per device), pinning the sparse accumulator's memory win and the
+ * RSS ceiling.
  */
 int
 runSparseScalePoint(int devices, int meshN, const std::string &tracePath)
@@ -151,11 +174,10 @@ runSparseScalePoint(int devices, int meshN, const std::string &tracePath)
                 "traffic accumulation ==\n",
                 devices);
 
-    const MeshTopology mesh = MeshTopology::waferRow(4, meshN);
-    const HierarchicalErMapping her(
-        mesh, decomposeTp(4, mesh.waferRows(), mesh.waferCols()));
-    std::printf("system: %s / %s, %d devices, %zu links\n",
-                mesh.name().c_str(), her.name().c_str(),
+    const System sys = makeTimedHerSystem(meshN);
+    const MeshTopology &mesh = *sys.mesh();
+    const Mapping &her = sys.mapping();
+    std::printf("system: %s, %d devices, %zu links\n", sys.name().c_str(),
                 mesh.numDevices(), mesh.links().size());
 
     if (her.activeTrafficStorage() != TrafficStorageKind::Sparse) {
@@ -239,13 +261,14 @@ runSparseScalePoint(int devices, int meshN, const std::string &tracePath)
     }
 
 #if defined(__linux__) && !defined(MOE_UNDER_SANITIZER)
-    // Pinned memory ceiling: the whole run — mapping, dispatch memo,
-    // engine scratch, sparse accumulator — must fit under 2.5 GB, and
-    // swapping the sparse accumulator for the dense matrix would
-    // provably not (peak + the dense-minus-sparse delta exceeds the
-    // ceiling). Skipped under sanitizers (shadow memory inflates RSS).
+    // Pinned memory ceiling: the whole run — topology, mapping, engine
+    // scratch, sparse accumulator — must fit under 1.25 GB (it peaks
+    // near 0.8 GB; nothing in it is devices² any more), and swapping
+    // the sparse accumulator for the dense matrix would provably not
+    // (peak + the dense-minus-sparse delta exceeds the ceiling).
+    // Skipped under sanitizers (shadow memory inflates RSS).
     const std::size_t peak = peakRssBytes();
-    constexpr double kRssCeiling = 2.5e9;
+    constexpr double kRssCeiling = 1.25e9;
     if (peak > 0) {
         std::printf("peak RSS: %.2f GB (ceiling %.2f GB)\n", peak / 1e9,
                     kRssCeiling / 1e9);
@@ -294,12 +317,8 @@ main(int argc, char **argv)
     std::printf("== scale smoke: %d-device multi-wafer mesh ==\n",
                 devices);
 
-    SystemConfig sc;
-    sc.platform = PlatformKind::WscHer;
-    sc.meshN = meshN;
-    sc.wafers = 4;
-    sc.tp = 4;
-    const auto sys = std::make_shared<const System>(System::make(sc));
+    const auto sys =
+        std::make_shared<const System>(makeTimedHerSystem(meshN));
 
     const Topology &topo = sys->topology();
     std::printf("system: %s, %d devices, %zu links\n",

@@ -55,11 +55,6 @@ System::make(const SystemConfig &cfg)
     // Traffic-accumulator policy is a pre-sharing configuration hook
     // on the mapping (the token router reads it per routeTokens call).
     sys.mapping_->setTrafficStorage(cfg.trafficStorage);
-    // Finalize immutability: build the dispatch-source memos now, so
-    // the returned System carries no cold lazy caches and can be
-    // shared as shared_ptr<const System> across sweep worker threads
-    // (each worker still owns its engine).
-    sys.mapping_->prewarmCaches();
     return sys;
 }
 

@@ -88,10 +88,11 @@ struct SystemConfig
 /**
  * Owning bundle of a topology and the mapping placed on it.
  *
- * make() finalizes every lazy cache (the dispatch-source memos), so a
- * constructed System is deeply immutable behind its const interface and
- * safe to share across threads as shared_ptr<const System> — the
- * contract the sweep runner's worker pool relies on.
+ * Topologies and mappings build all their state in their constructors
+ * and hold no lazy caches, so a constructed System is deeply immutable
+ * behind its const interface and safe to share across threads as
+ * shared_ptr<const System> — the contract the sweep runner's worker
+ * pool relies on.
  */
 class System
 {

@@ -44,7 +44,7 @@ accumulateFlows(const Mapping &mapping, const ExpertPlacement &placement,
                 const double perRank = collapseRanks ? perReplica
                                                     : perShard;
                 for (int r = 0; r < ranks; ++r) {
-                    const DeviceId src = mapping.dispatchSourceCached(
+                    const DeviceId src = mapping.dispatchSource(
                         g, r, dev, retainAllGather);
                     const double bytes = perRank * tokenBytes *
                         mapping.dispatchDedupFactor(src, dev, topk);

@@ -1,5 +1,7 @@
 #include "mapping/baseline_mapping.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "mapping/ring_order.hh"
 
@@ -30,6 +32,7 @@ BaselineMapping::BaselineMapping(const MeshTopology &mesh,
                                               by * par.tpY + j));
             }
             tpGroups_.push_back(std::move(group));
+            blockOrigin_.push_back(Coord{bx * par.tpX, by * par.tpY});
         }
     }
 
@@ -47,6 +50,16 @@ BaselineMapping::BaselineMapping(const MeshTopology &mesh,
     }
 
     finalize();
+}
+
+DeviceId
+BaselineMapping::sourceWithAllGather(int group, int,
+                                     DeviceId expertDevice) const
+{
+    const Coord at = mesh_.coordOf(expertDevice);
+    const Coord lo = blockOrigin_[static_cast<std::size_t>(group)];
+    return mesh_.deviceAt(std::clamp(at.row, lo.row, lo.row + par_.tpX - 1),
+                          std::clamp(at.col, lo.col, lo.col + par_.tpY - 1));
 }
 
 } // namespace moentwine

@@ -13,6 +13,7 @@
 #define MOENTWINE_MAPPING_BASELINE_MAPPING_HH
 
 #include <string>
+#include <vector>
 
 #include "mapping/mapping.hh"
 #include "mapping/parallelism.hh"
@@ -43,9 +44,19 @@ class BaselineMapping : public Mapping
     /** The mesh this mapping is placed on. */
     const MeshTopology &mesh() const { return mesh_; }
 
+  protected:
+    /**
+     * @p expertDevice clamped into the group's tpX×tpY block: hops are
+     * Manhattan, so that is the unique nearest member.
+     */
+    DeviceId sourceWithAllGather(int group, int rank,
+                                 DeviceId expertDevice) const override;
+
   private:
     const MeshTopology &mesh_;
     ParallelismConfig par_;
+    // Top-left coordinate of each TP group's block.
+    std::vector<Coord> blockOrigin_;
 };
 
 } // namespace moentwine

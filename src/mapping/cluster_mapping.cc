@@ -7,6 +7,24 @@
 
 namespace moentwine {
 
+namespace {
+
+// DeepSpeed-MoE hierarchical all-to-all: a token's k expert copies
+// heading to the same remote node cross the inter-node fabric once.
+// Expected distinct nodes touched per token is N·(1−(1−1/N)^k); naive
+// volume is k copies, so the cross-node volume shrinks by the ratio.
+double
+crossNodeDedup(int numNodes, int topk)
+{
+    const double n = numNodes;
+    if (n <= 1.0)
+        return 1.0;
+    const double distinct = n * (1.0 - std::pow(1.0 - 1.0 / n, topk));
+    return std::min(1.0, distinct / static_cast<double>(topk));
+}
+
+} // namespace
+
 ClusterMapping::ClusterMapping(const SwitchClusterTopology &cluster, int tp)
     : Mapping(cluster), cluster_(cluster)
 {
@@ -37,6 +55,28 @@ ClusterMapping::ClusterMapping(const SwitchClusterTopology &cluster, int tp)
     ftds_.push_back(std::move(all));
 
     finalize();
+
+    // The token router asks for the factor once per logical transfer;
+    // pay the pow() here instead.
+    for (int k = 1; k <= kMaxMemoTopk; ++k)
+        crossByTopk_[static_cast<std::size_t>(k)] =
+            crossNodeDedup(cluster.spec().numNodes, k);
+}
+
+DeviceId
+ClusterMapping::sourceWithAllGather(int group, int,
+                                    DeviceId expertDevice) const
+{
+    // Group g is the device block [g · tp, (g + 1) · tp).
+    const DeviceId first = group * tp();
+    const DeviceId last = first + tp() - 1;
+    if (expertDevice >= first && expertDevice <= last)
+        return expertDevice;
+    const int perNode = cluster_.spec().devicesPerNode;
+    const DeviceId nodeFirst = expertDevice / perNode * perNode;
+    const DeviceId onNode = std::max(first, nodeFirst);
+    return onNode <= std::min(last, nodeFirst + perNode - 1) ? onNode
+                                                             : first;
 }
 
 double
@@ -46,32 +86,9 @@ ClusterMapping::dispatchDedupFactor(DeviceId src, DeviceId dst,
     MOE_ASSERT(topk >= 1, "topk must be positive");
     if (cluster_.sameNode(src, dst))
         return 1.0;
-    // DeepSpeed-MoE hierarchical all-to-all: a token's k expert copies
-    // heading to the same remote node cross the inter-node fabric once.
-    // Expected distinct nodes touched per token is N·(1−(1−1/N)^k);
-    // naive volume is k copies, so the cross-node volume shrinks by
-    // the ratio of the two. The factor depends only on topk, which is
-    // constant within a serving run, so the pow() is memoised — the
-    // token router queries this once per (group, rank, replica) on its
-    // per-iteration hot path.
-    const double n = cluster_.spec().numNodes;
-    if (n <= 1.0)
-        return 1.0;
-    if (topk <= kMaxMemoTopk) {
-        const double memo =
-            crossMemo_[static_cast<std::size_t>(topk)].load(
-                std::memory_order_relaxed);
-        if (memo != 0.0)
-            return memo;
-    }
-    const double distinct = n * (1.0 - std::pow(1.0 - 1.0 / n, topk));
-    const double cross =
-        std::min(1.0, distinct / static_cast<double>(topk));
-    if (topk <= kMaxMemoTopk) {
-        crossMemo_[static_cast<std::size_t>(topk)].store(
-            cross, std::memory_order_relaxed);
-    }
-    return cross;
+    if (topk <= kMaxMemoTopk)
+        return crossByTopk_[static_cast<std::size_t>(topk)];
+    return crossNodeDedup(cluster_.spec().numNodes, topk);
 }
 
 } // namespace moentwine

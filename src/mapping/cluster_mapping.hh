@@ -14,7 +14,6 @@
 #define MOENTWINE_MAPPING_CLUSTER_MAPPING_HH
 
 #include <array>
-#include <atomic>
 #include <string>
 
 #include "mapping/mapping.hh"
@@ -44,16 +43,22 @@ class ClusterMapping : public Mapping
     /** The cluster this mapping is placed on. */
     const SwitchClusterTopology &cluster() const { return cluster_; }
 
+  protected:
+    /**
+     * The nearest member: hops are 0, 2 (same node) or 4, so that is
+     * @p expertDevice itself when in the group, else the group's
+     * lowest-id member on its node, else the group's first member.
+     */
+    DeviceId sourceWithAllGather(int group, int rank,
+                                 DeviceId expertDevice) const override;
+
   private:
     const SwitchClusterTopology &cluster_;
-    /** Largest topk the cross-node dedup memo covers. */
+    /** Largest topk whose cross-node dedup factor is tabulated. */
     static constexpr int kMaxMemoTopk = 64;
-    // Per-topk memo of the cross-node dedup factor. Entries are
-    // idempotent functions of topk alone, stored as relaxed atomics
-    // (0 = unset) so engines on different threads sharing one const
-    // mapping may race on first use without UB: racing writers store
-    // the identical value.
-    mutable std::array<std::atomic<double>, kMaxMemoTopk + 1> crossMemo_{};
+    // Cross-node dedup factor of each topk in 1..kMaxMemoTopk, computed
+    // in the constructor (index 0 unused).
+    std::array<double, kMaxMemoTopk + 1> crossByTopk_{};
 };
 
 } // namespace moentwine

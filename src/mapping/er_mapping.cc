@@ -49,6 +49,24 @@ ErMapping::ErMapping(const MeshTopology &mesh, ParallelismConfig par)
     }
 
     finalize();
+
+    // Each block holds one device per residue class, i.e. exactly one
+    // member of every TP group: that member serves the block.
+    assertFtdsHoldEachGroupOnce(dp(), "ER-Mapping");
+    const auto groups = static_cast<std::size_t>(dp());
+    memberInFtd_.resize(ftds_.size() * groups);
+    for (std::size_t f = 0; f < ftds_.size(); ++f)
+        for (const DeviceId d : ftds_[f])
+            memberInFtd_[f * groups +
+                         static_cast<std::size_t>(tpGroupOf(d))] = d;
+}
+
+DeviceId
+ErMapping::sourceWithAllGather(int group, int, DeviceId expertDevice) const
+{
+    return memberInFtd_[static_cast<std::size_t>(ftdOf(expertDevice)) *
+                            static_cast<std::size_t>(dp()) +
+                        static_cast<std::size_t>(group)];
 }
 
 } // namespace moentwine

@@ -16,6 +16,7 @@
 #define MOENTWINE_MAPPING_ER_MAPPING_HH
 
 #include <string>
+#include <vector>
 
 #include "mapping/mapping.hh"
 #include "mapping/parallelism.hh"
@@ -40,9 +41,6 @@ class ErMapping : public Mapping
     /** Entwined rings rely on the time-staggered schedule. */
     bool staggeredRings() const override { return true; }
 
-    /** Each FTD block holds one member of every group: serve locally. */
-    bool confineDispatchToFtd() const override { return true; }
-
     /** Row stride between TP-group members (a = rows / tpX). */
     int strideRows() const { return strideRows_; }
 
@@ -55,11 +53,22 @@ class ErMapping : public Mapping
     /** The mesh this mapping is placed on. */
     const MeshTopology &mesh() const { return mesh_; }
 
+  protected:
+    /**
+     * The group's member inside @p expertDevice's FTD, even when a
+     * neighbouring domain's member is closer (Section IV-A: "confining
+     * communication to this domain").
+     */
+    DeviceId sourceWithAllGather(int group, int rank,
+                                 DeviceId expertDevice) const override;
+
   private:
     const MeshTopology &mesh_;
     ParallelismConfig par_;
     int strideRows_;
     int strideCols_;
+    // The member of TP group g inside FTD f, at [f · dp + g].
+    std::vector<DeviceId> memberInFtd_;
 };
 
 } // namespace moentwine

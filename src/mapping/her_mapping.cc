@@ -53,25 +53,27 @@ HierarchicalErMapping::HierarchicalErMapping(const MeshTopology &mesh,
         }
     }
 
-    // Inter-wafer all-gather rings: mirrors of each within-wafer
-    // position across all wafers, in wafer order. Wafer device lists
-    // are materialised once, not once per (position, wafer).
-    const int perWafer = mesh.devicesPerWafer();
-    std::vector<std::vector<DeviceId>> waferDevs;
-    waferDevs.reserve(static_cast<std::size_t>(mesh.numWafers()));
-    for (int w = 0; w < mesh.numWafers(); ++w)
-        waferDevs.push_back(mesh.waferDevices(w));
-    for (int local = 0; local < perWafer; ++local) {
-        std::vector<DeviceId> ring;
-        ring.reserve(static_cast<std::size_t>(mesh.numWafers()));
-        for (int w = 0; w < mesh.numWafers(); ++w)
-            ring.push_back(
-                waferDevs[static_cast<std::size_t>(w)]
-                         [static_cast<std::size_t>(local)]);
-        interRings_.push_back(std::move(ring));
+    // Inter-wafer all-gather rings: the devices at each within-wafer
+    // position across all wafers, in wafer order. The mirror tables
+    // hold the same data flat, plus each device's position and wafer.
+    const auto perWafer = static_cast<std::size_t>(mesh.devicesPerWafer());
+    const auto wafers = static_cast<std::size_t>(mesh.numWafers());
+    localOf_.resize(perWafer * wafers);
+    waferOf_.resize(perWafer * wafers);
+    mirror_.resize(perWafer * wafers);
+    interRings_.assign(perWafer, std::vector<DeviceId>(wafers));
+    for (std::size_t w = 0; w < wafers; ++w) {
+        const auto devs = mesh.waferDevices(static_cast<int>(w));
+        for (std::size_t local = 0; local < perWafer; ++local) {
+            const auto d = static_cast<std::size_t>(devs[local]);
+            localOf_[d] = static_cast<int>(local);
+            waferOf_[d] = static_cast<int>(w);
+            mirror_[local * wafers + w] = interRings_[local][w] = devs[local];
+        }
     }
 
     finalize();
+    assertFtdsHoldEachGroupOnce(strideRows * strideCols, "HER-Mapping");
 }
 
 double
@@ -90,35 +92,24 @@ HierarchicalErMapping::allReduceInto(const Topology &onTopo,
 }
 
 DeviceId
-HierarchicalErMapping::dispatchSource(int group, int rank,
-                                      DeviceId expertDevice,
-                                      bool allGatherRetained) const
+HierarchicalErMapping::sourceWithAllGather(int group, int rank,
+                                           DeviceId expertDevice) const
 {
-    const auto &members = tpGroups_[static_cast<std::size_t>(group)];
-    const DeviceId owner = members[static_cast<std::size_t>(rank)];
-    if (!allGatherRetained) {
-        return owner;
-    }
     // After the inter-wafer all-gather, the shard is replicated on the
     // owner's mirror of every wafer; serve from the expert's wafer.
-    return mirrorOn(owner, mesh_.waferOf(expertDevice));
+    const DeviceId owner = tpGroups_[static_cast<std::size_t>(group)]
+                                    [static_cast<std::size_t>(rank)];
+    return mirrorAt(localOf_[static_cast<std::size_t>(owner)],
+                    waferOf_[static_cast<std::size_t>(expertDevice)]);
 }
 
 DeviceId
 HierarchicalErMapping::mirrorOn(DeviceId d, int wafer) const
 {
-    // The mirror shares the device's within-wafer coordinate, so it is
-    // pure coordinate arithmetic — no per-call wafer-device lists. The
-    // dispatch-source memo build issues O(dp · tp · devices) calls
-    // (268M at 16k devices), which made the old list-building linear
-    // scan the scale bottleneck.
-    const Coord c = mesh_.coordOf(d);
-    const int localRow = c.row % mesh_.waferRows();
-    const int localCol = c.col % mesh_.waferCols();
-    const int wgCols = mesh_.spec().waferGridCols;
-    return mesh_.deviceAt(
-        (wafer / wgCols) * mesh_.waferRows() + localRow,
-        (wafer % wgCols) * mesh_.waferCols() + localCol);
+    MOE_ASSERT(d >= 0 && d < numDevices(), "mirrorOn: bad device");
+    MOE_ASSERT(wafer >= 0 && wafer < mesh_.numWafers(),
+               "mirrorOn: bad wafer");
+    return mirrorAt(localOf_[static_cast<std::size_t>(d)], wafer);
 }
 
 } // namespace moentwine

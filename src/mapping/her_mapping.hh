@@ -46,9 +46,6 @@ class HierarchicalErMapping : public Mapping
                          bool withAllGather,
                          CollectiveScratch &scratch) const override;
 
-    DeviceId dispatchSource(int group, int rank, DeviceId expertDevice,
-                            bool allGatherRetained) const override;
-
     /** Sources are per-wafer mirrors of the rank owner: rank matters. */
     bool dispatchSourceRankInvariant(bool) const override
     {
@@ -70,10 +67,29 @@ class HierarchicalErMapping : public Mapping
     /** The mesh this mapping is placed on. */
     const MeshTopology &mesh() const { return mesh_; }
 
+  protected:
+    /** The rank owner's mirror on @p expertDevice's wafer. */
+    DeviceId sourceWithAllGather(int group, int rank,
+                                 DeviceId expertDevice) const override;
+
   private:
+    /** The device at within-wafer position @p local on @p wafer. */
+    DeviceId mirrorAt(int local, int wafer) const
+    {
+        return mirror_[static_cast<std::size_t>(local) *
+                           static_cast<std::size_t>(mesh_.numWafers()) +
+                       static_cast<std::size_t>(wafer)];
+    }
+
     const MeshTopology &mesh_;
     ParallelismConfig par_;
     std::vector<std::vector<DeviceId>> interRings_;
+    // Row-major within-wafer position and wafer of each device, and the
+    // device at position p on wafer w at [p · wafers + w], so a mirror
+    // is two table reads with no coordinate arithmetic.
+    std::vector<int> localOf_;
+    std::vector<int> waferOf_;
+    std::vector<DeviceId> mirror_;
 };
 
 } // namespace moentwine

@@ -12,21 +12,31 @@
  *    cost (Section IV-A of the paper);
  *  - the dispatch-source rule: which device supplies a token to an
  *    expert device, which depends on whether the all-gather half of the
- *    all-reduce was retained (Fig. 9).
+ *    all-reduce was retained (Fig. 9). Without it the shard's owner
+ *    serves; with it each mapping states one O(1) closed form over
+ *    O(devices · wafers) data built in its constructor. Nothing is
+ *    memoised or built lazily, so a const mapping is safe to share
+ *    across threads.
  *
- * Concrete mappings: BaselineMapping (contiguous TP blocks),
- * ErMapping (entwined strided TP groups), HierarchicalErMapping
- * (per-wafer ER with hierarchical all-reduce), ClusterMapping (GPU
- * baselines on switch topologies).
+ * Concrete mappings, each with its all-gather dispatch rule:
+ *  - BaselineMapping (contiguous TP blocks): the destination clamped
+ *    into the group's block, its unique Manhattan-nearest member;
+ *  - ErMapping (entwined strided TP groups): the group's member inside
+ *    the destination's FTD;
+ *  - HierarchicalErMapping (per-wafer ER with hierarchical all-reduce):
+ *    the rank owner's mirror on the destination's wafer;
+ *  - ClusterMapping (GPU baselines on switch topologies): the
+ *    destination itself when it is in the group, else the group's
+ *    lowest-id member on the destination's node, else its first member.
  */
 
 #ifndef MOENTWINE_MAPPING_MAPPING_HH
 #define MOENTWINE_MAPPING_MAPPING_HH
 
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "network/collectives.hh"
 #include "network/traffic_accum.hh"
 #include "topology/topology.hh"
@@ -45,7 +55,7 @@ class Mapping
     const Topology &topology() const { return topo_; }
 
     /** Number of compute devices. */
-    int numDevices() const { return topo_.numDevices(); }
+    int numDevices() const { return numDevices_; }
 
     /** Tensor-parallel degree (size of each TP group). */
     int tp() const { return static_cast<int>(tpGroups_.front().size()); }
@@ -60,16 +70,28 @@ class Mapping
     }
 
     /** TP group (DP shard) index of a device. */
-    int tpGroupOf(DeviceId d) const;
+    int tpGroupOf(DeviceId d) const
+    {
+        MOE_ASSERT(d >= 0 && d < numDevices(), "tpGroupOf: bad device");
+        return groupOf_[static_cast<std::size_t>(d)];
+    }
 
     /** Ring position of a device within its TP group. */
-    int tpRankOf(DeviceId d) const;
+    int tpRankOf(DeviceId d) const
+    {
+        MOE_ASSERT(d >= 0 && d < numDevices(), "tpRankOf: bad device");
+        return rankOf_[static_cast<std::size_t>(d)];
+    }
 
     /** Full Token Domains (disjoint device sets covering all groups). */
     const std::vector<std::vector<DeviceId>> &ftds() const { return ftds_; }
 
     /** FTD index of a device. */
-    int ftdOf(DeviceId d) const;
+    int ftdOf(DeviceId d) const
+    {
+        MOE_ASSERT(d >= 0 && d < numDevices(), "ftdOf: bad device");
+        return ftdIndexOf_[static_cast<std::size_t>(d)];
+    }
 
     /**
      * Every FTD ordered as a short-step collective ring (serpentine on
@@ -130,34 +152,27 @@ class Mapping
      * @param group    Owning TP group of the token shard.
      * @param rank     Shard rank within the group (reduce-scatter slot).
      * @param expertDevice Destination expert device.
-     * @param allGatherRetained With all-gather, every group member holds
-     *        the shard so the topologically nearest one serves; without
-     *        it only the rank-owner can.
+     * @param allGatherRetained With all-gather, the shard is replicated
+     *        and the mapping's sourceWithAllGather() rule picks the copy
+     *        that serves; without it only the rank-owner can.
+     *
+     * O(1) and allocation-free: the token router calls it once per
+     * logical transfer.
      */
-    virtual DeviceId dispatchSource(int group, int rank,
-                                    DeviceId expertDevice,
-                                    bool allGatherRetained) const;
-
-    /**
-     * Memoised dispatchSource(): identical result, answered from a
-     * lazily built (group, rank, destination) table so the token
-     * router's per-iteration hot path performs no route walks and no
-     * allocation. Mappings are immutable after construction, so the
-     * table never invalidates; the lazy build is once-guarded so
-     * engines on different threads may share one const mapping.
-     */
-    DeviceId dispatchSourceCached(int group, int rank,
-                                  DeviceId expertDevice,
-                                  bool allGatherRetained) const;
-
-    /**
-     * Eagerly build every lazy cache a const mapping query could
-     * otherwise populate on first use: both dispatch-source memo
-     * tables. System::make calls this so a System handed to sweep
-     * worker threads as shared_ptr<const> has no cold caches left to
-     * contend on.
-     */
-    void prewarmCaches() const;
+    DeviceId dispatchSource(int group, int rank, DeviceId expertDevice,
+                            bool allGatherRetained) const
+    {
+        MOE_ASSERT(group >= 0 && group < dp(), "bad TP group index");
+        MOE_ASSERT(rank >= 0 && rank < tp(), "bad shard rank");
+        MOE_ASSERT(expertDevice >= 0 && expertDevice < numDevices(),
+                   "bad expert device");
+        if (!allGatherRetained) {
+            // Only the reduce-scatter owner holds the shard.
+            return tpGroups_[static_cast<std::size_t>(group)]
+                            [static_cast<std::size_t>(rank)];
+        }
+        return sourceWithAllGather(group, rank, expertDevice);
+    }
 
     /**
      * True when dispatchSource() ignores the shard rank under the
@@ -195,24 +210,6 @@ class Mapping
     }
 
     /**
-     * Whether dispatch sources are confined to the destination's FTD.
-     * ER-style mappings return true: every FTD holds exactly one
-     * member of every TP group, and serving from it keeps all-to-all
-     * traffic strictly domain-local even when a neighbouring domain's
-     * member is physically closer (Section IV-A: "confining
-     * communication to this domain").
-     */
-    virtual bool confineDispatchToFtd() const { return false; }
-
-    /**
-     * Dispatch-source member of a TP group for a destination device:
-     * the FTD-local member when the mapping confines dispatch,
-     * otherwise the topologically nearest member (ties prefer the
-     * destination's FTD, then the lower id).
-     */
-    DeviceId nearestGroupMember(int group, DeviceId to) const;
-
-    /**
      * Volume reduction factor for a dispatch/combine flow, modelling
      * hierarchical all-to-all optimisations (DeepSpeed-MoE style): on
      * switch clusters, tokens heading to several experts on the same
@@ -236,29 +233,37 @@ class Mapping
      */
     void finalize();
 
+    /**
+     * The mapping's dispatch rule with the all-gather retained: which
+     * holder of the (group, rank) shard serves @p expertDevice (a group
+     * member, or under HER-Mapping a mirror on the expert's wafer).
+     * Arguments are range-checked by dispatchSource(); must be O(1).
+     */
+    virtual DeviceId sourceWithAllGather(int group, int rank,
+                                         DeviceId expertDevice) const = 0;
+
+    /**
+     * Assert that every FTD holds exactly one member of each of
+     * @p groupsPerFtd consecutive TP groups (all groups under
+     * ER-Mapping, its own wafer's under HER-Mapping). @p who names the
+     * mapping in the failure message.
+     */
+    void assertFtdsHoldEachGroupOnce(int groupsPerFtd,
+                                     const std::string &who) const;
+
     const Topology &topo_;
     std::vector<std::vector<DeviceId>> tpGroups_;
     std::vector<std::vector<DeviceId>> ftds_;
 
   private:
-    /** Fill @p table with all (group, rank, destination) sources. */
-    void buildDispatchTable(bool allGatherRetained,
-                            std::vector<DeviceId> &table) const;
-
+    // topo_.numDevices(), kept to spare the hot path a virtual call.
+    const int numDevices_;
     TrafficStorageKind trafficStorage_ = TrafficStorageKind::Auto;
     std::vector<int> groupOf_;
     std::vector<int> rankOf_;
     std::vector<int> ftdIndexOf_;
     // FTD collective rings, derived once in finalize().
     std::vector<std::vector<DeviceId>> ftdRings_;
-    // dispatchSource memo, one table per allGatherRetained value,
-    // indexed [(group · tp + rank) · devices + destination]; built on
-    // first dispatchSourceCached() call with that flag. once-guarded
-    // so concurrent first use from sweep workers is safe.
-    mutable std::once_flag dispatchOnceAg_;
-    mutable std::once_flag dispatchOnceNoAg_;
-    mutable std::vector<DeviceId> dispatchSrcAg_;
-    mutable std::vector<DeviceId> dispatchSrcNoAg_;
 };
 
 } // namespace moentwine

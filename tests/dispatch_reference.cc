@@ -28,33 +28,14 @@ mirrorOn(const MeshTopology &mesh, DeviceId d, int wafer)
         (wafer % wgCols) * mesh.waferCols() + localCol);
 }
 
+/** A @p MappingT built with @p arg on an owned copy of @p topo. */
+template <typename MappingT, typename TopologyT, typename Arg>
 DispatchSystem
-meshSystem(const std::string &label, MeshTopology mesh, bool er,
-           ParallelismConfig par)
+makeSystem(const std::string &label, TopologyT topo, Arg arg)
 {
-    DispatchSystem s;
-    s.label = label;
-    auto owned = std::make_unique<MeshTopology>(std::move(mesh));
-    const MeshTopology &m = *owned;
-    s.topology = std::move(owned);
-    if (er)
-        s.mapping = std::make_unique<ErMapping>(m, par);
-    else
-        s.mapping = std::make_unique<BaselineMapping>(m, par);
-    return s;
-}
-
-DispatchSystem
-clusterSystem(const std::string &label, SwitchClusterTopology cluster,
-              int tp)
-{
-    DispatchSystem s;
-    s.label = label;
-    auto owned =
-        std::make_unique<SwitchClusterTopology>(std::move(cluster));
-    s.mapping = std::make_unique<ClusterMapping>(*owned, tp);
-    s.topology = std::move(owned);
-    return s;
+    auto owned = std::make_unique<TopologyT>(std::move(topo));
+    auto mapping = std::make_unique<MappingT>(*owned, arg);
+    return DispatchSystem{label, std::move(owned), std::move(mapping)};
 }
 
 } // namespace
@@ -119,40 +100,31 @@ dispatchSource(const Mapping &mapping, int group, int rank,
 std::vector<DispatchSystem>
 dispatchSystems()
 {
+    const ParallelismConfig tp2x2{2, 2};
     std::vector<DispatchSystem> out;
-    out.push_back(meshSystem("er_4x4_tp2x2", MeshTopology::singleWafer(4),
-                             true, ParallelismConfig{2, 2}));
-    out.push_back(meshSystem("er_8x8_tp2x2", MeshTopology::singleWafer(8),
-                             true, ParallelismConfig{2, 2}));
-    out.push_back(meshSystem("er_8x8_tp4x2", MeshTopology::singleWafer(8),
-                             true, ParallelismConfig{4, 2}));
-    out.push_back(meshSystem("baseline_4x4_tp2x2",
-                             MeshTopology::singleWafer(4), false,
-                             ParallelismConfig{2, 2}));
-    out.push_back(meshSystem("baseline_8x8_tp2x2",
-                             MeshTopology::singleWafer(8), false,
-                             ParallelismConfig{2, 2}));
-    out.push_back(meshSystem("baseline_2x8x8_tp2x2",
-                             MeshTopology::waferRow(2, 8), false,
-                             ParallelismConfig{2, 2}));
-    {
-        DispatchSystem s;
-        s.label = "her_2x8x8_tp2x2";
-        auto mesh =
-            std::make_unique<MeshTopology>(MeshTopology::waferRow(2, 8));
-        s.mapping = std::make_unique<HierarchicalErMapping>(
-            *mesh, ParallelismConfig{2, 2});
-        s.topology = std::move(mesh);
-        out.push_back(std::move(s));
-    }
-    out.push_back(
-        clusterSystem("dgx2_tp4", SwitchClusterTopology::dgx(2), 4));
-    out.push_back(
-        clusterSystem("dgx2_tp16", SwitchClusterTopology::dgx(2), 16));
-    out.push_back(
-        clusterSystem("dgx3_tp6", SwitchClusterTopology::dgx(3), 6));
-    out.push_back(
-        clusterSystem("nvl72_tp4", SwitchClusterTopology::nvl72(), 4));
+    out.push_back(makeSystem<ErMapping>(
+        "er_4x4_tp2x2", MeshTopology::singleWafer(4), tp2x2));
+    out.push_back(makeSystem<ErMapping>(
+        "er_8x8_tp2x2", MeshTopology::singleWafer(8), tp2x2));
+    out.push_back(makeSystem<ErMapping>("er_8x8_tp4x2",
+                                        MeshTopology::singleWafer(8),
+                                        ParallelismConfig{4, 2}));
+    out.push_back(makeSystem<BaselineMapping>(
+        "baseline_4x4_tp2x2", MeshTopology::singleWafer(4), tp2x2));
+    out.push_back(makeSystem<BaselineMapping>(
+        "baseline_8x8_tp2x2", MeshTopology::singleWafer(8), tp2x2));
+    out.push_back(makeSystem<BaselineMapping>(
+        "baseline_2x8x8_tp2x2", MeshTopology::waferRow(2, 8), tp2x2));
+    out.push_back(makeSystem<HierarchicalErMapping>(
+        "her_2x8x8_tp2x2", MeshTopology::waferRow(2, 8), tp2x2));
+    out.push_back(makeSystem<ClusterMapping>(
+        "dgx2_tp4", SwitchClusterTopology::dgx(2), 4));
+    out.push_back(makeSystem<ClusterMapping>(
+        "dgx2_tp16", SwitchClusterTopology::dgx(2), 16));
+    out.push_back(makeSystem<ClusterMapping>(
+        "dgx3_tp6", SwitchClusterTopology::dgx(3), 6));
+    out.push_back(makeSystem<ClusterMapping>(
+        "nvl72_tp4", SwitchClusterTopology::nvl72(), 4));
     return out;
 }
 

@@ -191,6 +191,43 @@ TEST(Mapping, MeshDedupFactorIsOne)
     EXPECT_DOUBLE_EQ(er.dispatchDedupFactor(0, 15, 8), 1.0);
 }
 
+namespace {
+
+/** Two TP groups on a 2×2 mesh, each FTD holding both of one group. */
+class MisentwinedMapping : public Mapping
+{
+  public:
+    explicit MisentwinedMapping(const MeshTopology &mesh)
+        : Mapping(mesh)
+    {
+        tpGroups_ = {{0, 1}, {2, 3}};
+        ftds_ = {{0, 1}, {2, 3}};
+        finalize();
+        assertFtdsHoldEachGroupOnce(2, "misentwined");
+    }
+
+    std::string name() const override { return "misentwined"; }
+    bool staggeredRings() const override { return false; }
+
+  protected:
+    DeviceId sourceWithAllGather(int, int, DeviceId d) const override
+    {
+        return d;
+    }
+};
+
+} // namespace
+
+TEST(MappingDeathTest, FtdWithoutOneMemberOfEveryGroupPanics)
+{
+    // ER-style dispatch reads the group's member in the expert's FTD,
+    // so a mapping whose FTDs break that must fail at construction.
+    const MeshTopology mesh = MeshTopology::singleWafer(2);
+    EXPECT_DEATH(MisentwinedMapping{mesh},
+                 "misentwined: FTD 0 does not hold exactly one member "
+                 "of every TP group");
+}
+
 // ------------------------------------------------ invariant sweeps ----
 
 /** (meshN, tpX, tpY) sweep covering the paper's configurations. */

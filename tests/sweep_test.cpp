@@ -13,10 +13,10 @@
  *    single row;
  *  - the default job count follows the thread's CPU mask;
  *  - shared-system thread safety: engines sharing one
- *    shared_ptr<const System> (and, separately, one lazily-built raw
- *    topology+mapping, exercising the once-guarded cold caches) across
- *    threads produce the same timelines as engines with private
- *    copies — the route-cache/dispatch-memo regression test.
+ *    shared_ptr<const System> (and, separately, one raw
+ *    topology+mapping built outside System::make) across threads
+ *    produce the same timelines as engines with private copies; under
+ *    TSan this guards against lazy state returning to either.
  */
 
 #include <gtest/gtest.h>
@@ -673,9 +673,10 @@ TEST(SweepSharedSystemTest, SharedSystemMatchesPrivateCopies)
 
 TEST(SweepSharedSystemTest, ConcurrentFirstUseOfLazyCachesIsSafe)
 {
-    // Raw topology + mapping, deliberately NOT prewarmed: the first
-    // route()/dispatchSourceCached() calls race from worker threads
-    // and must all observe a consistent table (once-guard regression).
+    // Raw topology + mapping, not built through System::make: engines
+    // on several threads share one const mapping and walk its routes
+    // and dispatch rules concurrently. Neither holds lazy state, so
+    // under TSan this guards against any coming back.
     const MeshTopology mesh = MeshTopology::waferRow(2, 4);
     const ErMapping er(mesh, ParallelismConfig{2, 2});
 

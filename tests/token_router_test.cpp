@@ -11,6 +11,7 @@
 #include "mapping/cluster_mapping.hh"
 #include "mapping/er_mapping.hh"
 #include "topology/mesh.hh"
+#include <algorithm>
 #include <cmath>
 
 #include "topology/switch_cluster.hh"
@@ -150,6 +151,21 @@ TEST(TokenRouter, ClusterDedupFactorFormula)
     EXPECT_NEAR(cm.dispatchDedupFactor(0, 8, 8), expect, 1e-12);
     // k=1 degenerates to 1.
     EXPECT_DOUBLE_EQ(cm.dispatchDedupFactor(0, 8, 1), 1.0);
+}
+
+TEST(TokenRouter, ClusterDedupTableIsTheFormulaBitwise)
+{
+    // The constructor tabulates small topk; larger topk compute on the
+    // fly. Both must equal the formula to the last bit.
+    const auto dgx = SwitchClusterTopology::dgx(4);
+    const ClusterMapping cm(dgx, 4);
+    const double n = 4.0;
+    for (int k = 1; k <= 80; ++k) {
+        const double distinct = n * (1.0 - std::pow(1.0 - 1.0 / n, k));
+        EXPECT_EQ(cm.dispatchDedupFactor(0, 8, k),
+                  std::min(1.0, distinct / static_cast<double>(k)))
+            << "topk " << k;
+    }
 }
 
 TEST(TokenRouter, NoSelfFlows)
