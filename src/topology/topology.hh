@@ -166,6 +166,13 @@ class Topology
 
   protected:
     Topology() = default;
+    // Declared so that moving a topology (out of a by-value factory
+    // such as MeshTopology::waferRow) moves its link tables: the
+    // virtual destructor alone would turn every move into a copy.
+    Topology(const Topology &) = default;
+    Topology(Topology &&) = default;
+    Topology &operator=(const Topology &) = default;
+    Topology &operator=(Topology &&) = default;
 
     /** Append a link and register it in the adjacency index. */
     LinkId addLink(NodeId src, NodeId dst, double bandwidth, double latency);

@@ -78,6 +78,19 @@ TEST(Mesh, LinkBetweenAdjacency)
               -1);
 }
 
+TEST(Mesh, MoveKeepsLinkTables)
+{
+    // System::make moves the mesh out of its by-value factory: the
+    // move must hand over the link tables, not copy them.
+    MeshTopology from = MeshTopology::waferRow(2, 4);
+    const Link *links = from.links().data();
+    const MeshTopology to(std::move(from));
+    EXPECT_EQ(to.links().data(), links);
+    EXPECT_EQ(to.links().size(), std::size_t(2 * (8 * 3 + 4 * 7)));
+    EXPECT_EQ(to.linkBetween(to.deviceAt(0, 3), to.deviceAt(0, 4)),
+              to.nextLink(to.deviceAt(0, 3), to.deviceAt(0, 4)));
+}
+
 TEST(Mesh, PathLatencyAccumulates)
 {
     MeshSpec spec;
