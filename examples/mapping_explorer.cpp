@@ -11,9 +11,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/moentwine.hh"
+#include "flags.hh"
 
 using namespace moentwine;
 
@@ -69,8 +69,9 @@ explore(const MeshTopology &mesh, const Mapping &mapping)
 int
 main(int argc, char **argv)
 {
-    const int meshN = argc > 1 ? std::atoi(argv[1]) : 4;
-    const int tp = argc > 2 ? std::atoi(argv[2]) : 4;
+    const int meshN =
+        argc > 1 ? benchflags::positiveInt(argv[1], "meshN") : 4;
+    const int tp = argc > 2 ? benchflags::positiveInt(argv[2], "tp") : 4;
 
     const MeshTopology mesh = MeshTopology::singleWafer(meshN);
     const auto par = decomposeTp(tp, mesh.rows(), mesh.cols());

@@ -14,9 +14,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/moentwine.hh"
+#include "flags.hh"
 
 using namespace moentwine;
 
@@ -70,7 +70,8 @@ serve(const System &sys, BalancerKind kind, int iters, bool verbose)
 int
 main(int argc, char **argv)
 {
-    const int iters = argc > 1 ? std::atoi(argv[1]) : 300;
+    const int iters =
+        argc > 1 ? benchflags::positiveInt(argv[1], "iterations") : 300;
 
     SystemConfig sc;
     sc.platform = PlatformKind::WscEr;

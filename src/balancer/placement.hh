@@ -167,17 +167,6 @@ class ExpertPlacement
      */
     DeviceId coldestOpenDevice(int expert, DeviceId skip) const;
 
-    /**
-     * Per-device routed token counts for the given per-expert loads
-     * (loads split evenly across replicas — identical to heats, kept
-     * as an alias for intent-revealing call sites).
-     */
-    std::vector<double> deviceLoads(
-        const std::vector<double> &expertLoads) const
-    {
-        return deviceHeats(expertLoads);
-    }
-
   private:
     int numExperts_;
     int numDevices_;

@@ -63,48 +63,6 @@ Summary::percentile(double p) const
     return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0)
-{
-    MOE_ASSERT(hi > lo, "Histogram requires hi > lo");
-    MOE_ASSERT(bins > 0, "Histogram requires at least one bin");
-}
-
-void
-Histogram::add(double x)
-{
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    auto idx = static_cast<long>(std::floor((x - lo_) / width));
-    idx = std::clamp<long>(idx, 0, static_cast<long>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
-}
-
-double
-Histogram::binLow(std::size_t i) const
-{
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    return lo_ + width * static_cast<double>(i);
-}
-
-std::string
-Histogram::render(std::size_t width) const
-{
-    std::size_t peak = 1;
-    for (std::size_t c : counts_)
-        peak = std::max(peak, c);
-    std::string out;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        char label[64];
-        std::snprintf(label, sizeof(label), "%10.4g | ", binLow(i));
-        out += label;
-        const auto bar = counts_[i] * width / peak;
-        out.append(bar, '#');
-        out += " (" + std::to_string(counts_[i]) + ")\n";
-    }
-    return out;
-}
-
 double
 meanOf(const std::vector<double> &xs)
 {

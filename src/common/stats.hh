@@ -1,15 +1,14 @@
 /**
  * @file
  * Lightweight statistics helpers used by the engine and benches:
- * running summaries (min/max/mean/stddev), percentiles over retained
- * samples, and a fixed-bin histogram.
+ * running summaries (min/max/mean/stddev) and percentiles over retained
+ * samples.
  */
 
 #ifndef MOENTWINE_COMMON_STATS_HH
 #define MOENTWINE_COMMON_STATS_HH
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace moentwine {
@@ -55,45 +54,6 @@ class Summary
   private:
     std::vector<double> samples_;
     double sum_ = 0.0;
-};
-
-/**
- * Fixed-width histogram over [lo, hi); samples outside the range clamp
- * into the first/last bin.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param lo Lower edge of the first bin.
-     * @param hi Upper edge of the last bin; must exceed @p lo.
-     * @param bins Number of bins; must be positive.
-     */
-    Histogram(double lo, double hi, std::size_t bins);
-
-    /** Add one sample (clamped into range). */
-    void add(double x);
-
-    /** Number of samples in bin @p i. */
-    std::size_t binCount(std::size_t i) const { return counts_.at(i); }
-
-    /** Number of bins. */
-    std::size_t numBins() const { return counts_.size(); }
-
-    /** Total samples added. */
-    std::size_t total() const { return total_; }
-
-    /** Lower edge of bin @p i. */
-    double binLow(std::size_t i) const;
-
-    /** Render a compact one-line-per-bin ASCII view. */
-    std::string render(std::size_t width = 40) const;
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::size_t> counts_;
-    std::size_t total_ = 0;
 };
 
 /** Mean of a vector; panics when empty. */

@@ -3,7 +3,6 @@
 #if defined(__linux__)
 #include <cstring>
 #include <linux/perf_event.h>
-#include <sys/ioctl.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 #endif
@@ -12,100 +11,31 @@ namespace moentwine {
 
 #if defined(__linux__)
 
-namespace {
-
-int
-openEvent(std::uint32_t type, std::uint64_t config, int groupFd,
-          bool disabled)
+HwCounters::HwCounters()
 {
+    // Fails with EPERM/EACCES in locked-down containers and ENOENT on
+    // PMU-less VMs.
     perf_event_attr attr;
     std::memset(&attr, 0, sizeof(attr));
     attr.size = sizeof(attr);
-    attr.type = type;
-    attr.config = config;
-    attr.disabled = disabled ? 1 : 0;
+    attr.type = PERF_TYPE_HARDWARE;
+    attr.config = PERF_COUNT_HW_CPU_CYCLES;
+    attr.disabled = 1;
     attr.exclude_kernel = 1;
     attr.exclude_hv = 1;
-    attr.inherit = 0;
-    return static_cast<int>(syscall(SYS_perf_event_open, &attr, 0, -1,
-                                    groupFd, 0));
-}
-
-} // namespace
-
-HwCounters::HwCounters()
-{
-    // Leader: cycles. If this one fails (EPERM/EACCES in locked-down
-    // containers, ENOENT on PMU-less VMs) the whole group is off.
-    fds_[0] = openEvent(PERF_TYPE_HARDWARE, PERF_COUNT_HW_CPU_CYCLES,
-                        -1, /*disabled=*/true);
-    if (fds_[0] < 0)
-        return;
-    // Members schedule with the leader; a member that fails to open
-    // (unsupported event) just reads zero.
-    fds_[1] = openEvent(PERF_TYPE_HARDWARE, PERF_COUNT_HW_INSTRUCTIONS,
-                        fds_[0], false);
-    fds_[2] = openEvent(PERF_TYPE_HARDWARE, PERF_COUNT_HW_CACHE_MISSES,
-                        fds_[0], false);
-    fds_[3] = openEvent(
-        PERF_TYPE_HW_CACHE,
-        PERF_COUNT_HW_CACHE_DTLB | (PERF_COUNT_HW_CACHE_OP_READ << 8) |
-            (PERF_COUNT_HW_CACHE_RESULT_MISS << 16),
-        fds_[0], false);
+    fd_ = static_cast<int>(syscall(SYS_perf_event_open, &attr, 0, -1, -1, 0));
 }
 
 HwCounters::~HwCounters()
 {
-    for (int i = kEvents - 1; i >= 0; --i) {
-        if (fds_[i] >= 0)
-            close(fds_[i]);
-    }
-}
-
-void
-HwCounters::start()
-{
-    if (!available())
-        return;
-    ioctl(fds_[0], PERF_EVENT_IOC_RESET, PERF_IOC_FLAG_GROUP);
-    ioctl(fds_[0], PERF_EVENT_IOC_ENABLE, PERF_IOC_FLAG_GROUP);
-}
-
-HwCounterValues
-HwCounters::stop()
-{
-    HwCounterValues v;
-    if (!available())
-        return v;
-    ioctl(fds_[0], PERF_EVENT_IOC_DISABLE, PERF_IOC_FLAG_GROUP);
-    std::uint64_t *const out[kEvents] = {&v.cycles, &v.instructions,
-                                         &v.cacheMisses, &v.dtlbMisses};
-    for (int i = 0; i < kEvents; ++i) {
-        std::uint64_t value = 0;
-        if (fds_[i] >= 0 &&
-            read(fds_[i], &value, sizeof(value)) == sizeof(value)) {
-            *out[i] = value;
-        }
-    }
-    v.available = true;
-    return v;
+    if (fd_ >= 0)
+        close(fd_);
 }
 
 #else // !__linux__
 
 HwCounters::HwCounters() = default;
 HwCounters::~HwCounters() = default;
-
-void
-HwCounters::start()
-{
-}
-
-HwCounterValues
-HwCounters::stop()
-{
-    return HwCounterValues{};
-}
 
 #endif
 

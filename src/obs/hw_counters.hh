@@ -1,75 +1,37 @@
 /**
  * @file
- * HwCounters: a minimal perf_event_open wrapper for the sweep worker
- * loops — cycles, instructions, last-level cache misses, and dTLB read
- * misses around a timed region, so performance numbers can say *why*
- * a change is faster (fewer misses vs fewer instructions), not just
- * that wall-clock moved.
+ * HwCounters: a probe for whether this process may read the PMU
+ * through perf_event_open. perfbench prints its answer as
+ * `hw.available`, so a run records whether `perf stat` style counts
+ * could have been taken on its host.
  *
- * Graceful degradation is the contract: on non-Linux builds, in
- * containers/CI where perf_event_open is denied
+ * The probe opens one disabled user-space cycles counter on the
+ * calling thread and holds it until destruction. On non-Linux builds,
+ * in containers/CI where perf_event_open is denied
  * (kernel.perf_event_paranoid, seccomp), or on PMU-less VMs,
- * available() is false and stop() returns all-zero values — callers
- * never branch on platform, and the JSON they emit simply carries
- * zeros with "hw_available": false. Individual counters that fail to
- * open (e.g. no dTLB event on an exotic PMU) read zero while the
- * rest stay live.
- *
- * The four events are opened as one group (cycles leads) so they are
- * scheduled together and the derived IPC is consistent. Counts cover
- * user-space only (exclude_kernel, exclude_hv) on the calling
- * thread.
+ * available() is false.
  */
 
 #ifndef MOENTWINE_OBS_HW_COUNTERS_HH
 #define MOENTWINE_OBS_HW_COUNTERS_HH
 
-#include <cstdint>
-
 namespace moentwine {
-
-/** One measured region's counter totals (zeros when unavailable). */
-struct HwCounterValues
-{
-    std::uint64_t cycles = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t cacheMisses = 0;
-    std::uint64_t dtlbMisses = 0;
-    /** False when the PMU could not be opened (values are zeros). */
-    bool available = false;
-
-    /** Instructions per cycle; 0 when cycles is 0. */
-    double ipc() const
-    {
-        return cycles > 0
-            ? static_cast<double>(instructions) /
-                static_cast<double>(cycles)
-            : 0.0;
-    }
-};
 
 class HwCounters
 {
   public:
-    /** Open the counter group; available() reports the outcome. */
+    /** Open the cycles counter; available() reports the outcome. */
     HwCounters();
     ~HwCounters();
 
     HwCounters(const HwCounters &) = delete;
     HwCounters &operator=(const HwCounters &) = delete;
 
-    /** True when the PMU group opened and counts will be real. */
-    bool available() const { return fds_[0] >= 0; }
-
-    /** Reset and enable the group (no-op when unavailable). */
-    void start();
-
-    /** Disable the group and read totals (zeros when unavailable). */
-    HwCounterValues stop();
+    /** True when the cycles counter opened. */
+    bool available() const { return fd_ >= 0; }
 
   private:
-    static constexpr int kEvents = 4;
-    int fds_[kEvents] = {-1, -1, -1, -1};
+    int fd_ = -1;
 };
 
 } // namespace moentwine

@@ -1,8 +1,8 @@
 /**
  * @file
  * Umbrella header and attach-point vocabulary of the observability
- * layer (src/obs/): stat registry, sim-time trace sink, hardware
- * counters, and the ObsHooks bundle simulation layers accept.
+ * layer (src/obs/): stat registry, sim-time trace sink, PMU
+ * probe, and the ObsHooks bundle simulation layers accept.
  */
 
 #ifndef MOENTWINE_OBS_OBS_HH

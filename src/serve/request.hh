@@ -38,8 +38,8 @@ struct ServeRequest
 
 /**
  * How a request left the system. Under a fault-free run every request
- * completes; the fault layer (src/fault/ + ServeSimulator's
- * FaultPolicy) adds load shedding and hard failures.
+ * completes; the fault layer (src/fault/ + the serve loop's
+ * degraded-operation response) adds load shedding and hard failures.
  */
 enum class RequestOutcome
 {

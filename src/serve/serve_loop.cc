@@ -8,6 +8,25 @@
 
 namespace moentwine {
 
+namespace {
+
+// Degraded-operation response, active only while a non-empty FaultPlan
+// is configured (an empty plan takes the exact fault-free path):
+//  - the queue head is shed once it has waited longer than
+//    kShedTtftFactor × SloConfig::ttft (SLO-aware admission control: a
+//    request that already blew its TTFT bound only wastes degraded
+//    capacity); requests too large for the degraded KV budget are
+//    always shed, since they can never be admitted;
+//  - an evicted request waits kRetryBackoffIterations before
+//    re-queueing (its KV state died with the device; the restart is
+//    not free), up to ServeConfig::maxRetries times;
+//  - the KV admission budget scales with the live-device fraction
+//    (lost devices take their cache capacity with them).
+constexpr double kShedTtftFactor = 2.0;
+constexpr int kRetryBackoffIterations = 4;
+
+} // namespace
+
 /**
  * Resident-device bookkeeping for fault response: every admitted
  * request lives on one device (where its KV cache sits), assigned
@@ -173,7 +192,6 @@ ServeLoop::faultBoundary()
 
     // Requests resident on newly lost devices lose their KV state:
     // bounded retry, then hard failure.
-    const FaultPolicy &policy = cfg_.faultPolicy;
     const auto &lost = injector_->lostDevices();
     while (lostSeen_ < lost.size()) {
         const DeviceId dead = lost[lostSeen_++];
@@ -183,19 +201,16 @@ ServeLoop::faultBoundary()
             residency_->release(idx);
             const RequestMetrics &m =
                 sched_.metrics()[static_cast<std::size_t>(idx)];
-            if (m.retries < policy.maxRetries) {
+            if (m.retries < cfg_.maxRetries) {
                 sched_.evictToRetry(
-                    idx, sched_.iterationIndex() +
-                        policy.retryBackoffIterations);
+                    idx, sched_.iterationIndex() + kRetryBackoffIterations);
             } else {
                 sched_.failRunning(idx, now_);
             }
         }
     }
-    if (policy.scaleKvBudget) {
-        sched_.setKvBudgetLimit(static_cast<int>(
-            cfg_.scheduler.kvBudgetTokens * injector_->liveFraction()));
-    }
+    sched_.setKvBudgetLimit(static_cast<int>(
+        cfg_.scheduler.kvBudgetTokens * injector_->liveFraction()));
 }
 
 bool
@@ -209,9 +224,8 @@ ServeLoop::beginIteration()
         if (injector_) {
             // SLO-aware shedding: a queue head that can never fit the
             // degraded KV budget, or that already blew its TTFT bound
-            // by the policy factor, is dropped — re-admitting after
+            // by kShedTtftFactor, is dropped — re-admitting after
             // each shed since the head-of-line block may clear.
-            const FaultPolicy &policy = cfg_.faultPolicy;
             for (;;) {
                 const int head = sched_.queueHead();
                 if (head < 0)
@@ -219,9 +233,8 @@ ServeLoop::beginIteration()
                 const ServeRequest &r = sched_.request(head);
                 const bool hopeless =
                     r.kvTokens() > sched_.kvBudgetLimit();
-                const bool late = policy.shedOnOverload &&
-                    now_ - r.arrivalTime >
-                        policy.shedTtftFactor * cfg_.slo.ttft;
+                const bool late = now_ - r.arrivalTime >
+                    kShedTtftFactor * cfg_.slo.ttft;
                 if (!hopeless && !late)
                     break;
                 sched_.shedHead(now_);

@@ -48,37 +48,6 @@ struct SloConfig
     }
 };
 
-/**
- * How the serving layer responds to faults. Active only while a
- * non-empty FaultPlan is configured — a run with an empty plan takes
- * the exact fault-free code path (bitwise identical output).
- */
-struct FaultPolicy
-{
-    /**
-     * Shed the queue head once it has waited longer than
-     * shedTtftFactor × SloConfig::ttft (SLO-aware admission control:
-     * a request that already blew its TTFT bound only wastes degraded
-     * capacity). Requests too large for the degraded KV budget are
-     * always shed — they can never be admitted.
-     */
-    bool shedOnOverload = true;
-    /** Waiting-time multiple of the TTFT bound that triggers a shed. */
-    double shedTtftFactor = 2.0;
-    /**
-     * Iterations an evicted request waits before re-queueing (its KV
-     * state died with the device; the restart is not free).
-     */
-    int retryBackoffIterations = 4;
-    /** Evictions a request survives before it is Failed outright. */
-    int maxRetries = 2;
-    /**
-     * Scale the effective KV admission budget by the live-device
-     * fraction (lost devices take their cache capacity with them).
-     */
-    bool scaleKvBudget = true;
-};
-
 /** Serving-simulation configuration. */
 struct ServeConfig
 {
@@ -102,8 +71,12 @@ struct ServeConfig
     /** Fault plan injected at iteration boundaries (empty = no faults,
      *  and the run is bitwise identical to a build without faults). */
     FaultPlan faults;
-    /** Degraded-operation response (ignored while faults is empty). */
-    FaultPolicy faultPolicy;
+    /**
+     * Evictions a request survives before it is Failed outright
+     * (ignored while faults is empty; serve_loop.cc fixes the rest of
+     * the degraded-operation response).
+     */
+    int maxRetries = 2;
 };
 
 /** One per-iteration sample of the serving state. */

@@ -205,7 +205,6 @@ SweepRunner::run(const SweepGrid &grid, const CellFn &fn,
         std::int64_t cells = 0;
         std::int64_t steals = 0;
         double busySeconds = 0.0;
-        HwCounterValues hw{};
     };
     std::vector<Worker> pool(workers);
 
@@ -214,9 +213,6 @@ SweepRunner::run(const SweepGrid &grid, const CellFn &fn,
     // the output order is independent of who ran what.
     const auto drain = [&](std::size_t w) {
         Worker &me = pool[w];
-        HwCounters hw;
-        if (opts_.collectHw)
-            hw.start();
         for (std::size_t b = 0;
              b < workers && !failed.load(std::memory_order_relaxed); ++b) {
             Block &block = blocks[(w + b) % workers];
@@ -244,8 +240,6 @@ SweepRunner::run(const SweepGrid &grid, const CellFn &fn,
                     ++me.steals;
             }
         }
-        if (opts_.collectHw)
-            me.hw = hw.stop();
     };
 
     if (workers == 1) {
@@ -268,11 +262,6 @@ SweepRunner::run(const SweepGrid &grid, const CellFn &fn,
             stats->engineReuses += w.ctx.engineReuses();
             stats->workerItems.push_back(w.cells);
             stats->workerBusySeconds.push_back(w.busySeconds);
-            stats->hw.cycles += w.hw.cycles;
-            stats->hw.instructions += w.hw.instructions;
-            stats->hw.cacheMisses += w.hw.cacheMisses;
-            stats->hw.dtlbMisses += w.hw.dtlbMisses;
-            stats->hw.available = stats->hw.available || w.hw.available;
         }
     }
     if (firstError)

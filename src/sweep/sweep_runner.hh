@@ -44,7 +44,6 @@
 #include <memory>
 #include <vector>
 
-#include "obs/hw_counters.hh"
 #include "sweep/sweep_grid.hh"
 #include "sweep/worker_context.hh"
 
@@ -71,15 +70,12 @@ struct SweepCell
     WorkerContext *worker = nullptr;
 };
 
-/** Execution knobs of a sweep run; neither may change a row (see the
+/** Execution knobs of a sweep run; none may change a row (see the
  *  determinism contract above). */
 struct SweepOptions
 {
     /** Worker count; 0 resolves as resolveJobs() says. */
     int jobs = 0;
-    /** Sum per-worker hardware counters (obs/hw_counters.hh) over
-     *  the drain loops into SweepRunStats::hw. */
-    bool collectHw = false;
 };
 
 /**
@@ -105,9 +101,6 @@ struct SweepRunStats
     std::vector<std::int64_t> workerItems;
     /** Per-worker busy seconds (sum of cell execution times). */
     std::vector<double> workerBusySeconds;
-    /** Summed per-worker hardware counters (collectHw runs only;
-     *  available is true when any worker's PMU group opened). */
-    HwCounterValues hw{};
 
     /**
      * Publish the counters under "sweep." into @p registry

@@ -56,11 +56,11 @@ Topology::pathInvBandwidthSum(DeviceId src, DeviceId dst) const
 LinkId
 Topology::linkBetween(NodeId src, NodeId dst) const
 {
-    if (src < 0 || static_cast<std::size_t>(src) >= outIndex_.size())
-        return -1;
-    const auto &index = outIndex_[static_cast<std::size_t>(src)];
-    const auto it = index.find(dst);
-    return it == index.end() ? -1 : it->second;
+    for (std::size_t l = 0; l < links_.size(); ++l) {
+        if (links_[l].src == src && links_[l].dst == dst)
+            return static_cast<LinkId>(l);
+    }
+    return -1;
 }
 
 LinkId
@@ -71,12 +71,6 @@ Topology::addLink(NodeId src, NodeId dst, double bandwidth, double latency)
     MOE_ASSERT(latency >= 0.0, "link latency must be non-negative");
     const auto id = static_cast<LinkId>(links_.size());
     links_.push_back(Link{src, dst, bandwidth, latency});
-    const auto need = static_cast<std::size_t>(src) + 1;
-    if (outIndex_.size() < need)
-        outIndex_.resize(need);
-    const bool inserted =
-        outIndex_[static_cast<std::size_t>(src)].emplace(dst, id).second;
-    MOE_ASSERT(inserted, "duplicate directed link");
     return id;
 }
 

@@ -29,7 +29,6 @@
 
 #include <cstddef>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "topology/graph.hh"
@@ -160,7 +159,8 @@ class Topology
 
     /**
      * Index of the directed link src→dst, or -1 when the two nodes are
-     * not directly connected. O(1) hash lookup.
+     * not directly connected. Scans links() (O(links)); for cold
+     * callers such as heatmaps and fault-scenario set-up.
      */
     LinkId linkBetween(NodeId src, NodeId dst) const;
 
@@ -174,14 +174,10 @@ class Topology
     Topology &operator=(const Topology &) = default;
     Topology &operator=(Topology &&) = default;
 
-    /** Append a link and register it in the adjacency index. */
+    /** Append a link; returns its id. */
     LinkId addLink(NodeId src, NodeId dst, double bandwidth, double latency);
 
     std::vector<Link> links_;
-
-  private:
-    // Per-source dst → link-id adjacency index (O(1) linkBetween).
-    std::vector<std::unordered_map<NodeId, LinkId>> outIndex_;
 };
 
 inline void

@@ -7,6 +7,20 @@
 
 namespace moentwine {
 
+namespace {
+
+// MixedScenario alias-table rebuild cadence: the drifting mixture moves
+// slowly (one rotation per mixPeriod iterations), so the sampler
+// tolerates a slightly stale table instead of paying the O(experts)
+// rebuild every iteration. A rebuild is forced when kAliasRebuildPeriod
+// iterations passed since the last one, or earlier when the L1 distance
+// of the scenario mixture weights (Σ|m_i − m_i'|, in [0, 2]) from the
+// last build exceeds kAliasDriftTolerance.
+constexpr int kAliasRebuildPeriod = 16;
+constexpr double kAliasDriftTolerance = 0.1;
+
+} // namespace
+
 void
 AliasTable::build(const std::vector<double> &weights)
 {
@@ -86,10 +100,6 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadConfig &cfg)
     MOE_ASSERT(cfg.topK > 0 && cfg.topK <= cfg.numExperts,
                "topK must be in [1, numExperts]");
     MOE_ASSERT(cfg.mixPeriod > 0, "mixPeriod must be positive");
-    MOE_ASSERT(cfg.aliasRebuildPeriod > 0,
-               "aliasRebuildPeriod must be positive");
-    MOE_ASSERT(cfg.aliasDriftTolerance >= 0.0,
-               "aliasDriftTolerance must be non-negative");
 }
 
 std::vector<double>
@@ -217,9 +227,9 @@ WorkloadGenerator::sampleCountsInto(int iteration, int layer,
 
     // Rebuild the alias table only when the affinity changed enough to
     // matter: once per layer in the fixed regimes; under a drifting
-    // mixture on a coarse cadence — at most every aliasRebuildPeriod
+    // mixture on a coarse cadence — at most every kAliasRebuildPeriod
     // iterations, earlier when the mixture's L1 drift since the last
-    // build exceeds aliasDriftTolerance. The mixture rotates once per
+    // build exceeds kAliasDriftTolerance. The mixture rotates once per
     // mixPeriod iterations, so between rebuilds the sampler draws from
     // a boundedly stale distribution (the balancers react on EMAs far
     // slower than that).
@@ -235,7 +245,7 @@ WorkloadGenerator::sampleCountsInto(int iteration, int layer,
         // Non-monotonic iteration jumps (tests, replays) force a
         // rebuild rather than trusting a stale age computation.
         const bool aged = iteration < aliasIteration_ ||
-            iteration - aliasIteration_ >= cfg_.aliasRebuildPeriod;
+            iteration - aliasIteration_ >= kAliasRebuildPeriod;
         if (aged) {
             rebuild = true;
         } else {
@@ -249,7 +259,7 @@ WorkloadGenerator::sampleCountsInto(int iteration, int layer,
                 double drift = 0.0;
                 for (std::size_t s = 0; s < mixScratch_.size(); ++s)
                     drift += std::abs(mixScratch_[s] - aliasMix_[s]);
-                rebuild = drift > cfg_.aliasDriftTolerance;
+                rebuild = drift > kAliasDriftTolerance;
             }
         }
     }

@@ -102,21 +102,6 @@ struct WorkloadConfig
     double zipf = 1.0;
     /** Iterations per full mixture rotation (MixedScenario mode). */
     int mixPeriod = 400;
-    /**
-     * MixedScenario alias-table rebuild cadence: the drifting mixture
-     * moves slowly (one rotation per mixPeriod iterations), so the
-     * sampler tolerates a slightly stale table instead of paying the
-     * O(experts) rebuild every iteration. A rebuild is forced when
-     * this many iterations passed since the last one, or earlier when
-     * the mixture moved more than aliasDriftTolerance since then.
-     * Set to 1 to rebuild every iteration (the pre-cadence behaviour).
-     */
-    int aliasRebuildPeriod = 16;
-    /**
-     * L1 distance of the scenario mixture weights (Σ|m_i − m_i'|, in
-     * [0, 2]) from the last alias build that forces an early rebuild.
-     */
-    double aliasDriftTolerance = 0.1;
     /** Base seed; equal configs generate equal traces. */
     uint64_t seed = 42;
 };
@@ -164,9 +149,10 @@ class WorkloadGenerator
      * cyclic drift. @p weights are unnormalised non-negative weights
      * over allScenarios() (Σ > 0); they stay in effect until the next
      * setScenarioMix() or clearScenarioMix() call. The gating sampler
-     * adopts the change on its alias-rebuild cadence: immediately when
-     * the mixture moved more than aliasDriftTolerance since the last
-     * build, else within aliasRebuildPeriod iterations. Only
+     * adopts the change on its alias-rebuild cadence (workload.cc):
+     * immediately when the mixture moved more than kAliasDriftTolerance
+     * since the last build, else within kAliasRebuildPeriod
+     * iterations. Only
      * meaningful for the scenario-driven modes (Balanced gating
      * ignores mixtures).
      */
@@ -215,7 +201,7 @@ class WorkloadGenerator
     // Scratch affinity plus the alias table sampleCountsInto() draws
     // from; the table is rebuilt only when the affinity changes: once
     // per layer in the fixed regimes, and on the coarse
-    // aliasRebuildPeriod / aliasDriftTolerance cadence under a
+    // kAliasRebuildPeriod / kAliasDriftTolerance cadence under a
     // drifting MixedScenario mixture.
     std::vector<double> affinityScratch_;
     AliasTable alias_;

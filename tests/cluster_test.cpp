@@ -573,7 +573,7 @@ TEST(FleetSimulator, CascadeFaultsUnderAutoscalerConserveRequests)
     faulty.faults = makeFaultScenario(FaultScenarioKind::Cascade,
                                       sys.mapping().topology(), spec);
     faulty.slo.ttft = 0.1;
-    faulty.faultPolicy.maxRetries = 0;
+    faulty.maxRetries = 0;
     fc.replicas[2].startParked = true;
     fc.arrival = rc.serve.arrival;
     fc.arrival.ratePerSec = 800.0;

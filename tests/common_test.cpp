@@ -223,37 +223,6 @@ TEST(Summary, PercentileSingleSample)
     EXPECT_DOUBLE_EQ(s.percentile(37.0), 42.0);
 }
 
-// ---------------------------------------------------------- Histogram --
-
-TEST(Histogram, CountsAndClamping)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(0.5);   // bin 0
-    h.add(9.5);   // bin 4
-    h.add(-5.0);  // clamped into bin 0
-    h.add(100.0); // clamped into bin 4
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(4), 2u);
-    EXPECT_EQ(h.binCount(2), 0u);
-}
-
-TEST(Histogram, BinLowEdges)
-{
-    Histogram h(0.0, 10.0, 5);
-    EXPECT_DOUBLE_EQ(h.binLow(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.binLow(4), 8.0);
-}
-
-TEST(Histogram, RenderMentionsCounts)
-{
-    Histogram h(0.0, 1.0, 2);
-    h.add(0.1);
-    h.add(0.9);
-    const std::string out = h.render();
-    EXPECT_NE(out.find("(1)"), std::string::npos);
-}
-
 // ------------------------------------------------------------ helpers --
 
 TEST(StatsHelpers, MeanMax)

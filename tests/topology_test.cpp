@@ -1,14 +1,20 @@
 /**
  * @file
  * Unit and property tests for the mesh topology: construction, XY
- * routing, wafer tiling, and link metadata.
+ * routing, wafer tiling, and link metadata; plus the link-table
+ * contract every topology keeps (one directed link per node pair,
+ * linkBetween() finds it, a FaultTopology keeps its base's ids).
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <tuple>
+#include <utility>
 
+#include "fault/fault_topology.hh"
 #include "topology/mesh.hh"
+#include "topology/switch_cluster.hh"
 
 using namespace moentwine;
 
@@ -76,6 +82,61 @@ TEST(Mesh, LinkBetweenAdjacency)
               -1);
     EXPECT_EQ(mesh.linkBetween(mesh.deviceAt(0, 0), mesh.deviceAt(2, 2)),
               -1);
+    // Self, negative and out-of-range nodes have no link either.
+    const NodeId n = mesh.numNodes();
+    EXPECT_EQ(mesh.linkBetween(0, 0), -1);
+    EXPECT_EQ(mesh.linkBetween(-1, 0), -1);
+    EXPECT_EQ(mesh.linkBetween(0, -1), -1);
+    EXPECT_EQ(mesh.linkBetween(n, 0), -1);
+    EXPECT_EQ(mesh.linkBetween(0, n), -1);
+}
+
+// ------------------------------------------------------ link tables --
+
+namespace {
+
+/** Each (src, dst) pair appears once, and linkBetween() finds it. */
+void
+expectUniqueLinksFoundByLinkBetween(const Topology &topo)
+{
+    std::set<std::pair<NodeId, NodeId>> seen;
+    const auto &links = topo.links();
+    for (std::size_t l = 0; l < links.size(); ++l) {
+        const Link &link = links[l];
+        EXPECT_TRUE(seen.emplace(link.src, link.dst).second)
+            << topo.name() << ": duplicate directed link " << link.src
+            << "->" << link.dst;
+        EXPECT_EQ(topo.linkBetween(link.src, link.dst),
+                  static_cast<LinkId>(l))
+            << topo.name() << ": link " << l;
+    }
+}
+
+} // namespace
+
+TEST(LinkTable, EveryTopologyHasOneLinkPerDirectedPair)
+{
+    expectUniqueLinksFoundByLinkBetween(MeshTopology::singleWafer(4));
+    expectUniqueLinksFoundByLinkBetween(MeshTopology::waferRow(2, 8));
+    expectUniqueLinksFoundByLinkBetween(SwitchClusterTopology::dgx(2));
+    expectUniqueLinksFoundByLinkBetween(SwitchClusterTopology::nvl72());
+    const MeshTopology mesh = MeshTopology::singleWafer(4);
+    expectUniqueLinksFoundByLinkBetween(FaultTopology(mesh));
+}
+
+TEST(LinkTable, FaultTopologyKeepsBaseLinkIds)
+{
+    const MeshTopology mesh = MeshTopology::waferRow(2, 4);
+    FaultTopology ft(mesh);
+    ft.failLink(mesh.linkBetween(1, 2));
+    ASSERT_EQ(ft.links().size(), mesh.links().size());
+    for (std::size_t l = 0; l < mesh.links().size(); ++l) {
+        const Link &link = mesh.links()[l];
+        EXPECT_EQ(ft.links()[l].src, link.src);
+        EXPECT_EQ(ft.links()[l].dst, link.dst);
+        EXPECT_EQ(ft.linkBetween(link.src, link.dst),
+                  mesh.linkBetween(link.src, link.dst));
+    }
 }
 
 TEST(Mesh, MoveKeepsLinkTables)
