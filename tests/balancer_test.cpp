@@ -8,13 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <utility>
 
 #include "balancer/balancer.hh"
 #include "balancer/ni_balancer.hh"
 #include "balancer_reference.hh"
 #include "common/stats.hh"
+#include "digest.hh"
 #include "mapping/er_mapping.hh"
 #include "topology/mesh.hh"
 #include "topology/switch_cluster.hh"
@@ -255,26 +255,8 @@ namespace {
 using reference::LoadShape;
 using reference::shapedLoads;
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-
-/** FNV-1a 64 over @p v as 8 little-endian bytes. */
-void
-mixInt(std::uint64_t &h, std::int64_t v)
-{
-    const auto u = static_cast<std::uint64_t>(v);
-    for (int b = 0; b < 8; ++b) {
-        h ^= (u >> (8 * b)) & 0xffu;
-        h *= 0x100000001b3ULL;
-    }
-}
-
-void
-mixDouble(std::uint64_t &h, double v)
-{
-    std::int64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    mixInt(h, bits);
-}
+using digest::mixDouble;
+using digest::mixInt;
 
 void
 mixSteps(std::uint64_t &h, const std::vector<MigrationStep> &steps)
@@ -318,7 +300,7 @@ std::uint64_t
 planDigest(int devices, const Configs &configs, int seeds,
            const std::vector<DeviceId> &lost, Plan plan)
 {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = digest::kOffset;
     for (const auto &[experts, slots] : configs) {
         for (int seed = 1; seed <= seeds; ++seed) {
             ExpertPlacement p(experts, devices, slots);
@@ -377,7 +359,7 @@ niDigest(const Configs &configs, int seeds)
     PhaseTraffic traffic(mesh);
     for (DeviceId a = 0; a < mesh.numDevices(); ++a)
         traffic.addFlow(a, (a * 5 + 3) % mesh.numDevices(), 1.5e7);
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = digest::kOffset;
     for (const auto &[experts, slots] : configs) {
         for (int seed = 1; seed <= seeds; ++seed) {
             NiBalancer ni(er, 42e6);

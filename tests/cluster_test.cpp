@@ -17,17 +17,23 @@
  *  - autoscaler life-cycle: cold starts charge the spin-up delay,
  *    drained replicas park empty, scale events are time-ordered;
  *  - the sweep grid's replica/router axes: innermost ordering, at()
- *    inversion, and seed retro-compatibility with pre-cluster grids.
+ *    inversion, and seed retro-compatibility with pre-cluster grids;
+ *  - pinned digests (FleetDigest.*) of a 4-replica autoscaled fleet
+ *    with Cascade faults on replica 0, one per router policy.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hh"
 #include "core/moentwine.hh"
+#include "serve_digest.hh"
 #include "sweep/sweep.hh"
 #include "watchdog.hh"
 
@@ -614,6 +620,83 @@ TEST(FleetSimulator, CascadeFaultsUnderAutoscalerConserveRequests)
         dispatched += r.dispatched[i];
     }
     EXPECT_EQ(dispatched + r.frontDoorShed, r.totalRequests);
+}
+
+// -------------------------------------------------- pinned digests ----
+//
+// FNV-1a digests of whole fleet runs, one per router policy: every
+// fleet score field, dispatch counts, scale events, each replica's
+// report (serve_digest.hh) and the bytes of the merged stats JSON.
+// Four replicas serve behind the autoscaler (replica 3 starts parked)
+// while replica 0 runs a Cascade plan, so routing, scaling, evictions
+// and sheds all feed the digest. The constants pin the fleet's output;
+// they must never be regenerated to make a fleet change pass.
+
+TEST(FleetDigest, EveryRouterPolicyUnderCascadeAndAutoscaler)
+{
+    const System sys = System::make(testSystemConfig());
+    FaultScenarioSpec spec;
+    spec.startIteration = 10;
+    spec.spacing = 10;
+
+    FleetConfig fc;
+    ReplicaConfig rc;
+    rc.system = testSystemConfig();
+    rc.serve = testServeConfig(ArrivalKind::Bursty, 19);
+    fc.replicas = {rc, rc, rc, rc};
+    fc.replicas[0].serve.faults = makeFaultScenario(
+        FaultScenarioKind::Cascade, sys.mapping().topology(), spec);
+    fc.replicas[0].serve.slo.ttft = 0.05;
+    fc.replicas[3].startParked = true;
+    fc.arrival = rc.serve.arrival;
+    fc.arrival.ratePerSec = 600.0;
+    fc.numRequests = 96;
+    fc.routerSeed = 5;
+    fc.autoscaler.enabled = true;
+    fc.autoscaler.evalPeriodSec = 0.02;
+    fc.autoscaler.spinUpDelaySec = 0.05;
+    fc.autoscaler.scaleUpThreshold = 4.0;
+    fc.autoscaler.scaleDownThreshold = 0.5;
+
+    const std::pair<RouterPolicy, std::uint64_t> pinned[] = {
+        {RouterPolicy::RoundRobin, 0xefb724c0faeb6d87ULL},
+        {RouterPolicy::LeastKvPressure, 0xb417d94ec0e9adf0ULL},
+        {RouterPolicy::LeastQueueDepth, 0xbdee580859ac930dULL},
+        {RouterPolicy::PowerOfTwo, 0xd5c8086490894193ULL},
+        {RouterPolicy::ScenarioAffinity, 0xb30b2f1b809dc92eULL},
+    };
+    ASSERT_EQ(std::size(pinned), allRouterPolicies().size());
+    for (const auto &[policy, expected] : pinned) {
+        fc.router = policy;
+        FleetSimulator fleet(fc);
+        const FleetReport r = fleet.run();
+        EXPECT_GT(r.replicas[0].faultEventsApplied, 0);
+
+        std::uint64_t h = digest::kOffset;
+        for (const int x : r.dispatched)
+            digest::mixInt(h, x);
+        for (const int x :
+             {r.totalRequests, r.frontDoorShed, r.completedRequests,
+              r.shedRequests, r.failedRequests, r.retriesTotal,
+              r.iterationsTotal})
+            digest::mixInt(h, x);
+        for (const double x :
+             {r.ttftP50, r.ttftP95, r.ttftP99, r.tpotP50, r.tpotP95,
+              r.tpotP99, r.latencyP50, r.latencyP99,
+              r.throughputTokensPerSec, r.goodputRequestsPerSec,
+              r.sloAttainment, r.makespan})
+            digest::mixDouble(h, x);
+        for (const ScaleEvent &e : r.scaleEvents) {
+            digest::mixDouble(h, e.time);
+            digest::mixInt(h, e.replica);
+            digest::mixInt(h, static_cast<std::int64_t>(e.kind));
+        }
+        for (const ServeReport &rep : r.replicas)
+            mixServeReport(h, rep);
+        digest::mixBytes(h, fleet.stats().toJson());
+        EXPECT_EQ(h, expected)
+            << routerPolicyName(policy) << " 0x" << std::hex << h;
+    }
 }
 
 // -------------------------------------------------- fleet sweep cells ----

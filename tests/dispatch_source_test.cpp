@@ -21,23 +21,12 @@
 #include <cstdint>
 #include <string>
 
+#include "digest.hh"
 #include "dispatch_reference.hh"
 
 using namespace moentwine;
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-
-/** FNV-1a 64 over @p v as 8 little-endian bytes. */
-void
-mix(std::uint64_t &h, std::uint64_t v)
-{
-    for (int b = 0; b < 8; ++b) {
-        h ^= (v >> (8 * b)) & 0xffu;
-        h *= 0x100000001b3ULL;
-    }
-}
 
 /**
  * Digest of every dispatch source of @p m: all-gather off then on,
@@ -46,12 +35,12 @@ mix(std::uint64_t &h, std::uint64_t v)
 std::uint64_t
 dispatchDigest(const Mapping &m)
 {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = digest::kOffset;
     for (const bool ag : {false, true})
         for (int g = 0; g < m.dp(); ++g)
             for (int r = 0; r < m.tp(); ++r)
                 for (DeviceId d = 0; d < m.numDevices(); ++d)
-                    mix(h, static_cast<std::uint64_t>(
+                    digest::mix(h, static_cast<std::uint64_t>(
                                m.dispatchSource(g, r, d, ag)));
     return h;
 }

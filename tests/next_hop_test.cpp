@@ -23,43 +23,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <thread>
 #include <vector>
 
 #include "core/moentwine.hh"
 #include "fault/fault.hh"
+#include "digest.hh"
 #include "watchdog.hh"
 
 using namespace moentwine;
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-
-/** FNV-1a 64 over @p v as 8 little-endian bytes. */
-void
-mix(std::uint64_t &h, std::uint64_t v)
-{
-    for (int b = 0; b < 8; ++b) {
-        h ^= (v >> (8 * b)) & 0xffu;
-        h *= 0x100000001b3ULL;
-    }
-}
-
-void
-mix(std::uint64_t &h, double v)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    mix(h, bits);
-}
-
-void
-mixInt(std::uint64_t &h, int v)
-{
-    mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
-}
+using digest::mixDouble;
+using digest::mixInt;
 
 /**
  * Digest of every ordered device pair: walked links, hop count, and the
@@ -68,17 +45,17 @@ mixInt(std::uint64_t &h, int v)
 std::uint64_t
 routingDigest(const Topology &topo)
 {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = digest::kOffset;
     for (DeviceId s = 0; s < topo.numDevices(); ++s) {
         for (DeviceId d = 0; d < topo.numDevices(); ++d) {
             for (const LinkId l : topo.walk(s, d))
                 mixInt(h, l);
             const int hops = topo.hops(s, d);
             mixInt(h, hops);
-            mix(h, topo.pathLatency(s, d));
-            mix(h, topo.pathInvBandwidthSum(s, d));
+            mixDouble(h, topo.pathLatency(s, d));
+            mixDouble(h, topo.pathInvBandwidthSum(s, d));
             if (hops > 0)
-                mix(h, topo.pathBandwidth(s, d));
+                mixDouble(h, topo.pathBandwidth(s, d));
         }
     }
     return h;
@@ -112,14 +89,14 @@ engineDigest(const SystemConfig &sc, BalancerKind balancer)
     ec.beta = 3;
     const System sys = System::make(sc);
     InferenceEngine engine(sys.mapping(), ec);
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = digest::kOffset;
     for (const IterationStats &s : engine.run(20)) {
         for (const double v :
              {s.attnCompute, s.allReduce, s.dispatch, s.combine, s.moeTime,
               s.moeComputeOnly, s.moeMemoryOnly, s.epAllReduce,
               s.migrationOverhead, s.loadMax, s.loadAvg, s.imbalance,
               s.faultRecoveryTime})
-            mix(h, v);
+            mixDouble(h, v);
         for (const int v : {s.migrationsPlanned, s.migrationsCompleted,
                             s.migrationsPending, s.faultEventsApplied})
             mixInt(h, v);

@@ -10,15 +10,20 @@
  *    per-request metrics across runs, and serve sweep cells under
  *    SweepRunner --jobs 2 byte-compare against --jobs 1;
  *  - engine demand coupling: the fixed-budget step() is exactly the
- *    demand overload with the configured budget.
+ *    demand overload with the configured budget;
+ *  - pinned digests (ServeDigest.*) of a fault-free Bursty run and of
+ *    a Cascade run that evicts and sheds: report, trace and stats.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <vector>
 
 #include "core/moentwine.hh"
+#include "fault/fault.hh"
+#include "serve_digest.hh"
 #include "sweep/sweep.hh"
 #include "watchdog.hh"
 
@@ -443,6 +448,64 @@ TEST(ServeLoop, SingleRequestStreamDrivesLoopToCompletion)
     EXPECT_GT(report.makespan, 0.0);
     EXPECT_EQ(report.ttftP50, report.ttftP99); // singleton percentile
     EXPECT_GT(report.sloAttainment, 0.0);
+}
+
+// -------------------------------------------------- pinned digests ----
+//
+// FNV-1a digests of whole served runs: every score field, the
+// iteration count, each request's admit/first-token/finish times,
+// outcome and retries, every trace point, and the bytes of the
+// published stats JSON. The Cascade run evicts residents of lost
+// devices and sheds, so the digest covers the fault response too.
+// The constants pin the serving layer's output; they must never be
+// regenerated to make a serving change pass.
+
+namespace {
+
+/** Digest of one ServeSimulator run; @p out receives its report. */
+std::uint64_t
+serveRunDigest(const ServeConfig &sc, ServeReport &out)
+{
+    ServeSimulator sim(testSystem().mapping(), sc);
+    out = sim.run();
+    std::uint64_t h = digest::kOffset;
+    mixServeReport(h, out);
+    digest::mixBytes(h, sim.stats().toJson());
+    return h;
+}
+
+} // namespace
+
+TEST(ServeDigest, FaultFreeBurstyRun)
+{
+    const ServeConfig sc = testServeConfig(
+        ArrivalKind::Bursty, BalancerKind::NonInvasive, 7);
+    ServeReport r;
+    const std::uint64_t h = serveRunDigest(sc, r);
+    EXPECT_EQ(r.faultEventsApplied, 0);
+    EXPECT_EQ(h, 0x6e76b31e497f4434ULL) << std::hex << h;
+}
+
+TEST(ServeDigest, CascadeRunEvictsAndSheds)
+{
+    ServeConfig sc = testServeConfig(
+        ArrivalKind::Poisson, BalancerKind::NonInvasive, 11);
+    sc.arrival.ratePerSec = 800.0; // a backlog the TTFT shed bound cuts
+    sc.numRequests = 80;
+    sc.slo.ttft = 0.02;
+    sc.scheduler.kvBudgetTokens = 16384;
+    sc.scheduler.maxRunningRequests = 48; // several residents per device
+    FaultScenarioSpec spec;
+    spec.startIteration = 5;
+    spec.spacing = 10;
+    sc.faults = makeFaultScenario(FaultScenarioKind::Cascade,
+                                  testSystem().mapping().topology(), spec);
+    ServeReport r;
+    const std::uint64_t h = serveRunDigest(sc, r);
+    EXPECT_GT(r.faultEventsApplied, 0);
+    EXPECT_GT(r.retriesTotal, 0);
+    EXPECT_GT(r.shedRequests, 0);
+    EXPECT_EQ(h, 0xe88ed4a1c76ad210ULL) << std::hex << h;
 }
 
 // ----------------------------------------------------- sweep cells ----

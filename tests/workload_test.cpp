@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <numeric>
 
+#include "digest.hh"
 #include "workload/scenario.hh"
 #include "workload/workload.hh"
 
@@ -43,21 +44,6 @@ sampleMultinomial(Rng &rng, const std::vector<double> &weights, int draws)
     return counts;
 }
 
-/** FNV-1a 64 over every count, each as 8 little-endian bytes. */
-void
-fnv1a(std::uint64_t &h, const std::vector<std::vector<int>> &counts)
-{
-    for (const auto &row : counts) {
-        for (const int c : row) {
-            const auto v = static_cast<std::uint64_t>(c);
-            for (int b = 0; b < 8; ++b) {
-                h ^= (v >> (8 * b)) & 0xffu;
-                h *= 0x100000001b3ULL;
-            }
-        }
-    }
-}
-
 /** Digest of 64 sampleCountsInto() calls with varying token counts. */
 std::uint64_t
 gatingDigest(GatingMode mode, int experts)
@@ -70,10 +56,12 @@ gatingDigest(GatingMode mode, int experts)
     cfg.seed = 42;
     WorkloadGenerator gen(cfg);
     std::vector<std::vector<int>> counts;
-    std::uint64_t h = 0xcbf29ce484222325ULL;
+    std::uint64_t h = digest::kOffset;
     for (int it = 0; it < 64; ++it) {
         gen.sampleCountsInto(it, 0, 1 + (it * 37) % 301, 4, counts);
-        fnv1a(h, counts);
+        for (const auto &row : counts)
+            for (const int c : row)
+                digest::mixInt(h, c);
     }
     return h;
 }
