@@ -42,22 +42,6 @@ using namespace moentwine;
 
 namespace {
 
-const char *
-balancerName(BalancerKind kind)
-{
-    switch (kind) {
-      case BalancerKind::None:
-        return "None";
-      case BalancerKind::NonInvasive:
-        return "Non-invasive";
-      case BalancerKind::Greedy:
-        return "Greedy";
-      case BalancerKind::TopologyAware:
-        return "Topo-aware";
-    }
-    return "?";
-}
-
 /**
  * Stream seed of a cell: a function of the arrival axis only, so every
  * (balancer, fault) pair of one arrival column serves the exact same
@@ -169,7 +153,7 @@ main(int argc, char **argv)
         SweepResult row;
         row.label = faultScenarioName(cell.point.faultScenario()) +
             " | " + arrivalKindName(cell.point.arrivalKind()) + " | " +
-            balancerName(cell.point.balancerKind());
+            balancerKindName(cell.point.balancerKind());
         row.add("goodput_rps", r.goodputRequestsPerSec);
         row.add("throughput_tps", r.throughputTokensPerSec);
         row.add("ttft_p99_ms", r.ttftP99 * 1e3);
@@ -190,7 +174,7 @@ main(int argc, char **argv)
         for (std::size_t b = 0; b < grid.balancers.size(); ++b) {
             std::printf("-- %s arrivals | %s balancer --\n",
                         arrivalKindName(grid.arrivals[a]).c_str(),
-                        balancerName(grid.balancers[b]));
+                        balancerKindName(grid.balancers[b]));
             Table t({"scenario", "goodput (req/s)", "p99 TTFT (ms)",
                      "p99 latency (ms)", "SLO att.", "shed/failed",
                      "retries", "live min"});

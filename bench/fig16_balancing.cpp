@@ -41,22 +41,6 @@ using namespace moentwine;
 namespace {
 
 const char *
-kindName(BalancerKind kind)
-{
-    switch (kind) {
-      case BalancerKind::None:
-        return "None";
-      case BalancerKind::Greedy:
-        return "Greedy";
-      case BalancerKind::TopologyAware:
-        return "Topo-aware";
-      case BalancerKind::NonInvasive:
-        return "Non-invasive";
-    }
-    return "?";
-}
-
-const char *
 scheduleName(SchedulingMode mode)
 {
     switch (mode) {
@@ -112,7 +96,7 @@ main(int argc, char **argv)
         row.label = ec.model.name + std::string(" | ") +
             scheduleName(ec.schedule) + " | " +
             gatingName(ec.workload.mode) + " | " +
-            kindName(ec.balancer);
+            balancerKindName(ec.balancer);
         row.add("a2a_us", a2a.mean() * 1e6);
         row.add("moe_us", moe.mean() * 1e6);
         row.add("migration_us",
@@ -136,7 +120,7 @@ main(int argc, char **argv)
                     const SweepResult &r = rows[grid.at(
                         static_cast<int>(m), 0, -1, static_cast<int>(b),
                         static_cast<int>(s), static_cast<int>(g))];
-                    t.addRow({kindName(grid.balancers[b]),
+                    t.addRow({balancerKindName(grid.balancers[b]),
                               Table::num(r.metric("a2a_us"), 1),
                               Table::num(r.metric("moe_us"), 1),
                               Table::num(r.metric("migration_us"), 2),

@@ -38,22 +38,6 @@ using namespace moentwine;
 
 namespace {
 
-const char *
-balancerName(BalancerKind kind)
-{
-    switch (kind) {
-      case BalancerKind::None:
-        return "None";
-      case BalancerKind::Greedy:
-        return "Greedy";
-      case BalancerKind::TopologyAware:
-        return "Topo-aware";
-      case BalancerKind::NonInvasive:
-        return "Non-invasive";
-    }
-    return "?";
-}
-
 /**
  * Stream seed of a cell: shared by every balancer serving the same
  * (arrival, rate) pair so latency differences are attributable to the
@@ -181,7 +165,7 @@ main(int argc, char **argv)
         row.label = arrivalKindName(cell.point.arrivalKind()) + " r=" +
             std::to_string(
                 static_cast<int>(cell.point.parameter())) +
-            " | " + balancerName(cell.point.balancerKind());
+            " | " + balancerKindName(cell.point.balancerKind());
         row.add("rate_rps", cell.point.parameter());
         row.add("ttft_p50_ms", r.ttftP50 * 1e3);
         row.add("ttft_p99_ms", r.ttftP99 * 1e3);
@@ -212,7 +196,7 @@ main(int argc, char **argv)
                 const SweepResult &r = rows[grid.at(
                     -1, 0, -1, static_cast<int>(b), -1, -1,
                     static_cast<int>(p), static_cast<int>(a))];
-                t.addRow({balancerName(grid.balancers[b]),
+                t.addRow({balancerKindName(grid.balancers[b]),
                           Table::num(r.metric("ttft_p50_ms"), 1) + " / " +
                               Table::num(r.metric("ttft_p99_ms"), 1),
                           Table::num(r.metric("tpot_p50_ms"), 2) + " / " +

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/logging.hh"
-#include "common/stats.hh"
 
 namespace moentwine {
 
@@ -343,35 +342,21 @@ FleetSimulator::run()
         }
     }
 
-    // Per-replica reports in replica-id order; the fleet-wide
-    // percentile samples accumulate in the same order so the merge is
-    // deterministic.
-    Summary ttft;
-    Summary tpot;
-    Summary latency;
-    double outputTokens = 0.0;
-    int good = 0;
+    // Per-replica reports in replica-id order; the fleet score merges
+    // their requests in the same order, so it is deterministic.
+    std::vector<RequestMetrics> requests;
     report.replicas.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
         ServeReport r =
             reps[static_cast<std::size_t>(i)].loop->finalize();
         report.iterationsTotal += r.iterations;
         report.makespan = std::max(report.makespan, r.makespan);
-        report.shedRequests += r.shedRequests;
-        report.failedRequests += r.failedRequests;
-        report.retriesTotal += r.retriesTotal;
-        for (const RequestMetrics &m : r.requests) {
-            if (m.outcome != RequestOutcome::Completed)
-                continue;
-            ++report.completedRequests;
-            ttft.add(m.ttft());
-            tpot.add(m.tpot());
-            latency.add(m.latency());
-            outputTokens += m.outputTokens;
-            good += cfg_.slo.met(m);
-        }
+        requests.insert(requests.end(), r.requests.begin(),
+                        r.requests.end());
         report.replicas.push_back(std::move(r));
     }
+    static_cast<ServeScore &>(report) = scoreRequests(
+        requests, cfg_.slo, report.makespan, report.totalRequests);
     // Request conservation: every generated request is shed at the
     // front door or ends in exactly one replica outcome, and every
     // replica reports each request dispatched to it.
@@ -386,25 +371,6 @@ FleetSimulator::run()
                        " reports a different request count than was "
                        "dispatched to it");
     }
-    if (ttft.count() > 0) {
-        report.ttftP50 = ttft.percentile(50.0);
-        report.ttftP95 = ttft.percentile(95.0);
-        report.ttftP99 = ttft.percentile(99.0);
-        report.tpotP50 = tpot.percentile(50.0);
-        report.tpotP95 = tpot.percentile(95.0);
-        report.tpotP99 = tpot.percentile(99.0);
-        report.latencyP50 = latency.percentile(50.0);
-        report.latencyP99 = latency.percentile(99.0);
-    }
-    if (report.makespan > 0.0) {
-        report.throughputTokensPerSec =
-            outputTokens / report.makespan;
-        report.goodputRequestsPerSec = good / report.makespan;
-    }
-    report.sloAttainment = report.totalRequests > 0
-        ? static_cast<double>(good) /
-            static_cast<double>(report.totalRequests)
-        : 0.0;
 
     std::vector<StatRegistry> parts;
     parts.reserve(static_cast<std::size_t>(n) + 1);

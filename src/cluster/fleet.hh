@@ -21,6 +21,11 @@
  * pure function of the configuration: equal configs produce byte-
  * identical fleet reports for any host, worker count, or run.
  *
+ * The fleet score is scoreRequests() over every replica's requests,
+ * concatenated in replica-id order, against FleetConfig::slo, with
+ * all generated requests (front-door sheds included) as the SLO
+ * attainment denominator.
+ *
  * Determinism contract (pinned by tests/cluster_test.cpp): a fleet of
  * one always-active replica under RoundRobin with the autoscaler off
  * reproduces a bare ServeSimulator run bitwise — same report, same
@@ -100,8 +105,9 @@ struct ScaleEvent
     ScaleEventKind kind = ScaleEventKind::Start;
 };
 
-/** Aggregate fleet metrics of one run. */
-struct FleetReport
+/** Aggregate fleet metrics of one run: the fleet score (see above;
+ *  shedRequests counts replica admission control only) plus these. */
+struct FleetReport : ServeScore
 {
     /** Per-replica serving reports, replica-id order. */
     std::vector<ServeReport> replicas;
@@ -113,29 +119,10 @@ struct FleetReport
     /** Requests no routable replica could ever fit (never entered a
      *  scheduler; counted against SLO attainment). */
     int frontDoorShed = 0;
-    /** Outcome sums across replicas. */
-    int completedRequests = 0;
-    int shedRequests = 0; ///< replica-level admission-control sheds
-    int failedRequests = 0;
-    int retriesTotal = 0;
     /** Engine iterations summed over replicas. */
     int iterationsTotal = 0;
     /** Latest replica virtual clock at the end of the run (s). */
     double makespan = 0.0;
-
-    // Fleet-wide latency percentiles over all completions, merged in
-    // replica-id order (zero when nothing completed).
-    double ttftP50 = 0.0, ttftP95 = 0.0, ttftP99 = 0.0;
-    double tpotP50 = 0.0, tpotP95 = 0.0, tpotP99 = 0.0;
-    double latencyP50 = 0.0, latencyP99 = 0.0;
-
-    /** Output tokens per second of makespan, fleet-wide. */
-    double throughputTokensPerSec = 0.0;
-    /** FleetConfig::slo-satisfying completions per second. */
-    double goodputRequestsPerSec = 0.0;
-    /** SLO-met fraction of totalRequests (front-door sheds count
-     *  against it). */
-    double sloAttainment = 0.0;
 
     /** Autoscaler transitions in processing order. */
     std::vector<ScaleEvent> scaleEvents;

@@ -1,5 +1,7 @@
 #include "cluster/router.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 
 namespace moentwine {
@@ -58,6 +60,23 @@ lessLoaded(const ReplicaPressure &a, const ReplicaPressure &b)
     return a.replica <= b.replica ? a : b;
 }
 
+/**
+ * The eligible replica with the smallest @p key (a lexicographic
+ * pair); the first one wins strict ties. -1 when none is eligible.
+ */
+template <typename Key>
+int
+leastBy(const ServeRequest &r, const std::vector<ReplicaPressure> &pressures,
+        Key key)
+{
+    const ReplicaPressure *best = nullptr;
+    for (const ReplicaPressure &p : pressures) {
+        if (eligible(p, r) && (best == nullptr || key(p) < key(*best)))
+            best = &p;
+    }
+    return best == nullptr ? -1 : best->replica;
+}
+
 } // namespace
 
 RequestRouter::RequestRouter(RouterPolicy policy, std::uint64_t seed)
@@ -85,46 +104,14 @@ RequestRouter::route(const ServeRequest &r,
         }
         return -1;
     }
-    case RouterPolicy::LeastKvPressure: {
-        int best = -1;
-        for (std::size_t i = 0; i < n; ++i) {
-            const ReplicaPressure &p = pressures[i];
-            if (!eligible(p, r))
-                continue;
-            if (best < 0)
-                best = static_cast<int>(i);
-            const ReplicaPressure &b =
-                pressures[static_cast<std::size_t>(best)];
-            if (p.kvFraction < b.kvFraction ||
-                (p.kvFraction == b.kvFraction &&
-                 p.queueDepth < b.queueDepth)) {
-                best = static_cast<int>(i);
-            }
-        }
-        return best < 0
-            ? -1
-            : pressures[static_cast<std::size_t>(best)].replica;
-    }
-    case RouterPolicy::LeastQueueDepth: {
-        int best = -1;
-        for (std::size_t i = 0; i < n; ++i) {
-            const ReplicaPressure &p = pressures[i];
-            if (!eligible(p, r))
-                continue;
-            if (best < 0)
-                best = static_cast<int>(i);
-            const ReplicaPressure &b =
-                pressures[static_cast<std::size_t>(best)];
-            if (p.queueDepth < b.queueDepth ||
-                (p.queueDepth == b.queueDepth &&
-                 p.kvFraction < b.kvFraction)) {
-                best = static_cast<int>(i);
-            }
-        }
-        return best < 0
-            ? -1
-            : pressures[static_cast<std::size_t>(best)].replica;
-    }
+    case RouterPolicy::LeastKvPressure:
+        return leastBy(r, pressures, [](const ReplicaPressure &p) {
+            return std::make_pair(p.kvFraction, p.queueDepth);
+        });
+    case RouterPolicy::LeastQueueDepth:
+        return leastBy(r, pressures, [](const ReplicaPressure &p) {
+            return std::make_pair(p.queueDepth, p.kvFraction);
+        });
     case RouterPolicy::PowerOfTwo: {
         std::vector<const ReplicaPressure *> candidates;
         candidates.reserve(n);

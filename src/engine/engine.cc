@@ -10,6 +10,22 @@
 
 namespace moentwine {
 
+const char *
+balancerKindName(BalancerKind kind)
+{
+    switch (kind) {
+    case BalancerKind::None:
+        return "None";
+    case BalancerKind::Greedy:
+        return "Greedy";
+    case BalancerKind::TopologyAware:
+        return "Topo-aware";
+    case BalancerKind::NonInvasive:
+        return "Non-invasive";
+    }
+    panic("unknown balancer kind");
+}
+
 namespace {
 
 /** PipeMoE-style micro-batch overlap of a compute and a comm stream. */

@@ -52,6 +52,10 @@ enum class BalancerKind
     NonInvasive,   ///< NI-Balancer (hidden migration)
 };
 
+/** Table label of a strategy ("None", "Greedy", "Topo-aware",
+ *  "Non-invasive"). */
+const char *balancerKindName(BalancerKind kind);
+
 /** Iteration composition (Section VI-C evaluates all three). */
 enum class SchedulingMode
 {

@@ -20,14 +20,6 @@ ContinuousBatchScheduler::ContinuousBatchScheduler(
     kvLimit_ = cfg_.kvBudgetTokens;
 }
 
-ContinuousBatchScheduler::ContinuousBatchScheduler(
-    const ServeSchedulerConfig &cfg, std::vector<ServeRequest> requests)
-    : ContinuousBatchScheduler(cfg)
-{
-    for (const ServeRequest &r : requests)
-        push(r);
-}
-
 void
 ContinuousBatchScheduler::push(const ServeRequest &r)
 {

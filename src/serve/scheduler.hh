@@ -52,21 +52,12 @@ class ContinuousBatchScheduler
 {
   public:
     /**
-     * An initially empty stream: requests are handed over one at a
-     * time through push() as an upstream router dispatches them (the
-     * fleet front-end of src/cluster/). Pushing every request before
-     * the first admit() is exactly the vector constructor.
+     * An initially empty stream: requests are handed over through
+     * push(), all up front for a bare serve run or one at a time as
+     * the fleet front-end of src/cluster/ dispatches them.
      * @param cfg Scheduler configuration.
      */
     explicit ContinuousBatchScheduler(const ServeSchedulerConfig &cfg);
-
-    /**
-     * @param cfg      Scheduler configuration.
-     * @param requests Arrival-ordered request stream; copied. Every
-     *                 request must individually fit the KV budget.
-     */
-    ContinuousBatchScheduler(const ServeSchedulerConfig &cfg,
-                             std::vector<ServeRequest> requests);
 
     /**
      * Append the next request of the stream (arrival-ordered: its
@@ -74,13 +65,12 @@ class ContinuousBatchScheduler
      * request must individually fit the full KV budget. Admission
      * only ever considers pushed requests, so a request pushed before
      * the admit() boundary covering its arrival time behaves exactly
-     * as if it had been present from construction — the property the
-     * fleet dispatch path relies on.
+     * as if it had been pushed before the first admit() — the property
+     * the fleet dispatch path relies on.
      */
     void push(const ServeRequest &r);
 
-    /** Requests handed to the scheduler so far (pushed or given at
-     *  construction). */
+    /** Requests pushed so far. */
     int streamSize() const { return static_cast<int>(requests_.size()); }
 
     /** True when every request of the stream has finished. */
@@ -225,8 +215,8 @@ class ContinuousBatchScheduler
 
     /**
      * Completion records, one per request id. Only entries of finished
-     * requests are fully populated; ServeSimulator reads them after
-     * done().
+     * requests are fully populated; ServeLoop::finalize() reads them
+     * after done().
      */
     const std::vector<RequestMetrics> &metrics() const { return metrics_; }
 

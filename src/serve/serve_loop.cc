@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "common/stats.hh"
 #include "fault/fault_injector.hh"
 
 namespace moentwine {
@@ -24,77 +23,6 @@ namespace {
 //    (lost devices take their cache capacity with them).
 constexpr double kShedTtftFactor = 2.0;
 constexpr int kRetryBackoffIterations = 4;
-
-} // namespace
-
-/**
- * Resident-device bookkeeping for fault response: every admitted
- * request lives on one device (where its KV cache sits), assigned
- * deterministically to the live device with the fewest residents
- * (ties to the lowest id). When that device dies, the request dies
- * with it and the scheduler retries or fails it. The home table grows
- * with the pushed stream — a fleet replica does not know its final
- * request count up front.
- */
-class ServeLoop::ResidencyTracker
-{
-  public:
-    explicit ResidencyTracker(int numDevices)
-        : residents_(static_cast<std::size_t>(numDevices), 0)
-    {
-    }
-
-    /** Assign homes to newly admitted (home-less) running requests. */
-    void place(const std::vector<int> &running,
-               const FaultInjector &injector)
-    {
-        for (const int idx : running) {
-            if (static_cast<std::size_t>(idx) >= home_.size())
-                home_.resize(static_cast<std::size_t>(idx) + 1, -1);
-            if (home_[static_cast<std::size_t>(idx)] >= 0)
-                continue;
-            int target = -1;
-            for (std::size_t d = 0; d < residents_.size(); ++d) {
-                if (injector.deviceLost(static_cast<DeviceId>(d)))
-                    continue;
-                if (target < 0 ||
-                    residents_[d] <
-                        residents_[static_cast<std::size_t>(target)]) {
-                    target = static_cast<int>(d);
-                }
-            }
-            MOE_ASSERT(target >= 0, "no live device to home a request");
-            home_[static_cast<std::size_t>(idx)] = target;
-            ++residents_[static_cast<std::size_t>(target)];
-        }
-    }
-
-    /** Release a request's residency (eviction, failure, finish). */
-    void release(int idx)
-    {
-        if (static_cast<std::size_t>(idx) >= home_.size())
-            return;
-        int &h = home_[static_cast<std::size_t>(idx)];
-        if (h >= 0) {
-            --residents_[static_cast<std::size_t>(h)];
-            h = -1;
-        }
-    }
-
-    /** Resident device of a request; -1 when none. */
-    int homeOf(int idx) const
-    {
-        return static_cast<std::size_t>(idx) < home_.size()
-            ? home_[static_cast<std::size_t>(idx)]
-            : -1;
-    }
-
-  private:
-    std::vector<int> home_;
-    std::vector<int> residents_;
-};
-
-namespace {
 
 ServeConfig
 normalizedConfig(ServeConfig cfg)
@@ -146,8 +74,6 @@ ServeLoop::ServeLoop(const Mapping &mapping, const ServeConfig &cfg,
                                                     cfg_.faults);
         injector_->attachStats(stats_);
         engine_.attachFaults(injector_.get());
-        residency_ = std::make_unique<ResidencyTracker>(
-            mapping_.topology().numDevices());
     }
 }
 
@@ -177,15 +103,14 @@ ServeLoop::faultBoundary()
     // injector state this advance produces (its own advanceTo is a
     // no-op at an equal-or-older iteration).
     injector_->advanceTo(sched_.iterationIndex());
-    while (eventTimes_.size() <
-           static_cast<std::size_t>(injector_->appliedEvents())) {
+    for (; faultsTraced_ < injector_->appliedEvents(); ++faultsTraced_) {
         if (trace_ != nullptr) {
             trace_->instant(
                 pidBase_, 1, "fault",
-                describe(cfg_.faults.events[eventTimes_.size()]),
+                describe(cfg_.faults.events[static_cast<std::size_t>(
+                    faultsTraced_)]),
                 now_);
         }
-        eventTimes_.push_back(now_);
     }
     report_.liveDeviceFractionMin = std::min(
         report_.liveDeviceFractionMin, injector_->liveFraction());
@@ -196,9 +121,8 @@ ServeLoop::faultBoundary()
     while (lostSeen_ < lost.size()) {
         const DeviceId dead = lost[lostSeen_++];
         for (const int idx : sched_.runningRequests()) {
-            if (residency_->homeOf(idx) != dead)
+            if (home_[static_cast<std::size_t>(idx)] != dead)
                 continue;
-            residency_->release(idx);
             const RequestMetrics &m =
                 sched_.metrics()[static_cast<std::size_t>(idx)];
             if (m.retries < cfg_.maxRetries) {
@@ -211,6 +135,38 @@ ServeLoop::faultBoundary()
     }
     sched_.setKvBudgetLimit(static_cast<int>(
         cfg_.scheduler.kvBudgetTokens * injector_->liveFraction()));
+}
+
+void
+ServeLoop::placeResidents()
+{
+    // Residents are counted from the running batch itself, so finished,
+    // evicted and failed requests leave with it. A running request is
+    // homeless when newly admitted, or re-admitted after its home died.
+    home_.resize(static_cast<std::size_t>(sched_.streamSize()), -1);
+    std::vector<int> residents(
+        static_cast<std::size_t>(mapping_.topology().numDevices()), 0);
+    std::vector<int> homeless;
+    for (const int idx : sched_.runningRequests()) {
+        const int h = home_[static_cast<std::size_t>(idx)];
+        if (h >= 0 && !injector_->deviceLost(h))
+            ++residents[static_cast<std::size_t>(h)];
+        else
+            homeless.push_back(idx);
+    }
+    for (const int idx : homeless) {
+        int target = -1;
+        for (std::size_t d = 0; d < residents.size(); ++d) {
+            if (injector_->deviceLost(static_cast<DeviceId>(d)))
+                continue;
+            if (target < 0 ||
+                residents[d] < residents[static_cast<std::size_t>(target)])
+                target = static_cast<int>(d);
+        }
+        MOE_ASSERT(target >= 0, "no live device to home a request");
+        home_[static_cast<std::size_t>(idx)] = target;
+        ++residents[static_cast<std::size_t>(target)];
+    }
 }
 
 bool
@@ -240,7 +196,7 @@ ServeLoop::beginIteration()
                 sched_.shedHead(now_);
                 sched_.admit(now_);
             }
-            residency_->place(sched_.runningRequests(), *injector_);
+            placeResidents();
         }
         const IterationDemand demand = sched_.plan();
         if (demand.tokensPerGroup() == 0) {
@@ -301,20 +257,6 @@ ServeLoop::finishIteration()
                          cursor + rec);
         }
     }
-    if (injector_) {
-        // Finished requests free their resident slot.
-        const std::size_t stream = sched_.metrics().size();
-        std::vector<char> stillRunning(stream, 0);
-        for (const int idx : sched_.runningRequests())
-            stillRunning[static_cast<std::size_t>(idx)] = 1;
-        for (std::size_t idx = 0; idx < stream; ++idx) {
-            if (!stillRunning[idx] &&
-                residency_->homeOf(static_cast<int>(idx)) >= 0) {
-                residency_->release(static_cast<int>(idx));
-            }
-        }
-    }
-
     ServeTracePoint point;
     point.time = now_;
     point.queueDepth = sched_.queueDepth();
@@ -366,51 +308,9 @@ ServeLoop::finalize()
     ServeReport report = std::move(report_);
     report.requests = sched_.metrics();
     report.makespan = now_;
-
-    Summary ttft;
-    Summary tpot;
-    Summary latency;
-    double outputTokens = 0.0;
-    int good = 0;
-    for (const RequestMetrics &m : report.requests) {
-        switch (m.outcome) {
-        case RequestOutcome::Completed:
-            ttft.add(m.ttft());
-            tpot.add(m.tpot());
-            latency.add(m.latency());
-            outputTokens += m.outputTokens;
-            good += cfg_.slo.met(m);
-            break;
-        case RequestOutcome::Shed:
-            ++report.shedRequests;
-            break;
-        case RequestOutcome::Failed:
-            ++report.failedRequests;
-            break;
-        }
-        report.retriesTotal += m.retries;
-    }
-    // Zero completions (all shed, or a replica the router never chose)
-    // leave the percentile fields at their zero defaults instead of
-    // indexing an empty sample vector.
-    if (ttft.count() > 0) {
-        report.ttftP50 = ttft.percentile(50.0);
-        report.ttftP95 = ttft.percentile(95.0);
-        report.ttftP99 = ttft.percentile(99.0);
-        report.tpotP50 = tpot.percentile(50.0);
-        report.tpotP95 = tpot.percentile(95.0);
-        report.tpotP99 = tpot.percentile(99.0);
-        report.latencyP50 = latency.percentile(50.0);
-        report.latencyP99 = latency.percentile(99.0);
-    }
-    if (report.makespan > 0.0) {
-        report.throughputTokensPerSec = outputTokens / report.makespan;
-        report.goodputRequestsPerSec = good / report.makespan;
-    }
-    report.sloAttainment = report.requests.empty()
-        ? 0.0
-        : static_cast<double>(good) /
-            static_cast<double>(report.requests.size());
+    static_cast<ServeScore &>(report) =
+        scoreRequests(report.requests, cfg_.slo, report.makespan,
+                      static_cast<int>(report.requests.size()));
 
     if (trace_ != nullptr) {
         // One timeline per request: queued → prefill → decode spans,
@@ -453,55 +353,8 @@ ServeLoop::finalize()
         }
     }
 
-    if (injector_) {
+    if (injector_)
         report.faultEventsApplied = injector_->appliedEvents();
-        // Per-event attribution: serving quality between consecutive
-        // event applications (the -1 window is the pre-fault baseline).
-        for (int w = -1; w < report.faultEventsApplied; ++w) {
-            FaultEventWindow window;
-            window.eventIndex = w;
-            window.event = w < 0
-                ? "baseline"
-                : describe(injector_->plan()
-                               .events[static_cast<std::size_t>(w)]);
-            window.startTime =
-                w < 0 ? 0.0 : eventTimes_[static_cast<std::size_t>(w)];
-            window.endTime = w + 1 < report.faultEventsApplied
-                ? eventTimes_[static_cast<std::size_t>(w + 1)]
-                : report.makespan;
-            Summary windowLatency;
-            for (const RequestMetrics &m : report.requests) {
-                if (m.finishTime < window.startTime ||
-                    m.finishTime >= window.endTime) {
-                    // Half-open [start, end); the final window keeps
-                    // the run-ending completions.
-                    if (!(w + 1 == report.faultEventsApplied &&
-                          m.finishTime == window.endTime))
-                        continue;
-                }
-                switch (m.outcome) {
-                case RequestOutcome::Completed:
-                    ++window.completed;
-                    windowLatency.add(m.latency());
-                    if (cfg_.slo.met(m))
-                        window.goodputRequestsPerSec += 1.0;
-                    break;
-                case RequestOutcome::Shed:
-                    ++window.shed;
-                    break;
-                case RequestOutcome::Failed:
-                    ++window.failed;
-                    break;
-                }
-            }
-            const double span = window.endTime - window.startTime;
-            window.goodputRequestsPerSec =
-                span > 0.0 ? window.goodputRequestsPerSec / span : 0.0;
-            if (windowLatency.count() > 0)
-                window.latencyP99 = windowLatency.percentile(99.0);
-            report.faultWindows.push_back(window);
-        }
-    }
     return report;
 }
 

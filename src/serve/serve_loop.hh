@@ -14,11 +14,11 @@
  *
  * Lifecycle of one iteration:
  *  - beginIteration(): processes the boundary at now() — fault events,
- *    retry re-admission, FIFO admission, SLO-aware shedding — plans
- *    the next batch and, when the plan is non-empty, steps the engine
- *    eagerly (the iteration's duration is a pure function of its
- *    plan, so nothing that happens elsewhere in a fleet before
- *    iterationEnd() can change it). Returns false when the replica
+ *    retry re-admission, FIFO admission, SLO-aware shedding, homing
+ *    new admits — plans the next batch and, when the plan is
+ *    non-empty, steps the engine eagerly (the iteration's duration is
+ *    a pure function of its plan, so nothing that happens elsewhere in
+ *    a fleet before iterationEnd() can change it). Returns false when the replica
  *    has nothing runnable (idle).
  *  - finishIteration(): commits the in-flight plan at iterationEnd(),
  *    records the trace point, and advances now().
@@ -33,6 +33,16 @@
  * every request is pushed no later than the boundary covering its
  * arrival time (the fleet event loop's dispatch-before-completion
  * ordering guarantees exactly that).
+ *
+ * Under a non-empty fault plan every running request lives on one
+ * device, where its KV cache sits. Homes are kept per request and
+ * resident counts are taken from the running batch at each boundary,
+ * so a request that finishes, is evicted or fails simply leaves with
+ * the batch. When a device dies, its residents are evicted to retry
+ * or failed.
+ *
+ * finalize() scores the drained stream with scoreRequests(), the same
+ * function the fleet scores its merged streams with.
  */
 
 #ifndef MOENTWINE_SERVE_SERVE_LOOP_HH
@@ -130,19 +140,24 @@ class ServeLoop
     const ServeConfig &config() const { return cfg_; }
 
     /**
-     * Build the final report: percentiles, SLO goodput, per-request
-     * trace timelines, fault-event attribution windows. Zero requests
-     * or zero completions (an all-shed or never-dispatched replica)
-     * yield all-zero percentile fields, never a panic. Call once,
-     * after the stream is drained.
+     * Build the final report: the stream's scoreRequests() score and
+     * per-request trace timelines. Zero requests or zero completions
+     * (an all-shed or never-dispatched replica) yield all-zero
+     * percentile fields, never a panic. Call once, after the stream is
+     * drained.
      */
     ServeReport finalize();
 
   private:
-    class ResidencyTracker;
-
     /** Fault boundary of the current iteration (no-op when fault-free). */
     void faultBoundary();
+
+    /**
+     * Home every homeless running request on the live device with the
+     * fewest running residents (ties to the lowest id). Faulted runs
+     * only.
+     */
+    void placeResidents();
 
     const Mapping &mapping_;
     ServeConfig cfg_;
@@ -155,9 +170,11 @@ class ServeLoop
     // Fault state: null on an empty plan, which keeps the loop on the
     // exact fault-free code path (bitwise-identical output).
     std::unique_ptr<FaultInjector> injector_;
-    std::unique_ptr<ResidencyTracker> residency_;
-    std::vector<double> eventTimes_; ///< virtual time each event applied
+    /** Device holding each request's KV cache since its last
+     *  admission; -1 before the first. Indexed by stream position. */
+    std::vector<int> home_;
     std::size_t lostSeen_ = 0;
+    int faultsTraced_ = 0; ///< applied fault events already traced
 
     double now_ = 0.0;
     bool inFlight_ = false;

@@ -10,7 +10,9 @@
  * IterationStats::layerTime() × the model's sparse layer count per
  * iteration, turning every steady-state engine figure into a
  * latency/SLO curve: per-request TTFT and TPOT, percentile latency,
- * goodput under an SLO, and queue-depth traces.
+ * goodput under an SLO, and queue-depth traces. scoreRequests() turns
+ * finished request records into those figures (a ServeScore); it is
+ * the one scorer of both ServeReport and the fleet's FleetReport.
  *
  * Drift coupling: when enabled, the scenario mix of the tokens the
  * scheduler actually planned each iteration drives the engine's gating
@@ -22,7 +24,6 @@
 #ifndef MOENTWINE_SERVE_SERVE_SIM_HH
 #define MOENTWINE_SERVE_SERVE_SIM_HH
 
-#include <string>
 #include <vector>
 
 #include "engine/engine.hh"
@@ -53,8 +54,8 @@ struct ServeConfig
 {
     /**
      * Engine configuration. The scheduling mode and fixed token
-     * budgets are ignored (demand is dynamic); the workload gating
-     * mode is forced to MixedScenario so the scenario-affinity
+     * budgets are ignored (demand is dynamic); ServeLoop forces the
+     * workload gating mode to MixedScenario so the scenario-affinity
      * machinery is active.
      */
     EngineConfig engine;
@@ -97,28 +98,47 @@ struct ServeTracePoint
 };
 
 /**
- * Attribution window of one fault event: serving quality between the
- * event's application and the next event (or the end of the run). The
- * window with eventIndex -1 is the pre-fault baseline.
+ * Request-level quality of one served stream, or of a fleet's streams
+ * merged in replica-id order. scoreRequests() is the one place these
+ * fields are computed.
  */
-struct FaultEventWindow
+struct ServeScore
 {
-    /** Index into the fault plan; -1 for the pre-fault baseline. */
-    int eventIndex = -1;
-    /** Human-readable event (faults::describe), "baseline" for -1. */
-    std::string event;
-    /** Window bounds on the virtual clock (s). */
-    double startTime = 0.0, endTime = 0.0;
-    /** Requests completed / shed / failed inside the window. */
-    int completed = 0, shed = 0, failed = 0;
-    /** SLO-satisfying completions per second of window time. */
+    /** Requests served to their last output token. */
+    int completedRequests = 0;
+    /** Requests shed by admission control. */
+    int shedRequests = 0;
+    /** Requests failed after exhausting their retry budget. */
+    int failedRequests = 0;
+    /** Fault-triggered evictions across all requests. */
+    int retriesTotal = 0;
+
+    // Latency percentiles over completions (s; zero when none).
+    double ttftP50 = 0.0, ttftP95 = 0.0, ttftP99 = 0.0;
+    double tpotP50 = 0.0, tpotP95 = 0.0, tpotP99 = 0.0;
+    double latencyP50 = 0.0, latencyP99 = 0.0;
+
+    /** Output tokens per second of makespan. */
+    double throughputTokensPerSec = 0.0;
+    /** SLO-satisfying completions per second of makespan. */
     double goodputRequestsPerSec = 0.0;
-    /** P99 end-to-end latency of completions in the window (s). */
-    double latencyP99 = 0.0;
+    /** SLO-met fraction of the offered requests. */
+    double sloAttainment = 0.0;
 };
 
+/**
+ * Score finished request records against @p slo over @p makespan
+ * seconds. @p offered is the attainment denominator: the records
+ * themselves for one replica, plus the front-door sheds (which have no
+ * record) for a fleet. Zero completions leave the percentiles at zero
+ * and a zero makespan leaves the rates at zero, never a panic.
+ */
+ServeScore scoreRequests(const std::vector<RequestMetrics> &requests,
+                         const SloConfig &slo, double makespan,
+                         int offered);
+
 /** Aggregate serving metrics of one run. */
-struct ServeReport
+struct ServeReport : ServeScore
 {
     /** Completion records in request-id order (all finished). */
     std::vector<RequestMetrics> requests;
@@ -130,35 +150,15 @@ struct ServeReport
     /** Virtual time at which the last request finished (s). */
     double makespan = 0.0;
 
-    // Latency percentiles (s).
-    double ttftP50 = 0.0, ttftP95 = 0.0, ttftP99 = 0.0;
-    double tpotP50 = 0.0, tpotP95 = 0.0, tpotP99 = 0.0;
-    double latencyP50 = 0.0, latencyP99 = 0.0;
-
-    /** Output tokens per second of makespan. */
-    double throughputTokensPerSec = 0.0;
-    /** SLO-satisfying completions per second of makespan. */
-    double goodputRequestsPerSec = 0.0;
-    /** Fraction of requests meeting the SLO. */
-    double sloAttainment = 0.0;
-
     // Queue-depth and KV-occupancy aggregates live in the simulator's
     // StatRegistry ("serve.queue.depth", "serve.kv.reserved_tokens")
     // instead of bespoke report fields — read ServeSimulator::stats().
 
-    // Fault accounting (all zero / empty on a fault-free run).
-    /** Requests shed by admission control. */
-    int shedRequests = 0;
-    /** Requests failed after exhausting their retry budget. */
-    int failedRequests = 0;
-    /** Fault-triggered evictions across all requests. */
-    int retriesTotal = 0;
+    // Fault accounting (unchanged on a fault-free run).
     /** Fault-plan events applied during the run. */
     int faultEventsApplied = 0;
     /** Lowest live-device fraction seen during the run. */
     double liveDeviceFractionMin = 1.0;
-    /** Per-event serving-quality attribution (baseline first). */
-    std::vector<FaultEventWindow> faultWindows;
 };
 
 /**
@@ -176,9 +176,6 @@ class ServeSimulator
 
     /** Run the stream to completion and report. Call once. */
     ServeReport run();
-
-    /** The configuration in use (after normalisation). */
-    const ServeConfig &config() const { return cfg_; }
 
     /**
      * Stats the run published (src/obs/): "serve.queue.depth" and

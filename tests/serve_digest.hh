@@ -19,12 +19,9 @@ inline void
 mixServeReport(std::uint64_t &h, const moentwine::ServeReport &r)
 {
     using namespace moentwine;
-    int completed = 0;
-    for (const RequestMetrics &m : r.requests)
-        completed += m.outcome == RequestOutcome::Completed;
-    for (const int x : {completed, r.shedRequests, r.failedRequests,
-                        r.retriesTotal, r.iterations,
-                        r.faultEventsApplied})
+    for (const int x :
+         {r.completedRequests, r.shedRequests, r.failedRequests,
+          r.retriesTotal, r.iterations, r.faultEventsApplied})
         digest::mixInt(h, x);
     for (const double x :
          {r.ttftP50, r.ttftP95, r.ttftP99, r.tpotP50, r.tpotP95,

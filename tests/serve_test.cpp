@@ -161,7 +161,9 @@ TEST(Scheduler, KvBudgetNeverOverflowsAndFifoHolds)
     cfg.kvBudgetTokens = 2048; // tight: forces queueing
     cfg.maxRunningRequests = 8;
     cfg.prefillChunkTokens = 128;
-    ContinuousBatchScheduler sched(cfg, reqs);
+    ContinuousBatchScheduler sched(cfg);
+    for (const ServeRequest &r : reqs)
+        sched.push(r);
 
     double now = 0.0;
     int guard = 0;
@@ -223,7 +225,9 @@ TEST(Scheduler, PressureAccessorsMatchRegistryBitwise)
     cfg.maxRunningRequests = 8;
     cfg.prefillChunkTokens = 128;
     StatRegistry stats;
-    ContinuousBatchScheduler sched(cfg, reqs);
+    ContinuousBatchScheduler sched(cfg);
+    for (const ServeRequest &r : reqs)
+        sched.push(r);
     sched.attachStats(&stats);
 
     double now = 0.0;
