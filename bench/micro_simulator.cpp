@@ -51,9 +51,11 @@ BENCHMARK(BM_RingAllReduce)->Arg(4)->Arg(8);
 /**
  * Gating: one sampleCountsInto() per iteration over 4 DP groups.
  * Args: gating mode (0 Balanced, 1 SingleScenario, 2 MixedScenario),
- * experts, tokens per group. Items are alias draws (tokens × top-k ×
- * groups), so items/s is draws per second. Tokens 1-16 are small
- * decode batches with fewer draws per group than experts.
+ * experts, tokens per group. Items are token·top-k slots (tokens ×
+ * top-k × groups), so items/s is slots placed per second, whatever mix
+ * of binomials and alias draws placed them. Tokens 1-16 are small
+ * decode batches with fewer slots per group than experts; 384 is
+ * paper_grid's Hybrid schedule (3072 slots per group).
  */
 void
 BM_Gating(benchmark::State &state)
@@ -80,7 +82,7 @@ BM_Gating(benchmark::State &state)
 }
 BENCHMARK(BM_Gating)
     ->ArgNames({"mode", "experts", "tokens"})
-    ->ArgsProduct({{0, 1, 2}, {128, 256}, {1, 4, 16, 128, 1024}});
+    ->ArgsProduct({{0, 1, 2}, {128, 256}, {1, 4, 16, 128, 384, 1024}});
 
 /**
  * Token routing: one aggregated routeTokens() per iteration into one

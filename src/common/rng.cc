@@ -6,26 +6,14 @@
 
 namespace moentwine {
 
-namespace {
-
-/** splitmix64 step, used only for seeding the main state. */
-uint64_t
-splitmix64(uint64_t &x)
-{
-    x += 0x9E3779B97F4A7C15ULL;
-    uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-}
-
-} // namespace
-
 Rng::Rng(uint64_t seed)
 {
+    // The splitmix64 sequence from seed: one Weyl step per state word.
     uint64_t sm = seed;
-    for (auto &s : state_)
+    for (auto &s : state_) {
         s = splitmix64(sm);
+        sm += 0x9E3779B97F4A7C15ULL;
+    }
 }
 
 double

@@ -20,6 +20,20 @@
 namespace moentwine {
 
 /**
+ * splitmix64 output for state @p x: a bijective 64-bit mixer, used to
+ * seed Rng and to hash stream keys such as (seed, iteration, layer,
+ * group) into one seed.
+ */
+inline uint64_t
+splitmix64(uint64_t x)
+{
+    uint64_t z = x + 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/**
  * Deterministic random number generator (xoshiro256** / splitmix64 seed).
  */
 class Rng
@@ -28,7 +42,8 @@ class Rng
     /** Construct from a 64-bit seed; equal seeds yield equal streams. */
     explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-    /** Next raw 64-bit value. Inline: gating draws it per token. */
+    /** Next raw 64-bit value. Inline: gating's alias and binomial
+     *  kernels draw it in their inner loops. */
     uint64_t next()
     {
         const uint64_t result = rotl(state_[1] * 5, 7) * 9;

@@ -9,15 +9,198 @@ namespace moentwine {
 
 namespace {
 
-// MixedScenario alias-table rebuild cadence: the drifting mixture moves
+// MixedScenario sampler rebuild cadence: the drifting mixture moves
 // slowly (one rotation per mixPeriod iterations), so the sampler
 // tolerates a slightly stale table instead of paying the O(experts)
-// rebuild every iteration. A rebuild is forced when kAliasRebuildPeriod
+// rebuild every iteration. A rebuild is forced when kRebuildPeriod
 // iterations passed since the last one, or earlier when the L1 distance
 // of the scenario mixture weights (Σ|m_i − m_i'|, in [0, 2]) from the
-// last build exceeds kAliasDriftTolerance.
-constexpr int kAliasRebuildPeriod = 16;
-constexpr double kAliasDriftTolerance = 0.1;
+// last build exceeds kDriftTolerance.
+constexpr int kRebuildPeriod = 16;
+constexpr double kDriftTolerance = 0.1;
+
+// GatingSampler's head/tail switch: cuts at every kCutGrid-th of the
+// ranks, and one head binomial costs about as much as
+// kBinomialAliasDraws alias draws (both picked by timing the sampler
+// per group at 128 and 256 experts and 128-8192 slots; BM_Gating
+// covers the same range). At a cut the tail takes over once the next
+// cut's ranks would place fewer slots per binomial than that, in
+// expectation. Weights descend along the ranks, so later ranks would
+// place fewer still.
+constexpr int kCutGrid = 16;
+constexpr double kBinomialAliasDraws = 16.0;
+
+// Inversion covers n·q < 10; its search stops at kInversionMax, where
+// the Binomial(n, q ≤ ½) tail beyond is below 1e-20, and redraws.
+constexpr int kInversionMax = 64;
+
+struct Reciprocals
+{
+    double of[kInversionMax + 1] = {};
+    constexpr Reciprocals()
+    {
+        for (int k = 1; k <= kInversionMax; ++k)
+            of[k] = 1.0 / k;
+    }
+};
+constexpr Reciprocals kRecip{};
+
+/** The kernels' parameters for success probability q ≤ ½. */
+BinomialParam
+reflect(double q)
+{
+    return {q, q / (1.0 - q), std::log1p(-q)};
+}
+
+/** Binomial(n, q) by sequential search from k = 0; n·q < 10. */
+int
+binomialInversion(Rng &rng, int n, const BinomialParam &bp)
+{
+    const double r = bp.r;
+    const double g = r * (n + 1);
+    const double f0 = std::exp(n * bp.log1mq); // P(0) = (1 − q)^n
+    const int bound = std::min(n, kInversionMax);
+    for (;;) {
+        double u = rng.uniform();
+        double f = f0;
+        int k = 0;
+        // P(k) = P(k − 1) · (n − k + 1)/k · q/(1 − q).
+        while (u > f && k < bound) {
+            u -= f;
+            ++k;
+            f *= g * kRecip.of[k] - r;
+        }
+        if (u <= f)
+            return k;
+    }
+}
+
+/** log(k!) − [(k + ½)·log(k + 1) − (k + 1) + ½·log(2π)]. */
+double
+stirlingTail(double k)
+{
+    static constexpr double kTable[10] = {
+        0.0810614667953272,  0.0413406959554092,  0.0276779256849983,
+        0.02079067210376509, 0.0166446911898211,  0.0138761288230707,
+        0.0118967099458917,  0.0104112652619720,  0.00925546218271273,
+        0.00833056343336287};
+    if (k <= 9.0)
+        return kTable[static_cast<int>(k)];
+    const double kp1sq = (k + 1.0) * (k + 1.0);
+    return (1.0 / 12 - (1.0 / 360 - 1.0 / 1260 / kp1sq) / kp1sq) /
+        (k + 1.0);
+}
+
+/**
+ * Binomial(n, q) by BTRD, the transformed rejection with decomposition
+ * of Hörmann, "The generation of binomial random variates", J. Stat.
+ * Comput. Simul. 46 (1993); n·q ≥ 10, q ≤ ½. Step numbers follow the
+ * paper.
+ */
+int
+binomialBtrd(Rng &rng, int n, const BinomialParam &bp)
+{
+    const double q = bp.q;
+    const double r = bp.r;
+    const double nd = n;
+    const double m = static_cast<int>((nd + 1.0) * q); // the mode
+    const double nr = (nd + 1.0) * r;
+    const double npq = nd * q * (1.0 - q);
+    const double sqrtNpq = std::sqrt(npq);
+    const double b = 1.15 + 2.53 * sqrtNpq;
+    const double a = -0.0873 + 0.0248 * b + 0.01 * q;
+    const double c = nd * q + 0.5;
+    const double alpha = (2.83 + 5.1 / b) * sqrtNpq;
+    const double vr = 0.92 - 4.2 / b;
+    const double urvr = 0.86 * vr;
+    for (;;) {
+        // 1: the triangle in the middle, accepted without a test.
+        double v = rng.uniform();
+        if (v <= urvr) {
+            const double u = v / vr - 0.43;
+            const double x = (2.0 * a / (0.5 - std::abs(u)) + b) * u + c;
+            if (x >= 0.0 && x < nd + 1.0)
+                return static_cast<int>(x);
+            continue;
+        }
+        // 2: a point of the hat outside the triangle.
+        double u;
+        if (v >= vr) {
+            u = rng.uniform() - 0.5;
+        } else {
+            u = v / vr - 0.93;
+            u = (u < 0.0 ? -0.5 : 0.5) - u;
+            v = rng.uniform() * vr;
+        }
+        // 3.0: the candidate k = ⌊x⌋, range-checked as a double (us can
+        // be 0, and a huge or NaN x must not reach the int conversion,
+        // which truncates, i.e. floors, the x ≥ 0 that pass).
+        const double us = 0.5 - std::abs(u);
+        const double x = (2.0 * a / us + b) * u + c;
+        if (!(x >= 0.0 && x < nd + 1.0))
+            continue;
+        const int k = static_cast<int>(x);
+        const double kd = k;
+        v = v * alpha / (a / (us * us) + b);
+        const double km = std::abs(kd - m);
+        if (km <= 15.0) {
+            // 3.1: f(k)/f(m) = Π (nr/i − r) by recursion, with the
+            // factors' numerators nr − r·i and denominators i kept
+            // apart, so the test takes no division.
+            double num = 1.0;
+            double den = 1.0;
+            const double lo = std::min(kd, m);
+            for (double i = lo + 1.0; i <= lo + km; i += 1.0) {
+                num *= nr - r * i;
+                den *= i;
+            }
+            if (kd > m ? v * den <= num : v * num <= den)
+                return k;
+            continue;
+        }
+        // 3.2: squeeze on log f(k)/f(m).
+        v = std::log(v);
+        const double rho = (km / npq) *
+            (((km / 3.0 + 0.625) * km + 1.0 / 6.0) * km + 0.5);
+        const double t = -km * km / (2.0 * npq);
+        if (v < t - rho)
+            return k;
+        if (v > t + rho)
+            continue;
+        // 3.3: the exact test, with Stirling tails.
+        const double nm = nd - m + 1.0;
+        const double h = (m + 0.5) * std::log((m + 1.0) / (r * nm)) +
+            stirlingTail(m) + stirlingTail(nd - m);
+        const double nk = nd - kd + 1.0;
+        if (v <= h + (nd + 1.0) * std::log(nm / nk) +
+                (kd + 0.5) * std::log(nk * r / (kd + 1.0)) -
+                stirlingTail(kd) - stirlingTail(nd - kd))
+            return k;
+    }
+}
+
+/** Binomial(n, q) for q ≤ ½. */
+int
+binomialReflected(Rng &rng, int n, const BinomialParam &bp)
+{
+    if (n == 0 || bp.q == 0.0)
+        return 0;
+    return n * bp.q < 10.0 ? binomialInversion(rng, n, bp)
+                           : binomialBtrd(rng, n, bp);
+}
+
+/**
+ * splitmix64 hash of (seed, iteration, layer); group g's gating stream
+ * is seeded by splitmix64(key ^ g).
+ */
+uint64_t
+gatingStreamKey(uint64_t seed, int iteration, int layer)
+{
+    uint64_t h = splitmix64(seed);
+    for (const int part : {iteration, layer})
+        h = splitmix64(h ^ static_cast<uint64_t>(part));
+    return h;
+}
 
 } // namespace
 
@@ -63,10 +246,17 @@ AliasTable::build(const std::vector<double> &weights)
 void
 AliasTable::sampleInto(Rng &rng, int draws, std::vector<int> &row) const
 {
+    MOE_ASSERT(slots_.size() > 0, "sampling an unbuilt alias table");
+    row.assign(slots_.size(), 0);
+    addDraws(rng, draws, row.data());
+}
+
+void
+AliasTable::addDraws(Rng &rng, int draws, int *counts) const
+{
     MOE_ASSERT(draws >= 0, "negative draw count");
     const std::size_t n = slots_.size();
     MOE_ASSERT(n > 0, "sampling an unbuilt alias table");
-    row.assign(n, 0);
 
     // Signed conversions throughout: scaled lies in [0, n], where the
     // int64_t conversions are exact single instructions (the unsigned
@@ -75,7 +265,6 @@ AliasTable::sampleInto(Rng &rng, int draws, std::vector<int> &row) const
     const Slot *slots = slots_.data();
     const std::int64_t last = static_cast<std::int64_t>(n) - 1;
     const double width = static_cast<double>(n);
-    int *counts = row.data();
     for (int d = 0; d < draws; ++d) {
         const double scaled = rng.uniform() * width;
         std::int64_t idx = static_cast<std::int64_t>(scaled);
@@ -93,8 +282,158 @@ AliasTable::sampleInto(Rng &rng, int draws, std::vector<int> &row) const
     }
 }
 
+int
+sampleBinomial(Rng &rng, int n, double p)
+{
+    MOE_ASSERT(n >= 0, "negative binomial trials");
+    MOE_ASSERT(p >= 0.0 && p <= 1.0, "binomial probability out of [0, 1]");
+    const bool flip = p > 0.5;
+    const int k = binomialReflected(rng, n, reflect(flip ? 1.0 - p : p));
+    return flip ? n - k : k;
+}
+
+void
+GatingSampler::build(const std::vector<double> &weights)
+{
+    const std::size_t n = weights.size();
+    MOE_ASSERT(n > 0, "gating sampler over empty weights");
+    double total = 0.0;
+    for (const double w : weights) {
+        MOE_ASSERT(w >= 0.0, "negative weight");
+        total += w;
+    }
+    MOE_ASSERT(total > 0.0, "weights sum to zero");
+    weights_ = weights;
+    cutStride_ = std::max(1, static_cast<int>(n) / kCutGrid);
+    // Cut 0's ranks carry at most cutStride_·w_max of the mass, which
+    // bounds its threshold from below without finding them.
+    const double wMax = *std::max_element(weights.begin(), weights.end());
+    aliasBelow_ = kBinomialAliasDraws * total / wMax;
+
+    placed_.assign(n, 0);
+    ranks_.resize(n);
+    const std::size_t cuts =
+        (n + static_cast<std::size_t>(cutStride_) - 1) /
+        static_cast<std::size_t>(cutStride_);
+    switchBelow_.resize(cuts);
+    preparedCuts_ = 0;
+    tails_.resize(cuts);
+    tailBuilt_.assign(cuts, false);
+}
+
+void
+GatingSampler::prepareCut(int cut)
+{
+    // The cut's ranks: the heaviest cutStride_ experts not yet ranked,
+    // by weight, ties by id, kept in a small descending insertion
+    // buffer over one pass in expert order.
+    const std::size_t n = weights_.size();
+    const auto stride = static_cast<std::size_t>(cutStride_);
+    const std::size_t begin = static_cast<std::size_t>(cut) * stride;
+    const std::size_t size = std::min(stride, n - begin);
+    cutTop_.clear();
+    for (std::size_t e = 0; e < n; ++e) {
+        const double w = weights_[e];
+        const bool full = cutTop_.size() == size;
+        // Equal weights keep id order, so a later expert enters only
+        // when strictly heavier than the buffer's lightest.
+        if (placed_[e] || (full && w <= cutTop_.back().first))
+            continue;
+        if (full)
+            cutTop_.pop_back();
+        auto at = cutTop_.end();
+        while (at != cutTop_.begin() && (at - 1)->first < w)
+            --at;
+        cutTop_.insert(at, {w, static_cast<int>(e)});
+    }
+    for (const auto &[w, e] : cutTop_)
+        placed_[static_cast<std::size_t>(e)] = 1;
+
+    // Conditional probability of each rank given the ranks before it,
+    // p_i / Σ_{j≥i} p_j. The mass after the cut is summed in expert
+    // order and the cut's own from its end, so p_i ≤ Σ_{j≥i} p_j holds
+    // in floating point, and the last positive rank gets exactly 1: a
+    // row's head walk always ends with every slot placed.
+    double rest = 0.0;
+    for (std::size_t e = 0; e < n; ++e)
+        if (!placed_[e])
+            rest += weights_[e];
+    double cutMass = 0.0;
+    for (std::size_t j = size; j-- > 0;) {
+        const auto [w, e] = cutTop_[j];
+        rest += w;
+        cutMass += w;
+        const double p = rest > 0.0 ? w / rest : 0.0;
+        const bool flip = p > 0.5;
+        ranks_[begin + j] = {reflect(flip ? 1.0 - p : p), e, flip};
+    }
+    // Switch here when left·cutMass/rest, the slots the cut's ranks
+    // would place, is at most kBinomialAliasDraws per rank. A zero-mass
+    // cut is never reached with slots left.
+    switchBelow_[static_cast<std::size_t>(cut)] = cutMass > 0.0
+        ? kBinomialAliasDraws * static_cast<double>(size) * rest / cutMass
+        : 0.0;
+    ++preparedCuts_;
+}
+
+const AliasTable &
+GatingSampler::tail(int cut)
+{
+    const auto c = static_cast<std::size_t>(cut);
+    if (!tailBuilt_[c]) {
+        if (cut == 0) {
+            tails_[0].build(weights_);
+        } else {
+            tailWeights_ = weights_;
+            for (int i = 0; i < cut * cutStride_; ++i)
+                tailWeights_[static_cast<std::size_t>(
+                    ranks_[static_cast<std::size_t>(i)].expert)] = 0.0;
+            tails_[c].build(tailWeights_);
+        }
+        tailBuilt_[c] = true;
+    }
+    return tails_[c];
+}
+
+void
+GatingSampler::sampleInto(Rng &rng, int slots, std::vector<int> &row)
+{
+    MOE_ASSERT(slots >= 0, "negative slot count");
+    const int n = static_cast<int>(weights_.size());
+    MOE_ASSERT(n > 0, "sampling an unbuilt gating sampler");
+    row.assign(weights_.size(), 0);
+    if (slots <= aliasBelow_) {
+        // Cut 0: the plain alias table over every expert.
+        tail(0).addDraws(rng, slots, row.data());
+        return;
+    }
+    int left = slots;
+    for (int cut = 0; left > 0; ++cut) {
+        // Unreachable while left > 0: the last positive rank's
+        // conditional probability is exactly 1.
+        MOE_ASSERT(cut < static_cast<int>(switchBelow_.size()),
+                   "gating head walked past the last expert");
+        if (cut == preparedCuts_)
+            prepareCut(cut);
+        if (left <= switchBelow_[static_cast<std::size_t>(cut)]) {
+            // Ranks before the cut are zero in its tail table, so its
+            // draws land only on experts the head has not placed.
+            tail(cut).addDraws(rng, left, row.data());
+            return;
+        }
+        const int end = std::min(n, (cut + 1) * cutStride_);
+        for (int i = cut * cutStride_; i < end && left > 0; ++i) {
+            const Rank &rank = ranks_[static_cast<std::size_t>(i)];
+            const int k = binomialReflected(rng, left, rank.binomial);
+            const int placed = rank.flip ? left - k : k;
+            row[static_cast<std::size_t>(rank.expert)] = placed;
+            left -= placed;
+        }
+    }
+}
+
 WorkloadGenerator::WorkloadGenerator(const WorkloadConfig &cfg)
-    : cfg_(cfg), rng_(cfg.seed)
+    : cfg_(cfg)
 {
     MOE_ASSERT(cfg.numExperts > 0, "numExperts must be positive");
     MOE_ASSERT(cfg.topK > 0 && cfg.topK <= cfg.numExperts,
@@ -225,11 +564,11 @@ WorkloadGenerator::sampleCountsInto(int iteration, int layer,
     MOE_ASSERT(tokensPerGroup >= 0, "negative token count");
     MOE_ASSERT(dpGroups > 0, "dpGroups must be positive");
 
-    // Rebuild the alias table only when the affinity changed enough to
+    // Rebuild the sampler only when the affinity changed enough to
     // matter: once per layer in the fixed regimes; under a drifting
-    // mixture on a coarse cadence — at most every kAliasRebuildPeriod
+    // mixture on a coarse cadence — at most every kRebuildPeriod
     // iterations, earlier when the mixture's L1 drift since the last
-    // build exceeds kAliasDriftTolerance. The mixture rotates once per
+    // build exceeds kDriftTolerance. The mixture rotates once per
     // mixPeriod iterations, so between rebuilds the sampler draws from
     // a boundedly stale distribution (the balancers react on EMAs far
     // slower than that).
@@ -238,51 +577,54 @@ WorkloadGenerator::sampleCountsInto(int iteration, int layer,
     // be drift-checked even at an unchanged iteration index.
     const bool drifting = cfg_.mode == GatingMode::MixedScenario ||
         !externalMix_.empty() || mixDirty_;
-    bool rebuild = alias_.size() == 0 || layer != aliasLayer_;
+    bool rebuild = sampler_.size() == 0 || layer != builtLayer_;
     bool mixInScratch = false;
     if (!rebuild && drifting &&
-        (iteration != aliasIteration_ || mixDirty_)) {
+        (iteration != builtIteration_ || mixDirty_)) {
         // Non-monotonic iteration jumps (tests, replays) force a
         // rebuild rather than trusting a stale age computation.
-        const bool aged = iteration < aliasIteration_ ||
-            iteration - aliasIteration_ >= kAliasRebuildPeriod;
+        const bool aged = iteration < builtIteration_ ||
+            iteration - builtIteration_ >= kRebuildPeriod;
         if (aged) {
             rebuild = true;
         } else {
             mixtureWeightsInto(iteration, mixScratch_);
             mixInScratch = true;
-            if (aliasMix_.size() != mixScratch_.size()) {
+            if (builtMix_.size() != mixScratch_.size()) {
                 // The last build ran in a fixed regime and recorded no
                 // drift reference.
                 rebuild = true;
             } else {
                 double drift = 0.0;
                 for (std::size_t s = 0; s < mixScratch_.size(); ++s)
-                    drift += std::abs(mixScratch_[s] - aliasMix_[s]);
-                rebuild = drift > kAliasDriftTolerance;
+                    drift += std::abs(mixScratch_[s] - builtMix_[s]);
+                rebuild = drift > kDriftTolerance;
             }
         }
     }
     mixDirty_ = false;
     if (rebuild) {
         affinityInto(iteration, layer, affinityScratch_);
-        alias_.build(affinityScratch_);
-        aliasIteration_ = iteration;
-        aliasLayer_ = layer;
+        sampler_.build(affinityScratch_);
+        builtIteration_ = iteration;
+        builtLayer_ = layer;
         if (drifting) {
             // The drift branch already computed this iteration's
             // mixture; adopt it instead of recomputing.
             if (mixInScratch)
-                aliasMix_.swap(mixScratch_);
+                builtMix_.swap(mixScratch_);
             else
-                mixtureWeightsInto(iteration, aliasMix_);
+                mixtureWeightsInto(iteration, builtMix_);
         }
     }
 
     counts.resize(static_cast<std::size_t>(dpGroups));
-    const int draws = tokensPerGroup * cfg_.topK;
-    for (auto &row : counts)
-        alias_.sampleInto(rng_, draws, row);
+    const int slots = tokensPerGroup * cfg_.topK;
+    const uint64_t key = gatingStreamKey(cfg_.seed, iteration, layer);
+    for (int g = 0; g < dpGroups; ++g) {
+        Rng rng(splitmix64(key ^ static_cast<uint64_t>(g)));
+        sampler_.sampleInto(rng, slots, counts[static_cast<std::size_t>(g)]);
+    }
 }
 
 std::vector<double>

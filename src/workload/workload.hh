@@ -5,12 +5,14 @@
  * scenario mixture (the Azure-trace-style production mix of the paper).
  *
  * The generator produces, per (iteration, layer), a DP×E matrix of
- * token-to-expert assignment counts by multinomial sampling of each
- * group's token·top-k slots over the effective affinity, one alias
- * draw per slot (see AliasTable for the branch-free, packed-slot
- * kernel; any kernel change must keep the same uniforms in the same
- * order, so traces stay bitwise identical). Three regimes
- * are supported:
+ * token-to-expert assignment counts. Each row is one exact multinomial
+ * draw of the group's token·top-k slots over the effective affinity
+ * (sampling with replacement), made by GatingSampler at a cost that
+ * scales with the experts, not the slots. Each group draws from its own
+ * Rng keyed on (seed, iteration, layer, group), so a row is a pure
+ * function of those and of the sampler's rebuild state: any iteration
+ * reproduces alone, and row g does not depend on the group count.
+ * Three regimes are supported:
  *  - Balanced: uniform expert probability — used by the ER-Mapping
  *    communication study to isolate mapping effects (Section VI-B);
  *  - Single scenario: one fixed scenario (e.g. Math-only), whose load
@@ -24,6 +26,7 @@
 #define MOENTWINE_WORKLOAD_WORKLOAD_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -41,8 +44,8 @@ enum class GatingMode
 
 /**
  * Walker/Vose alias table: O(n) build, O(1) exact multinomial draws.
- * The per-iteration gating sampler is the simulator's hottest loop
- * (tokens × top-k draws per DP group), so the draw kernel is tuned:
+ * It is GatingSampler's kernel for small slot counts and for the tail
+ * of large ones, so the draw loop is tuned:
  *  - each slot packs {prob, alias} so one draw touches one cache line;
  *  - the accept/alias select is branch-free: under a skewed affinity
  *    the accept test is close to a coin flip and would mispredict
@@ -52,10 +55,9 @@ enum class GatingMode
  *    on a hot expert) measured no faster at 1024-32768 draws and up
  *    to 4x slower below 4n draws on a 4-vCPU Xeon VM, where zeroing
  *    and summing the extra 3n counters dominates.
- * Invariant: the kernel consumes the same uniforms in the same order
- * as one-at-a-time draws (one uniform per draw) and returns
- * bitwise-identical counts, so the gating trace is a pure function of
- * the seed, whatever the kernel.
+ * Invariant: each draw consumes exactly one uniform, so @p draws draws
+ * advance the stream by @p draws uniforms, and a zero-weight category
+ * is never drawn.
  */
 class AliasTable
 {
@@ -69,6 +71,9 @@ class AliasTable
      * size(), storage reused).
      */
     void sampleInto(Rng &rng, int draws, std::vector<int> &row) const;
+
+    /** As sampleInto(), but adds the counts to @p counts[0, size()). */
+    void addDraws(Rng &rng, int draws, int *counts) const;
 
     /** Number of categories (0 before the first build). */
     std::size_t size() const { return slots_.size(); }
@@ -85,6 +90,100 @@ class AliasTable
     // Build worklists, kept to avoid per-build allocation.
     std::vector<std::size_t> small_;
     std::vector<std::size_t> large_;
+};
+
+/**
+ * Binomial(n, p) variate, exact and deterministic (no stdlib
+ * distribution; see rng.hh): inversion with a reciprocal table for
+ * n·min(p, 1−p) < 10, BTRD rejection (Hörmann 1993) otherwise, and
+ * p > ½ by reflection. n = 0, p = 0 and p = 1 consume no uniforms.
+ */
+int sampleBinomial(Rng &rng, int n, double p);
+
+/** The binomial kernels' parameters for a success probability q ≤ ½
+ *  (p reflected to min(p, 1 − p)); GatingSampler precomputes them per
+ *  head rank. */
+struct BinomialParam
+{
+    double q;
+    double r;      ///< q / (1 − q)
+    double log1mq; ///< log1p(−q)
+};
+
+/**
+ * Exact multinomial sampler of one DP group's expert counts: a draw of
+ * `slots` categories with replacement over fixed weights, at a cost
+ * that scales with the experts, not the slots.
+ *  - The head: experts by descending weight (ties by id), with each
+ *    rank's conditional probability p_i / (1 − Σ_{j<i} p_j) and its
+ *    binomial parameters precomputed.
+ *  - sampleInto() walks the head with sequential conditional
+ *    binomials. At every cut rank (a fixed grid over the ranks) it
+ *    switches to one alias draw per remaining slot once the next cut's
+ *    binomials would place too few slots each to beat the alias draws.
+ *    Conditional on the head counts the tail is multinomial(left, tail
+ *    weights), so any switching rule is exact. The cut-0 table is the
+ *    plain alias table over every expert, so small slot counts cost
+ *    one alias draw per slot.
+ *  - Each cut's ranks and tail table are prepared on its first use
+ *    after a build(), by selecting the heaviest unranked experts, so a
+ *    rebuild costs only the cuts that draws reach; one that only small
+ *    slot counts follow costs an alias build, as the plain alias
+ *    sampler's did.
+ * Rows always sum to `slots`, and zero-weight experts are never drawn.
+ */
+class GatingSampler
+{
+  public:
+    /** Build from unnormalised non-negative weights (Σ > 0). */
+    void build(const std::vector<double> &weights);
+
+    /**
+     * Assign the counts of @p slots draws to @p row (resized to size(),
+     * storage reused), drawing from @p rng.
+     */
+    void sampleInto(Rng &rng, int slots, std::vector<int> &row);
+
+    /** Number of categories (0 before the first build). */
+    std::size_t size() const { return weights_.size(); }
+
+  private:
+    /** One head rank: its expert and conditional binomial, reflected
+     *  to q = min(p, 1 − p) ≤ ½. */
+    struct Rank
+    {
+        BinomialParam binomial;
+        int expert;
+        bool flip; ///< p > ½: the count is n − Binomial(n, q)
+    };
+
+    /** Rank the experts of cut @p cut (its first use after build()). */
+    void prepareCut(int cut);
+
+    /** The tail table of cut @p cut, built on first use. */
+    const AliasTable &tail(int cut);
+
+    std::vector<double> weights_; ///< as given to build()
+    int cutStride_ = 1;           ///< ranks between cuts
+    // Slot counts up to this take cut 0's alias table without ranking
+    // any expert: a lower bound on cut 0's switch threshold.
+    double aliasBelow_ = 0.0;
+    // The head: ranks_[0, preparedCuts_·cutStride_) are ranked, and
+    // placed_ marks their experts.
+    std::vector<Rank> ranks_;
+    std::vector<char> placed_;
+    int preparedCuts_ = 0;
+    // Per prepared cut: switch to its tail when at most this many slots
+    // are left.
+    std::vector<double> switchBelow_;
+    // Per cut: alias table over the weights with ranks before the cut
+    // zeroed.
+    std::vector<AliasTable> tails_;
+    std::vector<bool> tailBuilt_;
+    // Scratch kept to avoid per-build allocation: the next cut's
+    // (weight, expert) pairs and the weights a tail table is built on.
+    std::vector<std::pair<double, int>> cutTop_;
+    std::vector<double> tailWeights_;
 };
 
 /** Workload generator configuration. */
@@ -137,7 +236,9 @@ class WorkloadGenerator
     /**
      * In-place variant of sampleCounts() for the engine's per-iteration
      * hot path: @p counts is resized and refilled, reusing row storage
-     * across calls. Produces the identical trace for identical calls.
+     * across calls. Row g draws from an Rng keyed on (seed, iteration,
+     * layer, g), so it depends only on the arguments and the sampler's
+     * rebuild state, never on earlier calls' draws.
      */
     void sampleCountsInto(int iteration, int layer, int tokensPerGroup,
                           int dpGroups,
@@ -149,10 +250,9 @@ class WorkloadGenerator
      * cyclic drift. @p weights are unnormalised non-negative weights
      * over allScenarios() (Σ > 0); they stay in effect until the next
      * setScenarioMix() or clearScenarioMix() call. The gating sampler
-     * adopts the change on its alias-rebuild cadence (workload.cc):
-     * immediately when the mixture moved more than kAliasDriftTolerance
-     * since the last build, else within kAliasRebuildPeriod
-     * iterations. Only
+     * adopts the change on its rebuild cadence (workload.cc):
+     * immediately when the mixture moved more than kDriftTolerance
+     * since the last build, else within kRebuildPeriod iterations. Only
      * meaningful for the scenario-driven modes (Balanced gating
      * ignores mixtures).
      */
@@ -187,29 +287,28 @@ class WorkloadGenerator
                       std::vector<double> &weights) const;
 
     WorkloadConfig cfg_;
-    Rng rng_;
     // Externally imposed scenario mixture (normalised); empty when the
     // internal per-iteration drift drives the mix. The dirty flag makes
     // the next sampleCountsInto() drift-check the new mixture even when
-    // the iteration index did not advance since the last alias build.
+    // the iteration index did not advance since the last sampler build.
     std::vector<double> externalMix_;
     bool mixDirty_ = false;
     // Per-scenario base affinities for cachedLayer_, built lazily so
     // per-iteration sampling does not recompute the Zipf tables.
     mutable int cachedLayer_ = -1;
     mutable std::vector<std::vector<double>> scenarioBase_;
-    // Scratch affinity plus the alias table sampleCountsInto() draws
-    // from; the table is rebuilt only when the affinity changes: once
-    // per layer in the fixed regimes, and on the coarse
-    // kAliasRebuildPeriod / kAliasDriftTolerance cadence under a
-    // drifting MixedScenario mixture.
+    // Scratch affinity plus the sampler sampleCountsInto() draws from;
+    // the sampler is rebuilt only when the affinity changes: once per
+    // layer in the fixed regimes, and on the coarse
+    // kRebuildPeriod / kDriftTolerance cadence under a drifting
+    // MixedScenario mixture.
     std::vector<double> affinityScratch_;
-    AliasTable alias_;
-    int aliasIteration_ = -1;
-    int aliasLayer_ = -1;
-    // Mixture weights at the last alias build (drift reference) and
+    GatingSampler sampler_;
+    int builtIteration_ = -1;
+    int builtLayer_ = -1;
+    // Mixture weights at the last sampler build (drift reference) and
     // the scratch the per-iteration drift check fills.
-    std::vector<double> aliasMix_;
+    std::vector<double> builtMix_;
     std::vector<double> mixScratch_;
 };
 

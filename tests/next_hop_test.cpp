@@ -150,7 +150,7 @@ TEST(RoutingDigest, EngineRuns)
     er.meshN = 4;
     er.tp = 4;
     EXPECT_EQ(engineDigest(er, BalancerKind::NonInvasive),
-              0xc77515c827962748ULL);
+              0x0ebf1f90b97c6291ULL);
 
     SystemConfig her;
     her.platform = PlatformKind::WscHer;
@@ -158,13 +158,13 @@ TEST(RoutingDigest, EngineRuns)
     her.wafers = 2;
     her.tp = 4;
     EXPECT_EQ(engineDigest(her, BalancerKind::TopologyAware),
-              0xa9104f34def889ceULL);
+              0x0c66a549db17c805ULL);
 
     SystemConfig dgx;
     dgx.platform = PlatformKind::DgxCluster;
     dgx.dgxNodes = 4;
     dgx.tp = 4;
-    EXPECT_EQ(engineDigest(dgx, BalancerKind::Greedy), 0x4062ca000d57d569ULL);
+    EXPECT_EQ(engineDigest(dgx, BalancerKind::Greedy), 0x9b7015a90e44d96eULL);
 }
 
 // ---------------------------------------------------- route shape ----

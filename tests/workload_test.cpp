@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <tuple>
+#include <utility>
 
 #include "digest.hh"
 #include "workload/scenario.hh"
@@ -42,6 +44,133 @@ sampleMultinomial(Rng &rng, const std::vector<double> &weights, int draws)
         ++counts[static_cast<std::size_t>(idx)];
     }
     return counts;
+}
+
+/**
+ * The per-slot alias sampler GatingSampler replaced, kept as the
+ * distributional reference: one group's row is tokens × top-k alias
+ * draws over the affinity.
+ */
+std::vector<int>
+referenceGatingRow(const std::vector<double> &affinity, int slots,
+                   Rng &rng)
+{
+    AliasTable table;
+    table.build(affinity);
+    std::vector<int> row;
+    table.sampleInto(rng, slots, row);
+    return row;
+}
+
+/**
+ * Upper 1 − α quantile of χ²(df) by the Wilson–Hilferty cube, for the
+ * standard normal quantile @p z of α; within 1% of the exact quantile
+ * for df ≥ 3 at the z used here.
+ */
+double
+chiSquareQuantile(int df, double z)
+{
+    const double c = 2.0 / (9.0 * df);
+    const double t = 1.0 - c + z * std::sqrt(c);
+    return df * t * t * t;
+}
+
+// Normal quantile of α = 1e-5: fixed-seed tests, so a valid one fails
+// with probability 1e-5 at the time its seeds are chosen, then never.
+constexpr double kZ = 4.265;
+
+/**
+ * G statistic of homogeneity for a 2 × K table of counts (rows @p a and
+ * @p b), with its degrees of freedom. Columns are pooled left to right
+ * until each pooled column expects at least 5 in both rows; empty
+ * columns drop out.
+ */
+std::pair<double, int>
+gHomogeneity(const std::vector<double> &a, const std::vector<double> &b)
+{
+    const double ta = std::accumulate(a.begin(), a.end(), 0.0);
+    const double tb = std::accumulate(b.begin(), b.end(), 0.0);
+    const double fa = ta / (ta + tb);
+    std::vector<std::pair<double, double>> pooled;
+    double pa = 0.0;
+    double pb = 0.0;
+    for (std::size_t j = 0; j < a.size(); ++j) {
+        pa += a[j];
+        pb += b[j];
+        const double col = pa + pb;
+        if (col * std::min(fa, 1.0 - fa) >= 5.0) {
+            pooled.emplace_back(pa, pb);
+            pa = pb = 0.0;
+        }
+    }
+    if (pa + pb > 0.0) {
+        if (pooled.empty()) {
+            pooled.emplace_back(pa, pb);
+        } else {
+            pooled.back().first += pa;
+            pooled.back().second += pb;
+        }
+    }
+    double g = 0.0;
+    for (const auto &[oa, ob] : pooled) {
+        const double col = oa + ob;
+        if (oa > 0.0)
+            g += oa * std::log(oa / (col * fa));
+        if (ob > 0.0)
+            g += ob * std::log(ob / (col * (1.0 - fa)));
+    }
+    return {2.0 * g, static_cast<int>(pooled.size()) - 1};
+}
+
+/** Exact Binomial(n, p) pmf over k = 0..n. */
+std::vector<double>
+binomialPmf(int n, double p)
+{
+    std::vector<double> pmf(static_cast<std::size_t>(n) + 1, 0.0);
+    for (int k = 0; k <= n; ++k) {
+        if ((p == 0.0 && k > 0) || (p == 1.0 && k < n))
+            continue;
+        double lp = std::lgamma(n + 1.0) - std::lgamma(k + 1.0) -
+            std::lgamma(n - k + 1.0);
+        if (k > 0)
+            lp += k * std::log(p);
+        if (k < n)
+            lp += (n - k) * std::log1p(-p);
+        pmf[static_cast<std::size_t>(k)] = std::exp(lp);
+    }
+    return pmf;
+}
+
+/**
+ * Goodness-of-fit G statistic of observed @p counts against expected
+ * @p expect (same total), bins pooled left to right until each expects
+ * at least 5; returns (G, df).
+ */
+std::pair<double, int>
+gFit(const std::vector<double> &counts, const std::vector<double> &expect)
+{
+    std::vector<std::pair<double, double>> pooled;
+    double o = 0.0;
+    double e = 0.0;
+    for (std::size_t k = 0; k < counts.size(); ++k) {
+        o += counts[k];
+        e += expect[k];
+        if (e >= 5.0) {
+            pooled.emplace_back(o, e);
+            o = e = 0.0;
+        }
+    }
+    if (!pooled.empty()) {
+        pooled.back().first += o;
+        pooled.back().second += e;
+    } else {
+        pooled.emplace_back(o, e);
+    }
+    double g = 0.0;
+    for (const auto &[obs, exp] : pooled)
+        if (obs > 0.0)
+            g += obs * std::log(obs / exp);
+    return {2.0 * g, static_cast<int>(pooled.size()) - 1};
 }
 
 /** Digest of 64 sampleCountsInto() calls with varying token counts. */
@@ -147,40 +276,256 @@ TEST(Multinomial, ZeroDraws)
     EXPECT_EQ(counts[0] + counts[1], 0);
 }
 
-// ------------------------------------------------------ alias kernel ----
+// --------------------------------------------------- gating sampler ----
 
-// Counts pinned from the one-draw-at-a-time sampler the kernel
-// replaced: any kernel change must consume the same uniforms in the
-// same order and reproduce these bit for bit. 96 experts covers the
-// non-power-of-two width, where u·n can round up to n.
-TEST(AliasKernel, PinnedBalancedStream)
+// Counts pinned from the head-binomial / tail-alias sampler on the
+// keyed per-group streams. Groups of 8 to 2408 slots cover both the
+// cut-0 alias path and head walks that switch to a tail; 96 experts
+// covers the non-power-of-two width, where u·n can round up to n, and
+// a cut stride of 6 ranks.
+TEST(GatingSampler, PinnedBalancedStream)
 {
     EXPECT_EQ(gatingDigest(GatingMode::Balanced, 128),
-              0x541adb6cd2983a2fULL);
+              0xce8e400727fefac9ULL);
     EXPECT_EQ(gatingDigest(GatingMode::Balanced, 256),
-              0x1f4e22bdc20ceaadULL);
+              0x2e6106952fb74751ULL);
     EXPECT_EQ(gatingDigest(GatingMode::Balanced, 96),
-              0x292abf2a8d753df7ULL);
+              0xfa62a615e3372e1dULL);
 }
 
-TEST(AliasKernel, PinnedSingleScenarioStream)
+TEST(GatingSampler, PinnedSingleScenarioStream)
 {
     EXPECT_EQ(gatingDigest(GatingMode::SingleScenario, 128),
-              0x93404e4d3debbe47ULL);
+              0xbf0dd5ffee73237dULL);
     EXPECT_EQ(gatingDigest(GatingMode::SingleScenario, 256),
-              0x6b6db3470ece2481ULL);
+              0x28f2cb889c51016dULL);
     EXPECT_EQ(gatingDigest(GatingMode::SingleScenario, 96),
-              0x37a3344af0d2d3d6ULL);
+              0x3a38dee8df555a27ULL);
 }
 
-TEST(AliasKernel, PinnedMixedScenarioStream)
+TEST(GatingSampler, PinnedMixedScenarioStream)
 {
     EXPECT_EQ(gatingDigest(GatingMode::MixedScenario, 128),
-              0x87078a634eba7c2dULL);
+              0xb6bcdfd0bc558413ULL);
     EXPECT_EQ(gatingDigest(GatingMode::MixedScenario, 256),
-              0xcbd6396c4da9a979ULL);
+              0x83407a5d7273c8c7ULL);
     EXPECT_EQ(gatingDigest(GatingMode::MixedScenario, 96),
-              0x05ed641a4883b20aULL);
+              0xfe7d4a04577287e7ULL);
+}
+
+// Both binomial kernels against the exact pmf: inversion (n·q < 10),
+// BTRD on either side of its 15-from-the-mode recursion and through
+// the squeeze and final test at large n·p·q, the n·q = 10 boundary,
+// and p > ½ by reflection into each kernel.
+TEST(GatingSampler, BinomialMatchesExactPmf)
+{
+    constexpr int kSamples = 40000;
+    const std::vector<std::pair<int, double>> cases{
+        {1, 0.3},    {20, 0.02},     {64, 0.1},     {300, 0.01},
+        {100, 0.0999}, {100, 0.1},   {40, 0.25},    {200, 0.3},
+        {3000, 0.05}, {100000, 0.3}, {50, 0.9},     {90, 0.95},
+        {1000, 0.7},  {5000, 0.5}};
+    std::uint64_t seed = 100;
+    for (const auto &[n, p] : cases) {
+        Rng rng(seed++);
+        std::vector<double> hist(static_cast<std::size_t>(n) + 1, 0.0);
+        for (int i = 0; i < kSamples; ++i) {
+            const int k = sampleBinomial(rng, n, p);
+            ASSERT_GE(k, 0);
+            ASSERT_LE(k, n);
+            hist[static_cast<std::size_t>(k)] += 1.0;
+        }
+        auto expect = binomialPmf(n, p);
+        for (double &e : expect)
+            e *= kSamples;
+        const auto [g, df] = gFit(hist, expect);
+        ASSERT_GT(df, 0) << "n " << n << " p " << p;
+        EXPECT_LT(g, chiSquareQuantile(df, kZ))
+            << "n " << n << " p " << p << " df " << df;
+    }
+}
+
+// n = 0, p = 0 and p = 1 are certain, and draw no uniforms.
+TEST(GatingSampler, DegenerateBinomialsDrawNothing)
+{
+    const std::vector<std::tuple<int, double, int>> cases{
+        {0, 0.3, 0}, {0, 0.9, 0}, {17, 0.0, 0}, {17, 1.0, 17},
+        {0, 0.0, 0}, {0, 1.0, 0}};
+    for (const auto &[n, p, want] : cases) {
+        Rng rng(9);
+        Rng reference(9);
+        EXPECT_EQ(sampleBinomial(rng, n, p), want) << n << " " << p;
+        EXPECT_EQ(rng.next(), reference.next()) << n << " " << p;
+    }
+}
+
+// Per-expert means and variances of the sampler's rows against the
+// multinomial's n·p and n·p·(1 − p), at slot counts that stay on the
+// cut-0 alias table and that switch to a tail mid-walk; the sparse
+// weights (5 of 96 experts) also take the cut-0 tail after sorting the
+// head, and walk to their last positive expert. Every row sums exactly
+// and zero-weight experts stay at 0.
+TEST(GatingSampler, MomentsMatchMultinomial)
+{
+    constexpr int kRows = 3000;
+    std::vector<std::vector<double>> weightSets;
+    for (const int experts : {96, 128, 256}) {
+        weightSets.push_back(
+            scenarioAffinity(ScenarioKind::Math, 0, experts, 1.0, 11));
+        for (int e = 0; e < experts; e += 7)
+            weightSets.back()[static_cast<std::size_t>(e)] = 0.0;
+    }
+    weightSets.emplace_back(96, 0.0);
+    for (const auto &[e, w] : {std::pair<int, double>{3, 5.0},
+                               {17, 1.0}, {40, 0.5}, {41, 0.5}, {90, 3.0}})
+        weightSets.back()[static_cast<std::size_t>(e)] = w;
+    for (const auto &weights : weightSets) {
+        const int experts = static_cast<int>(weights.size());
+        const double total =
+            std::accumulate(weights.begin(), weights.end(), 0.0);
+        GatingSampler sampler;
+        sampler.build(weights);
+        for (const int slots : {64, 3072, 8192}) {
+            std::vector<double> sum(weights.size(), 0.0);
+            std::vector<double> sumSq(weights.size(), 0.0);
+            std::vector<int> row;
+            for (int i = 0; i < kRows; ++i) {
+                Rng rng(static_cast<std::uint64_t>(slots) * 7919 + i);
+                sampler.sampleInto(rng, slots, row);
+                ASSERT_EQ(row.size(), weights.size());
+                ASSERT_EQ(std::accumulate(row.begin(), row.end(), 0),
+                          slots);
+                for (std::size_t e = 0; e < row.size(); ++e) {
+                    sum[e] += row[e];
+                    sumSq[e] += double(row[e]) * row[e];
+                }
+            }
+            for (std::size_t e = 0; e < weights.size(); ++e) {
+                const double p = weights[e] / total;
+                if (p == 0.0) {
+                    EXPECT_EQ(sum[e], 0.0) << "expert " << e;
+                    continue;
+                }
+                const double n = slots;
+                const double var = n * p * (1.0 - p);
+                // Fourth central moment of Binomial(n, p).
+                const double mu4 =
+                    var * (1.0 + 3.0 * (n - 2.0) * p * (1.0 - p));
+                const double mean = sum[e] / kRows;
+                const double sampleVar =
+                    (sumSq[e] - kRows * mean * mean) / (kRows - 1);
+                EXPECT_NEAR(mean, n * p, 5.0 * std::sqrt(var / kRows))
+                    << experts << " experts, " << slots << " slots, e "
+                    << e;
+                EXPECT_NEAR(sampleVar, var,
+                            5.0 * std::sqrt((mu4 - var * var) / kRows) +
+                                1e-9)
+                    << experts << " experts, " << slots << " slots, e "
+                    << e;
+            }
+        }
+    }
+}
+
+// The generator against the per-slot alias sampler it replaced, over
+// many keyed streams (one per iteration) at 1, 16, 128 and 1024 tokens:
+// G-tests of homogeneity on the pooled per-expert counts (the mean
+// vector) and on the histograms of the hottest and a middle-ranked
+// expert's per-row count (the shape of each marginal). The affinity is
+// held fixed: one scenario, or an imposed mixture of all four.
+TEST(GatingSampler, MatchesPerSlotAliasSampler)
+{
+    const std::vector<std::pair<int, int>> runs{
+        {1, 20000}, {16, 4000}, {128, 1500}, {1024, 400}};
+    for (const bool mixed : {false, true}) {
+        for (const auto &[tokens, iterations] : runs) {
+            WorkloadConfig cfg;
+            cfg.numExperts = 128;
+            cfg.topK = 8;
+            cfg.mode = GatingMode::SingleScenario;
+            WorkloadGenerator gen(cfg);
+            if (mixed)
+                gen.setScenarioMix({1.0, 2.0, 3.0, 4.0});
+            const auto affinity = gen.affinity(0, 0);
+            std::vector<std::size_t> byWeight(affinity.size());
+            std::iota(byWeight.begin(), byWeight.end(), std::size_t(0));
+            std::stable_sort(byWeight.begin(), byWeight.end(),
+                             [&](std::size_t a, std::size_t b) {
+                                 return affinity[a] > affinity[b];
+                             });
+            const std::size_t watched[] = {byWeight[0], byWeight[40]};
+            const int slots = tokens * cfg.topK;
+            const auto bins = static_cast<std::size_t>(slots) + 1;
+
+            std::vector<double> pooledNew(affinity.size(), 0.0);
+            std::vector<double> pooledRef(affinity.size(), 0.0);
+            std::vector<std::vector<double>> histNew(
+                2, std::vector<double>(bins, 0.0));
+            auto histRef = histNew;
+            Rng refRng(777);
+            std::vector<std::vector<int>> counts;
+            for (int it = 0; it < iterations; ++it) {
+                gen.sampleCountsInto(it, 0, tokens, 1, counts);
+                const auto &rowNew = counts[0];
+                const auto rowRef =
+                    referenceGatingRow(affinity, slots, refRng);
+                for (std::size_t e = 0; e < affinity.size(); ++e) {
+                    pooledNew[e] += rowNew[e];
+                    pooledRef[e] += rowRef[e];
+                }
+                for (int w = 0; w < 2; ++w) {
+                    histNew[std::size_t(w)][std::size_t(
+                        rowNew[watched[w]])] += 1.0;
+                    histRef[std::size_t(w)][std::size_t(
+                        rowRef[watched[w]])] += 1.0;
+                }
+            }
+            const auto [g, df] = gHomogeneity(pooledNew, pooledRef);
+            EXPECT_LT(g, chiSquareQuantile(df, kZ))
+                << "pooled, " << tokens << " tokens, mixed " << mixed
+                << ", df " << df;
+            for (int w = 0; w < 2; ++w) {
+                const auto [gw, dfw] =
+                    gHomogeneity(histNew[std::size_t(w)],
+                                 histRef[std::size_t(w)]);
+                if (dfw < 1)
+                    continue;
+                EXPECT_LT(gw, chiSquareQuantile(dfw, kZ))
+                    << "expert rank " << (w == 0 ? 0 : 40) << ", "
+                    << tokens << " tokens, mixed " << mixed << ", df "
+                    << dfw;
+            }
+        }
+    }
+}
+
+// Each group draws from its own keyed stream: an iteration sampled by
+// a fresh generator equals the same iteration inside a run (the fixed
+// regimes build once, so the rebuild state agrees), and row g does not
+// depend on how many groups are sampled.
+TEST(GatingSampler, KeyedStreamIsPerIterationAndGroup)
+{
+    for (const GatingMode mode :
+         {GatingMode::Balanced, GatingMode::SingleScenario}) {
+        WorkloadConfig cfg;
+        cfg.numExperts = 128;
+        cfg.topK = 8;
+        cfg.mode = mode;
+        WorkloadGenerator run(cfg);
+        std::vector<std::vector<int>> inRun;
+        for (int it = 0; it <= 37; ++it)
+            run.sampleCountsInto(it, 0, 1 + (it * 53) % 400, 4, inRun);
+        WorkloadGenerator alone(cfg);
+        EXPECT_EQ(alone.sampleCounts(37, 0, 1 + (37 * 53) % 400, 4),
+                  inRun);
+
+        const auto wide = alone.sampleCounts(5, 0, 300, 8);
+        const auto narrow = alone.sampleCounts(5, 0, 300, 2);
+        ASSERT_EQ(narrow.size(), 2u);
+        EXPECT_EQ(narrow[0], wide[0]);
+        EXPECT_EQ(narrow[1], wide[1]);
+        EXPECT_NE(wide[0], wide[1]);
+    }
 }
 
 // Every draw consumes exactly one uniform; zero draws consume none

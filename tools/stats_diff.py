@@ -16,6 +16,7 @@ library only.
 import argparse
 import json
 import math
+import signal
 import sys
 
 
@@ -53,6 +54,8 @@ def diff_groups(old, new):
 
 
 def main():
+    # Quiet exit when piped into head.
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old")
     parser.add_argument("new")
