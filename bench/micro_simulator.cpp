@@ -147,20 +147,18 @@ BENCHMARK(BM_TokenRouting)
  * the dispatch and combine allToAllInto per iteration, on a 4×(16×16)
  * HER mesh with fine-grained experts (one per device, decode-sized
  * groups, no balancer) — the regime the sparse accumulator exists for.
- * Arg 0 forces the dense matrix, 1 the sparse hash-buffered storage;
- * the two are bitwise equivalent (tests/traffic_accum_test.cpp), so
- * the gap is pure overhead. This is the evidence behind
- * TrafficAccumulator::kSparseAutoThreshold.
+ * Arg 0 pins the dense matrix, 1 the sparse radix-sorted append
+ * buffer; the two are bitwise equivalent (tests/traffic_accum_test.cpp),
+ * so the gap is pure overhead. This is the evidence behind
+ * TrafficAccumulator::kSparseThreshold.
  */
 void
 BM_TrafficReduce(benchmark::State &state)
 {
     const bool sparse = state.range(0) != 0;
-    MeshTopology mesh = MeshTopology::waferRow(4, 16);
-    HierarchicalErMapping her(
+    const MeshTopology mesh = MeshTopology::waferRow(4, 16);
+    const HierarchicalErMapping her(
         mesh, decomposeTp(4, mesh.waferRows(), mesh.waferCols()));
-    her.setTrafficStorage(sparse ? TrafficStorageKind::Sparse
-                                 : TrafficStorageKind::Dense);
     const int devices = mesh.numDevices();
 
     MoEModelConfig model = qwen3();
@@ -177,6 +175,8 @@ BM_TrafficReduce(benchmark::State &state)
     const auto counts = gen.sampleCounts(0, 0, 16, her.dp());
 
     RoutedTraffic routed;
+    routed.pairBytes = TrafficAccumulator(
+        sparse ? TrafficStorageKind::Sparse : TrafficStorageKind::Dense);
     PhaseTraffic disp(mesh);
     PhaseTraffic comb(mesh);
     // Warm pass: reach steady-state scratch capacity untimed, so even

@@ -180,14 +180,6 @@ runSparseScalePoint(int devices, int meshN, const std::string &tracePath)
     std::printf("system: %s, %d devices, %zu links\n", sys.name().c_str(),
                 mesh.numDevices(), mesh.links().size());
 
-    if (her.activeTrafficStorage() != TrafficStorageKind::Sparse) {
-        std::fprintf(stderr,
-                     "FAIL: Auto traffic policy did not select the "
-                     "sparse accumulator at %d devices\n",
-                     devices);
-        return 1;
-    }
-
     const int violations = checkSampledWalks(mesh);
     if (violations != 0) {
         std::fprintf(stderr,
@@ -242,6 +234,13 @@ runSparseScalePoint(int devices, int meshN, const std::string &tracePath)
                 gen.sampleCounts(0, 0, ec.decodeTokensPerGroup, her.dp()),
                 ec.model.tokenBytes(), ec.retainAllGather,
                 ec.model.expertsActivated, routed, true);
+    if (routed.pairBytes.activeKind() != TrafficStorageKind::Sparse) {
+        std::fprintf(stderr,
+                     "FAIL: the traffic accumulator did not select the "
+                     "sparse storage at %d devices\n",
+                     devices);
+        return 1;
+    }
 
     const double sparseBytes =
         static_cast<double>(routed.pairBytes.storageBytes());
@@ -309,10 +308,8 @@ main(int argc, char **argv)
         benchflags::stringFlag(argc, argv, "--trace");
     const int devices = 4 * meshN * meshN;
 
-    if (TrafficAccumulator::resolve(TrafficStorageKind::Auto, devices) ==
-        TrafficStorageKind::Sparse) {
+    if (devices >= TrafficAccumulator::kSparseThreshold)
         return runSparseScalePoint(devices, meshN, tracePath);
-    }
 
     std::printf("== scale smoke: %d-device multi-wafer mesh ==\n",
                 devices);

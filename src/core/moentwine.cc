@@ -52,9 +52,6 @@ System::make(const SystemConfig &cfg)
       }
     }
     MOE_ASSERT(sys.mapping_ != nullptr, "platform construction failed");
-    // Traffic-accumulator policy is a pre-sharing configuration hook
-    // on the mapping (the token router reads it per routeTokens call).
-    sys.mapping_->setTrafficStorage(cfg.trafficStorage);
     return sys;
 }
 

@@ -74,15 +74,6 @@ struct SystemConfig
     int tp = 4;
     /** DGX node count (DgxCluster platform only). */
     int dgxNodes = 4;
-    /**
-     * Per-(src, dst) traffic-accumulator policy for the token router.
-     * Auto picks the dense byte matrix below
-     * TrafficAccumulator::kSparseAutoThreshold devices and the sparse
-     * hash at or above it; force a kind to run the same system under
-     * both representations (they are bitwise equivalent — see
-     * tests/traffic_accum_test.cpp).
-     */
-    TrafficStorageKind trafficStorage = TrafficStorageKind::Auto;
 };
 
 /**

@@ -28,6 +28,14 @@ balancerKindName(BalancerKind kind)
 
 namespace {
 
+/**
+ * Host-reload bandwidth (B/s) used when re-homing an expert after
+ * device loss finds no reachable surviving replica: the weights
+ * restream cold from host DRAM over the service fabric instead of
+ * peer-to-peer over the mesh (fault recovery worst case).
+ */
+constexpr double kFaultHostReloadBandwidth = 64e9;
+
 /** PipeMoE-style micro-batch overlap of a compute and a comm stream. */
 double
 overlap(double comp, double comm, int stages)
@@ -323,7 +331,7 @@ InferenceEngine::recoveryTime(
             // No reachable replica: cold host reload.
             slowest = std::max(slowest,
                                cfg_.model.expertBytes /
-                                   cfg_.faultHostReloadBandwidth);
+                                   kFaultHostReloadBandwidth);
         }
     }
     return std::max(slowest, recovery.phaseTime());

@@ -110,13 +110,6 @@ struct EngineConfig
      * uses as the reference the aggregated path must match.
      */
     bool aggregateFlows = true;
-    /**
-     * Host-reload bandwidth (B/s) used when re-homing an expert after
-     * device loss finds no reachable surviving replica: the weights
-     * restream cold from host DRAM over the service fabric instead of
-     * peer-to-peer over the mesh (fault recovery worst case).
-     */
-    double faultHostReloadBandwidth = 64e9;
     /** Gating / workload regime (expert count and top-k are taken from
      *  the model, not from this sub-config). */
     WorkloadConfig workload{};

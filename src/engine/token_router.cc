@@ -81,11 +81,7 @@ routeTokens(const Mapping &mapping, const ExpertPlacement &placement,
     out.tokensPerDevice.assign(static_cast<std::size_t>(devices), 0.0);
     out.activeExpertsPerDevice.assign(static_cast<std::size_t>(devices),
                                       0);
-    if (aggregate) {
-        out.pairBytes.reset(devices, mapping.trafficStorage());
-    } else {
-        out.pairBytes.reset(0, TrafficStorageKind::Dense);
-    }
+    out.pairBytes.reset(aggregate ? devices : 0);
 
     // Per-expert total loads, computed once (the active-expert scan
     // below and the engine's EMA both read them).

@@ -15,9 +15,9 @@
  * Because the congestion model only depends on per-(src, dst) volumes,
  * the router aggregates the O(dp · experts · replicas · tp) logical
  * transfers into a TrafficAccumulator — a dense devices×devices byte
- * matrix below TrafficAccumulator::kSparseAutoThreshold devices, a
- * sparse hash of touched pairs at/above (selected by the mapping's
- * TrafficStorageKind; see network/traffic_accum.hh) — and materialises
+ * matrix below TrafficAccumulator::kSparseThreshold devices, a
+ * radix-sorted append buffer of touched pairs at/above (see
+ * network/traffic_accum.hh) — and materialises
  * the non-zero pairs as dispatch flows in cache-blocked tile-major
  * order (combine is the transpose). Both storages yield bitwise
  * identical flow lists. The unaggregated per-triple flow list is kept
@@ -50,8 +50,8 @@ struct RoutedTraffic
     std::vector<int> activeExpertsPerDevice;
     /**
      * Aggregated dispatch bytes per (src, dst) pair (combine is the
-     * transpose), behind the dense/sparse TrafficStorageKind policy.
-     * Populated only on the aggregated path.
+     * transpose), dense or sparse by device count unless the caller
+     * pinned a storage. Populated only on the aggregated path.
      */
     TrafficAccumulator pairBytes;
     /** Per-expert total token counts summed over DP groups. */

@@ -29,6 +29,11 @@ faultScenarioName(FaultScenarioKind kind)
 
 namespace {
 
+/** LinkDegrade bandwidth factor of the degrade stages. */
+constexpr double kDegradeFactor = 0.3;
+/** SlowNode compute factor of the straggler stages. */
+constexpr double kSlowFactor = 2.5;
+
 /**
  * The scenario's victim connection: the central device's lowest-id
  * outgoing link plus its reverse direction when one exists.
@@ -77,8 +82,7 @@ makeFaultScenario(FaultScenarioKind kind, const Topology &topo,
         break;
       case FaultScenarioKind::DegradedLinks:
         for (const LinkId l : pair)
-            ev.push_back(FaultEvent::linkDegrade(t0, l,
-                                                 spec.degradeFactor));
+            ev.push_back(FaultEvent::linkDegrade(t0, l, kDegradeFactor));
         for (const LinkId l : pair)
             ev.push_back(FaultEvent::linkRestore(t0 + 2 * dt, l));
         break;
@@ -89,7 +93,7 @@ makeFaultScenario(FaultScenarioKind kind, const Topology &topo,
             ev.push_back(FaultEvent::linkRestore(t0 + 2 * dt, l));
         break;
       case FaultScenarioKind::Straggler:
-        ev.push_back(FaultEvent::slowNode(t0, center, spec.slowFactor));
+        ev.push_back(FaultEvent::slowNode(t0, center, kSlowFactor));
         ev.push_back(FaultEvent::slowNode(t0 + 2 * dt, center, 1.0));
         break;
       case FaultScenarioKind::NodeLoss:
@@ -97,12 +101,10 @@ makeFaultScenario(FaultScenarioKind kind, const Topology &topo,
         break;
       case FaultScenarioKind::Cascade:
         for (const LinkId l : pair)
-            ev.push_back(FaultEvent::linkDegrade(t0, l,
-                                                 spec.degradeFactor));
+            ev.push_back(FaultEvent::linkDegrade(t0, l, kDegradeFactor));
         for (const LinkId l : pair)
             ev.push_back(FaultEvent::linkFail(t0 + dt, l));
-        ev.push_back(FaultEvent::slowNode(t0 + dt, other,
-                                          spec.slowFactor));
+        ev.push_back(FaultEvent::slowNode(t0 + dt, other, kSlowFactor));
         ev.push_back(FaultEvent::nodeFail(t0 + 2 * dt, center));
         for (const LinkId l : pair)
             ev.push_back(FaultEvent::linkRestore(t0 + 3 * dt, l));

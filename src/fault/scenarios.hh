@@ -48,10 +48,6 @@ struct FaultScenarioSpec
     int startIteration = 20;
     /** Iterations between staged events of one scenario. */
     int spacing = 30;
-    /** LinkDegrade bandwidth factor. */
-    double degradeFactor = 0.3;
-    /** SlowNode compute factor. */
-    double slowFactor = 2.5;
 };
 
 /** Build the deterministic plan of @p kind for @p topo. */

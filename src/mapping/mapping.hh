@@ -38,7 +38,6 @@
 
 #include "common/logging.hh"
 #include "network/collectives.hh"
-#include "network/traffic_accum.hh"
 #include "topology/topology.hh"
 
 namespace moentwine {
@@ -189,27 +188,6 @@ class Mapping
     }
 
     /**
-     * Traffic-accumulator storage policy the token router applies to
-     * this mapping's systems (see TrafficStorageKind). A configuration
-     * hook, not runtime state: System::make sets it once before the
-     * mapping is shared across threads — NOT thread-safe against
-     * concurrent routeTokens calls.
-     */
-    void setTrafficStorage(TrafficStorageKind kind)
-    {
-        trafficStorage_ = kind;
-    }
-
-    /** The configured traffic-accumulator policy (may be Auto). */
-    TrafficStorageKind trafficStorage() const { return trafficStorage_; }
-
-    /** The storage the configured policy resolves to for this system. */
-    TrafficStorageKind activeTrafficStorage() const
-    {
-        return TrafficAccumulator::resolve(trafficStorage_, numDevices());
-    }
-
-    /**
      * Volume reduction factor for a dispatch/combine flow, modelling
      * hierarchical all-to-all optimisations (DeepSpeed-MoE style): on
      * switch clusters, tokens heading to several experts on the same
@@ -258,7 +236,6 @@ class Mapping
   private:
     // topo_.numDevices(), kept to spare the hot path a virtual call.
     const int numDevices_;
-    TrafficStorageKind trafficStorage_ = TrafficStorageKind::Auto;
     std::vector<int> groupOf_;
     std::vector<int> rankOf_;
     std::vector<int> ftdIndexOf_;

@@ -10,11 +10,15 @@ constexpr std::size_t kMinCompactEntries = std::size_t{1} << 16;
 
 } // namespace
 
-void TrafficAccumulator::reset(int devices, TrafficStorageKind kind)
+void TrafficAccumulator::reset(int devices)
 {
     MOE_ASSERT(devices >= 0, "traffic accumulator device count negative");
     devices_ = devices;
-    active_ = resolve(kind, devices);
+    if (pinned_)
+        active_ = *pinned_;
+    else
+        active_ = devices >= kSparseThreshold ? TrafficStorageKind::Sparse
+                                              : TrafficStorageKind::Dense;
     if (active_ == TrafficStorageKind::Dense) {
         const std::size_t cells = static_cast<std::size_t>(devices) *
             static_cast<std::size_t>(devices);

@@ -20,8 +20,11 @@
  *    arrival order, and memory stays O(distinct pairs) because the
  *    buffer self-compacts whenever it doubles past the last distinct
  *    count. Steady-state allocation-free once the buffers reach the
- *    workload's high-water mark;
- *  - Auto: Dense below kSparseAutoThreshold devices, Sparse at/above.
+ *    workload's high-water mark.
+ *
+ * An accumulator picks Dense below kSparseThreshold devices and Sparse
+ * at or above it; tests and BM_TrafficReduce construct one pinned to a
+ * storage to compare the two on the same system.
  *
  * Both storages are bitwise equivalent: per-pair byte sums accumulate
  * in identical arrival order — the sparse merge is a left fold over
@@ -43,6 +46,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -52,16 +56,13 @@
 namespace moentwine {
 
 /**
- * Which per-(src, dst) accumulator the token router uses. Both kinds
- * produce bitwise identical flow lists; they trade the dense matrix's
- * O(devices²) memory and clear against the sparse path's per-emission
- * radix compaction of the appended entries.
+ * Per-(src, dst) accumulator storage. Both kinds produce bitwise
+ * identical flow lists; they trade the dense matrix's O(devices²)
+ * memory and clear against the sparse path's per-emission radix
+ * compaction of the appended entries.
  */
 enum class TrafficStorageKind
 {
-    /** Dense below TrafficAccumulator::kSparseAutoThreshold devices,
-     *  Sparse at/above. */
-    Auto,
     /** Explicit devices×devices byte matrix. */
     Dense,
     /** Self-compacting append buffer of touched (src, dst) pairs. */
@@ -69,7 +70,8 @@ enum class TrafficStorageKind
 };
 
 /**
- * Per-(src, dst) byte accumulator behind the TrafficStorageKind policy.
+ * Per-(src, dst) byte accumulator over a TrafficStorageKind chosen by
+ * device count (or pinned at construction).
  *
  * Lifecycle per iteration: reset() (keeps capacity), add() for every
  * logical transfer, forEachTiled() to materialise flows. All three are
@@ -81,13 +83,13 @@ class TrafficAccumulator
 {
   public:
     /**
-     * Auto-policy cutover: systems at or above this many devices use
-     * the sparse accumulator. Below it the dense matrix is at most
+     * Storage cutover: systems at or above this many devices use the
+     * sparse accumulator. Below it the dense matrix is at most
      * ~128 MB and its branch-free add/clear wins; at or above it the
      * matrix's devices² growth (2.1 GB at 16k devices) dominates RSS
      * while MoE dispatch still touches only O(dp · experts · tp) pairs.
      */
-    static constexpr int kSparseAutoThreshold = 4096;
+    static constexpr int kSparseThreshold = 4096;
 
     /**
      * Edge length of the (src, dst) emission tiles. 64×64 pairs cover
@@ -98,14 +100,11 @@ class TrafficAccumulator
      */
     static constexpr int kTileDevices = 64;
 
-    /** The storage Auto resolves to for a system of @p devices. */
-    static TrafficStorageKind resolve(TrafficStorageKind kind, int devices)
-    {
-        if (kind != TrafficStorageKind::Auto)
-            return kind;
-        return devices >= kSparseAutoThreshold ? TrafficStorageKind::Sparse
-                                               : TrafficStorageKind::Dense;
-    }
+    /** Storage chosen by device count at each reset(). */
+    TrafficAccumulator() = default;
+
+    /** Accumulator pinned to @p kind whatever the device count. */
+    explicit TrafficAccumulator(TrafficStorageKind kind) : pinned_(kind) {}
 
     /** Heap bytes the dense matrix needs for @p devices (analytic). */
     static std::size_t denseBytes(int devices)
@@ -115,13 +114,13 @@ class TrafficAccumulator
     }
 
     /**
-     * Clear and re-shape for a system of @p devices under @p kind
-     * (Auto resolves by device count). Buffers keep their capacity, so
-     * repeated resets at a fixed size allocate nothing (dense) or
-     * nothing once the buffers reached the workload's high-water
-     * entry count (sparse).
+     * Clear and re-shape for a system of @p devices, choosing the
+     * storage by device count unless pinned. Buffers keep their
+     * capacity, so repeated resets at a fixed size allocate nothing
+     * (dense) or nothing once the buffers reached the workload's
+     * high-water entry count (sparse).
      */
-    void reset(int devices, TrafficStorageKind kind);
+    void reset(int devices);
 
     /** Accumulate @p bytes onto the (src, dst) pair. */
     void add(DeviceId src, DeviceId dst, double bytes)
@@ -148,7 +147,7 @@ class TrafficAccumulator
      */
     std::size_t occupancy() const;
 
-    /** The storage in use since the last reset() (never Auto). */
+    /** The storage in use since the last reset(). */
     TrafficStorageKind activeKind() const { return active_; }
 
     /** Device count of the last reset(). */
@@ -258,6 +257,7 @@ class TrafficAccumulator
                    unsigned shift, std::size_t buckets) const;
 
     int devices_ = 0;
+    std::optional<TrafficStorageKind> pinned_;
     TrafficStorageKind active_ = TrafficStorageKind::Dense;
 
     // Dense storage: row-major src × devices + dst byte matrix.

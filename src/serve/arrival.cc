@@ -8,6 +8,42 @@
 
 namespace moentwine {
 
+namespace {
+
+// Bursty (MMPP): rate multipliers and mean dwell times of the two
+// states — 4x bursts roughly a quarter of the time.
+constexpr double kBurstRateFactor = 4.0;
+constexpr double kQuietRateFactor = 0.25;
+constexpr double kMeanBurstSec = 0.05;
+constexpr double kMeanQuietSec = 0.15;
+
+// Diurnal: rate(t) = ratePerSec * (1 + amplitude * sin(2πt/period)).
+constexpr double kDiurnalPeriodSec = 2.0;
+constexpr double kDiurnalAmplitude = 0.8;
+
+// Log-normal length sigmas and the floors the draws are clamped to.
+constexpr double kPromptSigma = 0.6;
+constexpr int kPromptMinTokens = 16;
+constexpr double kOutputSigma = 0.5;
+constexpr int kOutputMinTokens = 4;
+
+/** Log-normal length draw around mean·scale, clamped into [lo, hi]. */
+int
+sampleLength(Rng &rng, double mean, double sigma, double scale, int lo,
+             int hi)
+{
+    // exp(normal(mu, sigma)) has mean exp(mu + sigma²/2); solve mu so
+    // the draw's mean is the configured one.
+    const double mu = std::log(mean * scale) - 0.5 * sigma * sigma;
+    const double len = std::exp(rng.normal(mu, sigma));
+    const double clamped =
+        std::min(static_cast<double>(hi),
+                 std::max(static_cast<double>(lo), std::round(len)));
+    return static_cast<int>(clamped);
+}
+
+} // namespace
+
 std::string
 arrivalKindName(ArrivalKind kind)
 {
@@ -85,25 +121,10 @@ ArrivalProcess::ArrivalProcess(const ArrivalConfig &cfg)
         if (cfg.outputMeanTokens <= 0.0)
             fatal("output mean tokens must be positive (got " +
                   std::to_string(cfg.outputMeanTokens) + ")");
-        if (cfg.promptSigma < 0.0 || cfg.outputSigma < 0.0)
-            fatal("log-normal length sigma must be non-negative");
     }
-    MOE_ASSERT(cfg.burstRateFactor > 0.0 && cfg.quietRateFactor > 0.0,
-               "MMPP rate factors must be positive");
-    MOE_ASSERT(cfg.meanBurstSec > 0.0 && cfg.meanQuietSec > 0.0,
-               "MMPP dwell times must be positive");
-    MOE_ASSERT(cfg.diurnalPeriodSec > 0.0,
-               "diurnal period must be positive");
-    MOE_ASSERT(cfg.diurnalAmplitude >= 0.0 && cfg.diurnalAmplitude < 1.0,
-               "diurnal amplitude must be in [0, 1)");
-    MOE_ASSERT(cfg.scenarioWeights.empty() ||
-                   cfg.scenarioWeights.size() == allScenarios().size(),
-               "scenario weights must cover every scenario");
-    MOE_ASSERT(cfg.promptMinTokens > 0 &&
-                   cfg.promptMaxTokens >= cfg.promptMinTokens,
+    MOE_ASSERT(cfg.promptMaxTokens >= kPromptMinTokens,
                "bad prompt length bounds");
-    MOE_ASSERT(cfg.outputMinTokens > 0 &&
-                   cfg.outputMaxTokens >= cfg.outputMinTokens,
+    MOE_ASSERT(cfg.outputMaxTokens >= kOutputMinTokens,
                "bad output length bounds");
     for (std::size_t i = 1; i < cfg.trace.size(); ++i) {
         MOE_ASSERT(cfg.trace[i].time >= cfg.trace[i - 1].time,
@@ -114,47 +135,15 @@ ArrivalProcess::ArrivalProcess(const ArrivalConfig &cfg)
 std::vector<double>
 ArrivalProcess::scenarioMixAt(double t) const
 {
-    const std::vector<double> *base =
-        cfg_.scenarioWeights.empty() ? nullptr : &cfg_.scenarioWeights;
     if (cfg_.mixDriftPeriodSec > 0.0) {
         // The shared raised-cosine rotation (workload.cc uses the same
         // shape with an iteration-index phase).
-        return rotatingScenarioMix(
-            2.0 * M_PI * t / cfg_.mixDriftPeriodSec, base);
+        return rotatingScenarioMix(2.0 * M_PI * t /
+                                   cfg_.mixDriftPeriodSec);
     }
-    // Static mixture: phase 0 with the cosine term cancelled is just
-    // the normalised base weights.
     const std::size_t n = allScenarios().size();
-    std::vector<double> mix(n, 1.0);
-    if (base)
-        mix = *base;
-    double total = 0.0;
-    for (const double m : mix)
-        total += m;
-    MOE_ASSERT(total > 0.0, "degenerate scenario mixture");
-    for (double &m : mix)
-        m /= total;
-    return mix;
+    return std::vector<double>(n, 1.0 / static_cast<double>(n));
 }
-
-namespace {
-
-/** Log-normal length draw around mean·scale, clamped into [lo, hi]. */
-int
-sampleLength(Rng &rng, double mean, double sigma, double scale, int lo,
-             int hi)
-{
-    // exp(normal(mu, sigma)) has mean exp(mu + sigma²/2); solve mu so
-    // the draw's mean is the configured one.
-    const double mu = std::log(mean * scale) - 0.5 * sigma * sigma;
-    const double len = std::exp(rng.normal(mu, sigma));
-    const double clamped =
-        std::min(static_cast<double>(hi),
-                 std::max(static_cast<double>(lo), std::round(len)));
-    return static_cast<int>(clamped);
-}
-
-} // namespace
 
 std::vector<ServeRequest>
 ArrivalProcess::generate(int count) const
@@ -186,7 +175,7 @@ ArrivalProcess::generate(int count) const
     double now = 0.0;
     // MMPP state: start in the quiet phase with a full dwell ahead.
     bool burst = false;
-    double stateLeft = rng.exponential(1.0 / cfg_.meanQuietSec);
+    double stateLeft = rng.exponential(1.0 / kMeanQuietSec);
 
     const auto &scenarios = allScenarios();
     for (int i = 0; i < count; ++i) {
@@ -200,8 +189,7 @@ ArrivalProcess::generate(int count) const
             // the boundary, flips the state, and redraws (memoryless).
             for (;;) {
                 const double rate = cfg_.ratePerSec *
-                    (burst ? cfg_.burstRateFactor
-                           : cfg_.quietRateFactor);
+                    (burst ? kBurstRateFactor : kQuietRateFactor);
                 const double gap = rng.exponential(rate);
                 if (gap <= stateLeft) {
                     now += gap;
@@ -211,21 +199,20 @@ ArrivalProcess::generate(int count) const
                 now += stateLeft;
                 burst = !burst;
                 stateLeft = rng.exponential(
-                    1.0 / (burst ? cfg_.meanBurstSec
-                                 : cfg_.meanQuietSec));
+                    1.0 / (burst ? kMeanBurstSec : kMeanQuietSec));
             }
             break;
           }
           case ArrivalKind::Diurnal: {
             // Thinning against the peak rate.
             const double peak =
-                cfg_.ratePerSec * (1.0 + cfg_.diurnalAmplitude);
+                cfg_.ratePerSec * (1.0 + kDiurnalAmplitude);
             for (;;) {
                 now += rng.exponential(peak);
                 const double rate = cfg_.ratePerSec *
-                    (1.0 + cfg_.diurnalAmplitude *
+                    (1.0 + kDiurnalAmplitude *
                                std::sin(2.0 * M_PI * now /
-                                        cfg_.diurnalPeriodSec));
+                                        kDiurnalPeriodSec));
                 if (rng.uniform() * peak <= rate)
                     break;
             }
@@ -242,13 +229,11 @@ ArrivalProcess::generate(int count) const
         r.scenario = kind;
         r.arrivalTime = now;
         r.promptTokens = sampleLength(
-            rng, cfg_.promptMeanTokens, cfg_.promptSigma,
-            promptScale(kind), cfg_.promptMinTokens,
-            cfg_.promptMaxTokens);
+            rng, cfg_.promptMeanTokens, kPromptSigma, promptScale(kind),
+            kPromptMinTokens, cfg_.promptMaxTokens);
         r.outputTokens = sampleLength(
-            rng, cfg_.outputMeanTokens, cfg_.outputSigma,
-            outputScale(kind), cfg_.outputMinTokens,
-            cfg_.outputMaxTokens);
+            rng, cfg_.outputMeanTokens, kOutputSigma, outputScale(kind),
+            kOutputMinTokens, cfg_.outputMaxTokens);
         out.push_back(r);
     }
     return out;

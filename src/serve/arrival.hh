@@ -13,9 +13,9 @@
  *  - Trace: deterministic replay of a recorded request list.
  *
  * Every generated request is tagged with a ScenarioKind drawn from a
- * (optionally slowly rotating) scenario mixture, plus prompt and output
- * lengths from seeded log-normal distributions with per-scenario scale
- * factors (Coding prompts run long, Chat prompts short, Math outputs
+ * uniform (optionally slowly rotating) scenario mixture, plus prompt
+ * and output lengths from seeded log-normal distributions with
+ * per-scenario scale factors (Coding prompts run long, Chat prompts short, Math outputs
  * long — the shape the paper's Fig. 12 scenario study relies on).
  * Equal configurations generate byte-identical request streams.
  */
@@ -60,35 +60,19 @@ struct ArrivalConfig
      *  modulate around this value. */
     double ratePerSec = 100.0;
 
-    // Bursty (MMPP): rate multipliers and mean dwell times of the two
-    // states. The defaults give 4x bursts roughly a quarter of the time.
-    double burstRateFactor = 4.0;
-    double quietRateFactor = 0.25;
-    double meanBurstSec = 0.05;
-    double meanQuietSec = 0.15;
-
-    // Diurnal: rate(t) = ratePerSec * (1 + amplitude * sin(2πt/period)).
-    double diurnalPeriodSec = 2.0;
-    double diurnalAmplitude = 0.8;
-
-    /** Unnormalised base weights over allScenarios(); empty = uniform. */
-    std::vector<double> scenarioWeights;
     /**
      * When positive, the scenario mixture rotates once per this many
      * seconds (raised-cosine weights, the Fig. 12 drift); zero keeps
-     * the base mixture fixed.
+     * the uniform mixture fixed. The MMPP and diurnal shapes and the
+     * length distributions' sigmas and floors are fixed in arrival.cc.
      */
     double mixDriftPeriodSec = 0.0;
 
-    // Log-normal length distributions, clamped into [min, max]. The
+    // Log-normal length distributions, clamped into [floor, max]. The
     // means are scaled per scenario (see promptScale/outputScale).
     int promptMeanTokens = 256;
-    double promptSigma = 0.6;
-    int promptMinTokens = 16;
     int promptMaxTokens = 8192;
     int outputMeanTokens = 64;
-    double outputSigma = 0.5;
-    int outputMinTokens = 4;
     int outputMaxTokens = 2048;
 
     /** Recorded requests for ArrivalKind::Trace (must be time-sorted). */

@@ -209,8 +209,8 @@ ServeLoop::beginIteration()
             }
             return false; // idle: the caller advances the clock
         }
-        if (cfg_.coupleDrift)
-            engine_.workload().setScenarioMix(sched_.scenarioTokens());
+        // Couple the engine's gating mixture to the live batch mix.
+        engine_.workload().setScenarioMix(sched_.scenarioTokens());
         // Step the engine eagerly: the iteration's duration is a pure
         // function of its plan, so the end time is known at begin and
         // a fleet can order completions against other replicas.

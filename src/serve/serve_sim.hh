@@ -14,8 +14,8 @@
  * finished request records into those figures (a ServeScore); it is
  * the one scorer of both ServeReport and the fleet's FleetReport.
  *
- * Drift coupling: when enabled, the scenario mix of the tokens the
- * scheduler actually planned each iteration drives the engine's gating
+ * Drift coupling: the scenario mix of the tokens the scheduler
+ * actually planned each iteration drives the engine's gating
  * mixture (WorkloadGenerator::setScenarioMix()), so balancers are
  * evaluated against the stream they serve instead of the synthetic
  * cyclic drift.
@@ -67,8 +67,6 @@ struct ServeConfig
     SloConfig slo;
     /** Requests to generate and serve. */
     int numRequests = 200;
-    /** Couple the engine's gating mixture to the live batch mix. */
-    bool coupleDrift = true;
     /** Fault plan injected at iteration boundaries (empty = no faults,
      *  and the run is bitwise identical to a build without faults). */
     FaultPlan faults;

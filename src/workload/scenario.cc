@@ -33,28 +33,23 @@ allScenarios()
 }
 
 std::vector<double>
-rotatingScenarioMix(double phase, const std::vector<double> *baseWeights)
+rotatingScenarioMix(double phase)
 {
     std::vector<double> mix;
-    rotatingScenarioMixInto(phase, baseWeights, mix);
+    rotatingScenarioMixInto(phase, mix);
     return mix;
 }
 
 void
-rotatingScenarioMixInto(double phase,
-                        const std::vector<double> *baseWeights,
-                        std::vector<double> &mix)
+rotatingScenarioMixInto(double phase, std::vector<double> &mix)
 {
     const std::size_t n = allScenarios().size();
-    MOE_ASSERT(!baseWeights || baseWeights->size() == n,
-               "base weights must cover every scenario");
     mix.assign(n, 0.0);
     double total = 0.0;
     for (std::size_t s = 0; s < n; ++s) {
         const double offset =
             2.0 * M_PI * static_cast<double>(s) / static_cast<double>(n);
-        const double base = baseWeights ? (*baseWeights)[s] : 1.0;
-        mix[s] = base * (1.0 + std::cos(phase - offset));
+        mix[s] = 1.0 + std::cos(phase - offset);
         total += mix[s];
     }
     MOE_ASSERT(total > 0.0, "degenerate rotating scenario mixture");

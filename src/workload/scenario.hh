@@ -45,27 +45,21 @@ const std::vector<ScenarioKind> &allScenarios();
 
 /**
  * Rotating scenario mixture: raised-cosine weights with one phase
- * offset per scenario, optionally scaled by base weights, normalised
- * to a convex mixture. The shared drift shape of the workload
- * generator's MixedScenario mode (phase from the iteration index) and
- * the serving layer's arrival mixes (phase from the virtual clock).
+ * offset per scenario, normalised to a convex mixture. The shared
+ * drift shape of the workload generator's MixedScenario mode (phase
+ * from the iteration index) and the serving layer's arrival mixes
+ * (phase from the virtual clock).
  *
- * @param phase       Rotation phase in radians (one full rotation per
- *                    2π).
- * @param baseWeights Optional per-scenario scale factors (size must
- *                    match allScenarios()); null means uniform.
+ * @param phase Rotation phase in radians (one full rotation per 2π).
  */
-std::vector<double> rotatingScenarioMix(
-    double phase, const std::vector<double> *baseWeights = nullptr);
+std::vector<double> rotatingScenarioMix(double phase);
 
 /**
  * In-place rotatingScenarioMix() for per-iteration callers (the
  * workload generator's drift check): @p mix is assigned, reusing its
  * storage.
  */
-void rotatingScenarioMixInto(double phase,
-                             const std::vector<double> *baseWeights,
-                             std::vector<double> &mix);
+void rotatingScenarioMixInto(double phase, std::vector<double> &mix);
 
 /**
  * Per-scenario, per-layer expert affinity: unnormalised selection

@@ -9,6 +9,9 @@ namespace moentwine {
 
 namespace {
 
+// Zipf exponent of every scenario's expert popularity skew.
+constexpr double kZipf = 1.0;
+
 // MixedScenario sampler rebuild cadence: the drifting mixture moves
 // slowly (one rotation per mixPeriod iterations), so the sampler
 // tolerates a slightly stale table instead of paying the O(experts)
@@ -500,7 +503,7 @@ WorkloadGenerator::mixtureWeightsInto(int iteration,
         rotatingScenarioMixInto(2.0 * M_PI *
                                     static_cast<double>(iteration) /
                                     static_cast<double>(cfg_.mixPeriod),
-                                nullptr, mix);
+                                mix);
         break;
     }
 }
@@ -519,7 +522,7 @@ WorkloadGenerator::affinityInto(int iteration, int layer,
             scenarioBase_.reserve(scenarios.size());
             for (const ScenarioKind s : scenarios)
                 scenarioBase_.push_back(scenarioAffinity(
-                    s, layer, cfg_.numExperts, cfg_.zipf, cfg_.seed));
+                    s, layer, cfg_.numExperts, kZipf, cfg_.seed));
             cachedLayer_ = layer;
         }
         const auto mix = mixtureWeights(iteration);

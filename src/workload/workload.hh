@@ -197,8 +197,6 @@ struct WorkloadConfig
     GatingMode mode = GatingMode::Balanced;
     /** Scenario for SingleScenario mode. */
     ScenarioKind scenario = ScenarioKind::Math;
-    /** Zipf exponent of the expert popularity skew. */
-    double zipf = 1.0;
     /** Iterations per full mixture rotation (MixedScenario mode). */
     int mixPeriod = 400;
     /** Base seed; equal configs generate equal traces. */

@@ -2,20 +2,22 @@
  * @file
  * Equivalence and policy tests for the dense/sparse traffic
  * accumulator behind the token router:
- *  - policy: Auto selects the dense matrix below the device threshold
- *    and the sparse hash at or above it, through the accumulator, the
- *    mapping plumbing, and SystemConfig;
+ *  - policy: an accumulator selects the dense matrix below the device
+ *    threshold and the sparse buffer at or above it, unless it was
+ *    pinned to a storage, and the router keeps the caller's pin;
  *  - determinism: forEachTiled() emits in row-major order for systems
  *    within one tile (the historical dense scan) and in identical
  *    tile-major order under both storages beyond it;
- *  - regression: routed flow lists, a fig-style comm-eval cell, an
- *    engine run, and a faulted engine run are bitwise identical under
- *    forced Dense and forced Sparse storage;
+ *  - regression: routeTokens() yields bitwise identical flow lists and
+ *    device loads under pinned Dense and pinned Sparse storage — on a
+ *    multi-wafer batch, a fig-style comm-eval cell, and every placement
+ *    a balanced and a faulted engine run visit. The engine reaches the
+ *    storage only through these flow lists;
  *  - footprint: the sparse per-iteration path (reset/add/forEachTiled)
  *    is allocation-free in steady state;
- *  - concurrency: sweep workers sharing one const sparse-storage
- *    System produce rows byte-identical to a serial pass (the TSan
- *    target).
+ *  - concurrency: sweep workers routing through pinned sparse
+ *    accumulators over one shared const System produce rows
+ *    byte-identical to a serial pass (the TSan target).
  *  - loud failure: PhaseTraffic::merge()/retarget() across mismatched
  *    link sets die with a diagnostic instead of corrupting buffers.
  */
@@ -118,52 +120,94 @@ fillPattern(TrafficAccumulator &acc, int devices)
     }
 }
 
+std::vector<Emitted>
+emitted(const std::vector<Flow> &flows)
+{
+    std::vector<Emitted> out;
+    out.reserve(flows.size());
+    for (const Flow &f : flows)
+        out.push_back(Emitted{f.src, f.dst, f.bytes});
+    return out;
+}
+
+/** A RoutedTraffic whose accumulator is pinned to @p kind. */
+RoutedTraffic
+pinnedRouted(TrafficStorageKind kind)
+{
+    RoutedTraffic routed;
+    routed.pairBytes = TrafficAccumulator(kind);
+    return routed;
+}
+
+/**
+ * Route @p counts once under each pinned storage and expect bitwise
+ * identical flow lists and device loads.
+ */
+void
+expectRoutesMatchAcrossStorages(const Mapping &mapping,
+                                const ExpertPlacement &placement,
+                                const std::vector<std::vector<int>> &counts,
+                                double tokenBytes, bool retainAllGather,
+                                int topk)
+{
+    RoutedTraffic dense = pinnedRouted(TrafficStorageKind::Dense);
+    RoutedTraffic sparse = pinnedRouted(TrafficStorageKind::Sparse);
+    routeTokens(mapping, placement, counts, tokenBytes, retainAllGather,
+                topk, dense);
+    routeTokens(mapping, placement, counts, tokenBytes, retainAllGather,
+                topk, sparse);
+    ASSERT_EQ(dense.pairBytes.activeKind(), TrafficStorageKind::Dense);
+    ASSERT_EQ(sparse.pairBytes.activeKind(), TrafficStorageKind::Sparse);
+
+    ASSERT_GT(dense.dispatch.size(), 0u);
+    EXPECT_EQ(emitted(dense.dispatch), emitted(sparse.dispatch));
+    EXPECT_EQ(emitted(dense.combine), emitted(sparse.combine));
+    EXPECT_EQ(dense.tokensPerDevice, sparse.tokensPerDevice);
+    EXPECT_EQ(dense.activeExpertsPerDevice, sparse.activeExpertsPerDevice);
+    EXPECT_EQ(dense.pairBytes.occupancy(), sparse.pairBytes.occupancy());
+}
+
 } // namespace
 
-TEST(TrafficAccum, AutoPolicySelectsByDeviceCount)
+TEST(TrafficAccum, StorageSelectedByDeviceCountUnlessPinned)
 {
-    const int T = TrafficAccumulator::kSparseAutoThreshold;
-    EXPECT_EQ(TrafficAccumulator::resolve(TrafficStorageKind::Auto, T - 1),
-              TrafficStorageKind::Dense);
-    EXPECT_EQ(TrafficAccumulator::resolve(TrafficStorageKind::Auto, T),
-              TrafficStorageKind::Sparse);
-    EXPECT_EQ(TrafficAccumulator::resolve(TrafficStorageKind::Dense, T),
-              TrafficStorageKind::Dense);
-    EXPECT_EQ(
-        TrafficAccumulator::resolve(TrafficStorageKind::Sparse, T - 1),
-        TrafficStorageKind::Sparse);
+    // Below the threshold the dense matrix, at it the sparse buffer.
+    // (A dense reset just under the threshold would allocate 134 MB,
+    // so the small side is checked on a 48-device accumulator.)
+    const int T = TrafficAccumulator::kSparseThreshold;
+    TrafficAccumulator acc;
+    acc.reset(48);
+    EXPECT_EQ(acc.activeKind(), TrafficStorageKind::Dense);
+    acc.reset(T);
+    EXPECT_EQ(acc.activeKind(), TrafficStorageKind::Sparse);
+    TrafficAccumulator pinned(TrafficStorageKind::Sparse);
+    pinned.reset(48);
+    EXPECT_EQ(pinned.activeKind(), TrafficStorageKind::Sparse);
 
-    // Through the mapping plumbing: small systems resolve Auto to the
-    // dense matrix, and a forced policy sticks.
+    // The router chooses by device count on a 16-device system, and
+    // keeps a caller's pin.
     SystemConfig sc;
     sc.platform = PlatformKind::WscEr;
     sc.meshN = 4;
     sc.tp = 4;
-    const System autoSys = System::make(sc);
-    EXPECT_EQ(autoSys.mapping().trafficStorage(),
-              TrafficStorageKind::Auto);
-    EXPECT_EQ(autoSys.mapping().activeTrafficStorage(),
-              TrafficStorageKind::Dense);
-
-    sc.trafficStorage = TrafficStorageKind::Sparse;
-    const System sparseSys = System::make(sc);
-    EXPECT_EQ(sparseSys.mapping().activeTrafficStorage(),
-              TrafficStorageKind::Sparse);
-
-    // The router honours the policy: an aggregated routing pass on the
-    // sparse-forced system leaves a sparse-active accumulator.
+    const System sys = System::make(sc);
     const ExpertPlacement p(qwen3().expertsTotal,
-                            sparseSys.mapping().numDevices(), 1);
+                            sys.mapping().numDevices(), 1);
     WorkloadConfig wc;
     wc.numExperts = qwen3().expertsTotal;
     wc.topK = qwen3().expertsActivated;
     WorkloadGenerator gen(wc);
+    const auto counts = gen.sampleCounts(0, 0, 32, sys.mapping().dp());
     RoutedTraffic routed;
-    routeTokens(sparseSys.mapping(), p,
-                gen.sampleCounts(0, 0, 32, sparseSys.mapping().dp()),
-                512.0, true, wc.topK, routed, true);
-    EXPECT_EQ(routed.pairBytes.activeKind(), TrafficStorageKind::Sparse);
-    EXPECT_GT(routed.pairBytes.occupancy(), 0u);
+    routeTokens(sys.mapping(), p, counts, 512.0, true, wc.topK, routed,
+                true);
+    EXPECT_EQ(routed.pairBytes.activeKind(), TrafficStorageKind::Dense);
+
+    RoutedTraffic sparse = pinnedRouted(TrafficStorageKind::Sparse);
+    routeTokens(sys.mapping(), p, counts, 512.0, true, wc.topK, sparse,
+                true);
+    EXPECT_EQ(sparse.pairBytes.activeKind(), TrafficStorageKind::Sparse);
+    EXPECT_GT(sparse.pairBytes.occupancy(), 0u);
 }
 
 TEST(TrafficAccum, SingleTileEmissionIsRowMajor)
@@ -172,10 +216,10 @@ TEST(TrafficAccum, SingleTileEmissionIsRowMajor)
     // order — the historical dense-scan order every ≤64-device figure
     // driver was pinned against.
     const int devices = 48;
-    TrafficAccumulator dense;
-    dense.reset(devices, TrafficStorageKind::Dense);
-    TrafficAccumulator sparse;
-    sparse.reset(devices, TrafficStorageKind::Sparse);
+    TrafficAccumulator dense(TrafficStorageKind::Dense);
+    dense.reset(devices);
+    TrafficAccumulator sparse(TrafficStorageKind::Sparse);
+    sparse.reset(devices);
     fillPattern(dense, devices);
     fillPattern(sparse, devices);
 
@@ -196,10 +240,10 @@ TEST(TrafficAccum, MultiTileEmissionIdenticalAcrossStorages)
     // Past one tile both storages must produce the same tile-major
     // sequence: (src/64, dst/64, src, dst) lexicographic.
     const int devices = 150;
-    TrafficAccumulator dense;
-    dense.reset(devices, TrafficStorageKind::Dense);
-    TrafficAccumulator sparse;
-    sparse.reset(devices, TrafficStorageKind::Sparse);
+    TrafficAccumulator dense(TrafficStorageKind::Dense);
+    dense.reset(devices);
+    TrafficAccumulator sparse(TrafficStorageKind::Sparse);
+    sparse.reset(devices);
     fillPattern(dense, devices);
     fillPattern(sparse, devices);
 
@@ -231,9 +275,9 @@ TEST(TrafficAccum, MultiTileEmissionIdenticalAcrossStorages)
 TEST(TrafficAccum, RoutedFlowsBitwiseIdenticalAcrossStorages)
 {
     // A multi-tile routed batch: identical flow lists (order, values)
-    // under forced Dense and forced Sparse accumulation.
-    MeshTopology mesh = MeshTopology::waferRow(2, 8);
-    HierarchicalErMapping her(
+    // under pinned Dense and pinned Sparse accumulation.
+    const MeshTopology mesh = MeshTopology::waferRow(2, 8);
+    const HierarchicalErMapping her(
         mesh, decomposeTp(4, mesh.waferRows(), mesh.waferCols()));
     const ExpertPlacement p(128, her.numDevices(), 1);
     WorkloadConfig wc;
@@ -241,60 +285,76 @@ TEST(TrafficAccum, RoutedFlowsBitwiseIdenticalAcrossStorages)
     wc.topK = 8;
     wc.mode = GatingMode::MixedScenario;
     WorkloadGenerator gen(wc);
-    const auto counts = gen.sampleCounts(0, 0, 48, her.dp());
-
-    her.setTrafficStorage(TrafficStorageKind::Dense);
-    RoutedTraffic dense;
-    routeTokens(her, p, counts, 1024.0, true, wc.topK, dense, true);
-    ASSERT_EQ(dense.pairBytes.activeKind(), TrafficStorageKind::Dense);
-
-    her.setTrafficStorage(TrafficStorageKind::Sparse);
-    RoutedTraffic sparse;
-    routeTokens(her, p, counts, 1024.0, true, wc.topK, sparse, true);
-    ASSERT_EQ(sparse.pairBytes.activeKind(), TrafficStorageKind::Sparse);
-
-    ASSERT_EQ(dense.dispatch.size(), sparse.dispatch.size());
-    ASSERT_GT(dense.dispatch.size(), 0u);
-    for (std::size_t i = 0; i < dense.dispatch.size(); ++i) {
-        EXPECT_EQ(dense.dispatch[i].src, sparse.dispatch[i].src);
-        EXPECT_EQ(dense.dispatch[i].dst, sparse.dispatch[i].dst);
-        EXPECT_EQ(dense.dispatch[i].bytes, sparse.dispatch[i].bytes);
-        EXPECT_EQ(dense.combine[i].src, sparse.combine[i].src);
-        EXPECT_EQ(dense.combine[i].dst, sparse.combine[i].dst);
-        EXPECT_EQ(dense.combine[i].bytes, sparse.combine[i].bytes);
-    }
-    EXPECT_EQ(dense.pairBytes.occupancy(), sparse.pairBytes.occupancy());
+    expectRoutesMatchAcrossStorages(her, p,
+                                    gen.sampleCounts(0, 0, 48, her.dp()),
+                                    1024.0, true, wc.topK);
 }
 
-TEST(TrafficAccum, FigCellBitwiseEquivalentAcrossStorages)
+TEST(TrafficAccum, FigCellRoutesIdenticallyAcrossStorages)
 {
+    // The 2×(4×4) HER cell of the comm-eval figures, on
+    // evaluateCommunication()'s placement and balanced gating: 256
+    // tokens per group at top-8 over 128 experts is 16 per expert.
     SystemConfig sc;
     sc.platform = PlatformKind::WscHer;
     sc.meshN = 4;
     sc.wafers = 2;
     sc.tp = 4;
-
-    sc.trafficStorage = TrafficStorageKind::Dense;
-    const System denseSys = System::make(sc);
-    sc.trafficStorage = TrafficStorageKind::Sparse;
-    const System sparseSys = System::make(sc);
-
-    const auto a = evaluateCommunication(denseSys.mapping(), qwen3(), 256,
-                                         true);
-    const auto b = evaluateCommunication(sparseSys.mapping(), qwen3(),
-                                         256, true);
-    EXPECT_EQ(a.allReduce, b.allReduce);
-    EXPECT_EQ(a.dispatch, b.dispatch);
-    EXPECT_EQ(a.combine, b.combine);
+    const System sys = System::make(sc);
+    const MoEModelConfig model = qwen3();
+    const ExpertPlacement p(model.expertsTotal, sys.mapping().numDevices(),
+                            0);
+    const std::vector<std::vector<int>> counts(
+        static_cast<std::size_t>(sys.mapping().dp()),
+        std::vector<int>(static_cast<std::size_t>(model.expertsTotal),
+                         256 * model.expertsActivated /
+                             model.expertsTotal));
+    expectRoutesMatchAcrossStorages(sys.mapping(), p, counts,
+                                    model.tokenBytes(), true,
+                                    model.expertsActivated);
 }
 
-TEST(TrafficAccum, EngineRunBitwiseEquivalentAcrossStorages)
+namespace {
+
+/**
+ * Step @p engine @p iterations times and, before each step, route a
+ * decode batch on the engine's current placement under both storages.
+ * @p onPlacement sees every placement routed.
+ */
+template <typename OnPlacement>
+void
+expectEnginePlacementsRouteIdentically(InferenceEngine &engine,
+                                       const Mapping &mapping,
+                                       int iterations,
+                                       OnPlacement &&onPlacement)
 {
-    // 100 devices: multi-tile emission on the engine's hot path.
+    const EngineConfig &ec = engine.config();
+    WorkloadConfig wc = ec.workload;
+    wc.numExperts = ec.model.expertsTotal;
+    wc.topK = ec.model.expertsActivated;
+    WorkloadGenerator gen(wc);
+    for (int i = 0; i < iterations; ++i) {
+        SCOPED_TRACE("iteration " + std::to_string(i));
+        onPlacement(engine.placement());
+        expectRoutesMatchAcrossStorages(
+            mapping, engine.placement(),
+            gen.sampleCounts(i, 0, ec.decodeTokensPerGroup, mapping.dp()),
+            ec.model.tokenBytes(), ec.retainAllGather, wc.topK);
+        engine.step();
+    }
+}
+
+} // namespace
+
+TEST(TrafficAccum, EngineRunPlacementsRouteIdenticallyAcrossStorages)
+{
+    // 100 devices: multi-tile emission, on the placements a balanced
+    // engine run moves through.
     SystemConfig sc;
     sc.platform = PlatformKind::WscEr;
     sc.meshN = 10;
     sc.tp = 4;
+    const System sys = System::make(sc);
 
     EngineConfig ec;
     ec.model = qwen3();
@@ -304,34 +364,25 @@ TEST(TrafficAccum, EngineRunBitwiseEquivalentAcrossStorages)
     ec.balancer = BalancerKind::TopologyAware;
     ec.beta = 3;
 
-    sc.trafficStorage = TrafficStorageKind::Dense;
-    const System denseSys = System::make(sc);
-    sc.trafficStorage = TrafficStorageKind::Sparse;
-    const System sparseSys = System::make(sc);
-
-    InferenceEngine denseEngine(denseSys.mapping(), ec);
-    InferenceEngine sparseEngine(sparseSys.mapping(), ec);
-    const auto denseStats = denseEngine.run(12);
-    const auto sparseStats = sparseEngine.run(12);
-    ASSERT_EQ(denseStats.size(), sparseStats.size());
-    for (std::size_t i = 0; i < denseStats.size(); ++i) {
-        EXPECT_EQ(denseStats[i].layerTime(ec.pipelineStages),
-                  sparseStats[i].layerTime(ec.pipelineStages))
-            << "iteration " << i;
-        EXPECT_EQ(denseStats[i].allReduce, sparseStats[i].allReduce);
-        EXPECT_EQ(denseStats[i].dispatch, sparseStats[i].dispatch);
-        EXPECT_EQ(denseStats[i].combine, sparseStats[i].combine);
-    }
+    InferenceEngine engine(sys.mapping(), ec);
+    bool replicated = false;
+    expectEnginePlacementsRouteIdentically(
+        engine, sys.mapping(), 12, [&](const ExpertPlacement &p) {
+            for (int e = 0; e < p.numExperts(); ++e)
+                replicated |= p.numReplicas(e) > 1;
+        });
+    EXPECT_TRUE(replicated) << "the balancer never added a replica";
 }
 
-TEST(TrafficAccum, FaultedEngineRunBitwiseEquivalentAcrossStorages)
+TEST(TrafficAccum, FaultedEngineRunPlacementsRouteIdenticallyAcrossStorages)
 {
-    // The fault-overlay path (retargeted PhaseTraffic, lost devices,
-    // straggler scaling) must stay bitwise identical across storages.
+    // The placements of a faulted run: a straggler, then a lost device
+    // whose experts were re-homed.
     SystemConfig sc;
     sc.platform = PlatformKind::WscEr;
     sc.meshN = 4;
     sc.tp = 4;
+    const System sys = System::make(sc);
 
     EngineConfig ec;
     ec.model = qwen3();
@@ -343,38 +394,25 @@ TEST(TrafficAccum, FaultedEngineRunBitwiseEquivalentAcrossStorages)
     FaultPlan plan;
     plan.events.push_back(FaultEvent::slowNode(2, 3, 2.0));
     plan.events.push_back(FaultEvent::nodeFail(5, 7));
+    FaultInjector inj(sys.mapping().topology(), plan);
+    InferenceEngine engine(sys.mapping(), ec);
+    engine.attachFaults(&inj);
 
-    sc.trafficStorage = TrafficStorageKind::Dense;
-    const System denseSys = System::make(sc);
-    sc.trafficStorage = TrafficStorageKind::Sparse;
-    const System sparseSys = System::make(sc);
-
-    FaultInjector denseInj(denseSys.mapping().topology(), plan);
-    FaultInjector sparseInj(sparseSys.mapping().topology(), plan);
-    InferenceEngine denseEngine(denseSys.mapping(), ec);
-    InferenceEngine sparseEngine(sparseSys.mapping(), ec);
-    denseEngine.attachFaults(&denseInj);
-    sparseEngine.attachFaults(&sparseInj);
-
-    const auto denseStats = denseEngine.run(10);
-    const auto sparseStats = sparseEngine.run(10);
-    ASSERT_EQ(denseStats.size(), sparseStats.size());
-    for (std::size_t i = 0; i < denseStats.size(); ++i) {
-        EXPECT_EQ(denseStats[i].layerTime(ec.pipelineStages),
-                  sparseStats[i].layerTime(ec.pipelineStages))
-            << "iteration " << i;
-        EXPECT_EQ(denseStats[i].dispatch, sparseStats[i].dispatch);
-        EXPECT_EQ(denseStats[i].combine, sparseStats[i].combine);
-    }
+    bool sawLoss = false;
+    expectEnginePlacementsRouteIdentically(
+        engine, sys.mapping(), 10, [&](const ExpertPlacement &p) {
+            sawLoss |= p.deviceLost(7);
+        });
+    EXPECT_TRUE(sawLoss) << "no routed placement had device 7 lost";
 }
 
 TEST(TrafficAccum, SparsePathIsAllocationFreeInSteadyState)
 {
     const int devices = 150;
-    TrafficAccumulator acc;
+    TrafficAccumulator acc(TrafficStorageKind::Sparse);
     // Warm-up: grows the hash and the emission scratch to the
     // workload's high-water occupancy.
-    acc.reset(devices, TrafficStorageKind::Sparse);
+    acc.reset(devices);
     fillPattern(acc, devices);
     double sink = 0.0;
     acc.forEachTiled(
@@ -383,7 +421,7 @@ TEST(TrafficAccum, SparsePathIsAllocationFreeInSteadyState)
     // Steady state: a full reset/add/emit cycle at the same occupancy
     // must not touch the heap.
     const std::size_t before = g_allocCount.load();
-    acc.reset(devices, TrafficStorageKind::Sparse);
+    acc.reset(devices);
     fillPattern(acc, devices);
     acc.forEachTiled(
         [&sink](DeviceId, DeviceId, double b) { sink += b; });
@@ -392,35 +430,47 @@ TEST(TrafficAccum, SparsePathIsAllocationFreeInSteadyState)
     EXPECT_GT(sink, 0.0);
 }
 
-TEST(TrafficAccum, ConcurrentSweepWorkersShareConstSparseSystem)
+TEST(TrafficAccum, ConcurrentSweepWorkersRouteSparseOverSharedSystem)
 {
-    // Sweep workers share one const System with the sparse policy; the
-    // pool rows must be byte-identical to a serial pass (and TSan must
-    // see no races — this test runs in the TSan job).
+    // Sweep workers share one const System and route through their own
+    // pinned sparse accumulators; the pool rows must be byte-identical
+    // to a serial pass (and TSan must see no races — this test runs in
+    // the TSan job).
     SystemConfig sc;
     sc.platform = PlatformKind::WscEr;
     sc.meshN = 10;
     sc.tp = 4;
-    sc.trafficStorage = TrafficStorageKind::Sparse;
     const auto sys = std::make_shared<const System>(System::make(sc));
 
     SweepGrid grid;
-    grid.balancers = {BalancerKind::None, BalancerKind::TopologyAware};
+    grid.gatings = {GatingMode::Balanced, GatingMode::SingleScenario,
+                    GatingMode::MixedScenario};
+    grid.params = {1.0, 2.0};
     const SweepRunner::CellFn cell = [&sys](const SweepCell &c) {
-        EngineConfig ec;
-        ec.model = qwen3();
-        ec.schedule = SchedulingMode::DecodeOnly;
-        ec.decodeTokensPerGroup = 32;
-        ec.workload.mode = GatingMode::MixedScenario;
-        ec.balancer = c.point.balancerKind();
-        ec.beta = 2;
-        InferenceEngine engine(sys->mapping(), ec);
-        double layerSum = 0.0;
-        for (const auto &s : engine.run(4))
-            layerSum += s.layerTime(ec.pipelineStages);
+        const Mapping &mapping = sys->mapping();
+        const MoEModelConfig model = qwen3();
+        WorkloadConfig wc;
+        wc.numExperts = model.expertsTotal;
+        wc.topK = model.expertsActivated;
+        wc.mode = c.point.gatingMode();
+        wc.seed = c.point.seed();
+        WorkloadGenerator gen(wc);
+        const ExpertPlacement p(model.expertsTotal, mapping.numDevices(),
+                                1);
+        RoutedTraffic routed = pinnedRouted(TrafficStorageKind::Sparse);
+        double bytes = 0.0;
+        for (int i = 0; i < 4; ++i) {
+            routeTokens(mapping, p,
+                        gen.sampleCounts(i, 0, 32, mapping.dp()),
+                        model.tokenBytes(), true, wc.topK, routed);
+            for (const Flow &f : routed.dispatch)
+                bytes += f.bytes;
+        }
         SweepResult row;
         row.label = "cell" + std::to_string(c.point.index);
-        row.add("layer_sum_s", layerSum);
+        row.add("dispatch_bytes", bytes);
+        row.add("pairs",
+                static_cast<double>(routed.pairBytes.occupancy()));
         return row;
     };
 
@@ -431,8 +481,10 @@ TEST(TrafficAccum, ConcurrentSweepWorkersShareConstSparseSystem)
     ASSERT_EQ(serialRows.size(), poolRows.size());
     for (std::size_t i = 0; i < serialRows.size(); ++i) {
         EXPECT_EQ(serialRows[i].label, poolRows[i].label);
-        EXPECT_EQ(serialRows[i].metric("layer_sum_s"),
-                  poolRows[i].metric("layer_sum_s"));
+        EXPECT_EQ(serialRows[i].metric("dispatch_bytes"),
+                  poolRows[i].metric("dispatch_bytes"));
+        EXPECT_EQ(serialRows[i].metric("pairs"),
+                  poolRows[i].metric("pairs"));
     }
 }
 

@@ -692,7 +692,6 @@ TEST(Workload, SkewedScenarioLoadsAreImbalanced)
     cfg.numExperts = 128;
     cfg.topK = 8;
     cfg.mode = GatingMode::SingleScenario;
-    cfg.zipf = 1.0;
     WorkloadGenerator gen(cfg);
     const auto counts = gen.sampleCounts(0, 0, 256, 8);
     const auto loads = WorkloadGenerator::expertLoads(counts, 128);
