@@ -3,7 +3,7 @@
  * Shared command-line helpers for the bench drivers, next to jobs.hh.
  *
  * Every driver honours the same flag vocabulary:
- *   --jobs N         worker count (resolved by benchjobs, not here)
+ *   --jobs N         worker count (parsed by benchjobs in jobs.hh)
  *   --trace <path>   write a Chrome trace-event JSON (src/obs/trace.hh)
  *   --stats <path>   write the merged StatRegistry JSON
  *   --devices N      device-count override (scale_smoke)
@@ -29,25 +29,37 @@ namespace moentwine {
 namespace benchflags {
 
 /**
- * Value of a `--name value` / `--name=value` flag; empty string when
- * the flag is absent. The last occurrence wins; a flag present
- * without a value is fatal() wherever it appears.
+ * Call fn(value) for every occurrence of a `--name value` /
+ * `--name=value` flag, in command-line order; a flag present without
+ * a value is fatal() wherever it appears.
  */
-inline std::string
-stringFlag(int argc, char **argv, const std::string &name)
+template <typename Fn>
+void
+forEachFlagValue(int argc, char **argv, const std::string &name, Fn &&fn)
 {
     const std::string prefix = name + "=";
-    std::string value;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == name) {
             if (i + 1 >= argc)
                 fatal(name + " expects a value");
-            value = argv[++i];
+            fn(std::string(argv[++i]));
         } else if (arg.rfind(prefix, 0) == 0) {
-            value = arg.substr(prefix.size());
+            fn(arg.substr(prefix.size()));
         }
     }
+}
+
+/**
+ * Value of a `--name value` / `--name=value` flag; empty string when
+ * the flag is absent. The last occurrence wins.
+ */
+inline std::string
+stringFlag(int argc, char **argv, const std::string &name)
+{
+    std::string value;
+    forEachFlagValue(argc, argv, name,
+                     [&value](const std::string &v) { value = v; });
     return value;
 }
 
@@ -60,6 +72,22 @@ positiveInt(const std::string &text, const std::string &what)
     if (end == text.c_str() || *end != '\0' || v <= 0 || v > INT_MAX)
         fatal(what + " expects a positive integer, got '" + text + "'");
     return static_cast<int>(v);
+}
+
+/**
+ * Positive int value of a `--name value` / `--name=value` flag; 0
+ * when the flag is absent. Every occurrence goes through
+ * positiveInt(), so a malformed value is fatal() wherever it appears;
+ * the last occurrence wins.
+ */
+inline int
+intFlag(int argc, char **argv, const std::string &name)
+{
+    int value = 0;
+    forEachFlagValue(argc, argv, name, [&](const std::string &v) {
+        value = positiveInt(v, name);
+    });
+    return value;
 }
 
 /**

@@ -1,36 +1,42 @@
 /**
  * @file
- * Shared worker-count resolution for the bench drivers.
+ * Shared worker-count parsing for the bench drivers.
  *
  * Every driver honours the same convention:
- *   `--jobs N` argument (last occurrence wins) > `MOENTWINE_JOBS` env
- *   > the CPUs the process may run on
- * These helpers are the one place that convention is spelled, so a
- * driver's main() reduces to `benchjobs::makeRunner(argc, argv)` (or
- * `benchjobs::resolve(argc, argv)` when it needs the bare count).
+ *   `--jobs N` / `--jobs=N` argument (every occurrence validated, the
+ *   last one wins) > `MOENTWINE_JOBS` env > the CPUs the process may
+ *   run on
+ * The argument is parsed here; SweepRunner::resolveJobs() applies the
+ * rest. A driver's main() reduces to `benchjobs::makeRunner(argc,
+ * argv)`.
  */
 
 #ifndef MOENTWINE_BENCH_JOBS_HH
 #define MOENTWINE_BENCH_JOBS_HH
 
+#include "flags.hh"
 #include "sweep/sweep_runner.hh"
 
 namespace moentwine {
 namespace benchjobs {
 
-/** Resolved worker count for a driver's command line. */
+/**
+ * The `--jobs` worker count of a command line; 0 when absent, so the
+ * result feeds straight into the SweepRunner constructor. `bench
+ * --jobs 8 --jobs 1` runs serial, while `bench --jobs 8 --jobs bogus`
+ * still dies loudly.
+ */
 inline int
-resolve(int argc, char **argv)
+jobsFromArgs(int argc, char **argv)
 {
-    return SweepRunner::resolveJobs(
-        SweepRunner::jobsFromArgs(argc, argv));
+    return benchflags::intFlag(argc, argv, "--jobs");
 }
 
 /** A SweepRunner sized by a driver's command line. */
 inline SweepRunner
 makeRunner(int argc, char **argv)
 {
-    return SweepRunner(SweepRunner::jobsFromArgs(argc, argv));
+    return SweepRunner(jobsFromArgs(argc, argv));
 }
 
 } // namespace benchjobs

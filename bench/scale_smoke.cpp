@@ -116,20 +116,19 @@ checkSampledWalks(const MeshTopology &mesh)
 }
 
 /**
- * Parse and validate the --devices operand: a positive integer of the
- * form 4 × meshN² with meshN ≥ 16 (the four-wafer row this smoke
- * builds). Returns meshN; fatal() on anything else — same discipline
- * as the --jobs parsing in the sweep runner.
+ * Validate the --devices operand (already a positive integer, parsed
+ * by benchflags::intFlag like --jobs): it must be 4 × meshN² with
+ * meshN ≥ 16 (the four-wafer row this smoke builds). Returns meshN;
+ * fatal() on anything else.
  */
 int
-meshNFromDevicesArg(const std::string &text)
+meshNFromDevices(int devices)
 {
-    const int devices = benchflags::positiveInt(text, "--devices");
     const int meshN =
         static_cast<int>(std::lround(std::sqrt(devices / 4.0)));
     if (devices % 4 != 0 || meshN * meshN * 4 != devices || meshN < 16) {
         fatal("--devices must be 4 x meshN^2 with meshN >= 16 (e.g. "
-              "1024 or 16384), got " + text);
+              "1024 or 16384), got " + std::to_string(devices));
     }
     return meshN;
 }
@@ -300,10 +299,8 @@ main(int argc, char **argv)
 {
     if (!benchflags::positionals(argc, argv).empty())
         fatal("scale_smoke takes no positional arguments");
-    const std::string devicesArg =
-        benchflags::stringFlag(argc, argv, "--devices");
-    const int meshN =
-        devicesArg.empty() ? 16 : meshNFromDevicesArg(devicesArg);
+    const int devicesArg = benchflags::intFlag(argc, argv, "--devices");
+    const int meshN = devicesArg == 0 ? 16 : meshNFromDevices(devicesArg);
     const std::string tracePath =
         benchflags::stringFlag(argc, argv, "--trace");
     const int devices = 4 * meshN * meshN;

@@ -11,7 +11,7 @@
  *   grid.systems = {wscErCfg};
  *   grid.balancers = {BalancerKind::None, BalancerKind::NonInvasive};
  *
- *   const SweepRunner runner(SweepRunner::jobsFromArgs(argc, argv));
+ *   const SweepRunner runner = benchjobs::makeRunner(argc, argv);
  *   const auto rows = runner.run(grid, [](const SweepCell &cell) {
  *       EngineConfig ec;
  *       ec.model = cell.point.modelConfig();

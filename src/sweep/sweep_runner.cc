@@ -108,34 +108,6 @@ SweepRunner::resolveJobs(int requested)
     return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-int
-SweepRunner::jobsFromArgs(int argc, char **argv)
-{
-    int jobs = 0;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        const char *value = nullptr;
-        if (std::strcmp(arg, "--jobs") == 0) {
-            if (i + 1 >= argc)
-                fatal("--jobs requires a value");
-            value = argv[++i];
-        } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-            value = arg + 7;
-        } else {
-            continue;
-        }
-        // Every occurrence is validated; the last one wins, so
-        // `bench --jobs 8 --jobs 1` runs serial while
-        // `bench --jobs 8 --jobs bogus` still dies loudly.
-        const int parsed = parsePositiveInt(value);
-        if (parsed <= 0)
-            fatal("--jobs expects a positive integer (got '" +
-                  std::string(value) + "')");
-        jobs = parsed;
-    }
-    return jobs;
-}
-
 std::vector<SweepResult>
 SweepRunner::run(const SweepGrid &grid, const CellFn &fn,
                  SweepRunStats *stats) const

@@ -156,15 +156,6 @@ class SweepRunner
      */
     static int resolveJobs(int requested);
 
-    /**
-     * Parse `--jobs N` / `--jobs=N` out of argv. Every occurrence is
-     * validated (a malformed value is fatal() wherever it appears);
-     * the LAST occurrence wins, the normal CLI override convention —
-     * `bench --jobs 8 --jobs 1` runs serial. Returns 0 when absent,
-     * so the result feeds straight into the constructor.
-     */
-    static int jobsFromArgs(int argc, char **argv);
-
   private:
     SweepOptions opts_;
 };

@@ -1,14 +1,15 @@
 /**
  * @file
- * Tests for the shared bench CLI helpers (bench/flags.hh): last-wins
- * value flags mirroring SweepRunner::jobsFromArgs, positionals()
- * skipping known flags' values and rejecting unknown flags, and the
- * strict numeric parsing.
+ * Tests for the shared bench CLI helpers (bench/flags.hh, bench/jobs.hh):
+ * last-wins value flags, `--jobs` parsing that validates every
+ * occurrence, positionals() skipping known flags' values and rejecting
+ * unknown flags, and the strict numeric parsing.
  */
 
 #include <gtest/gtest.h>
 
 #include "flags.hh"
+#include "jobs.hh"
 
 using namespace moentwine;
 
@@ -69,4 +70,69 @@ TEST(BenchFlags, PositiveIntRejectsGarbage)
                 ::testing::ExitedWithCode(1), "positive integer");
     EXPECT_EXIT(benchflags::positiveInt("-4", "test"),
                 ::testing::ExitedWithCode(1), "positive integer");
+}
+
+TEST(BenchJobs, JobsFromArgsParsesBothSpellings)
+{
+    const char *argv1[] = {"bench", "--jobs", "3"};
+    EXPECT_EQ(benchjobs::jobsFromArgs(3, const_cast<char **>(argv1)),
+              3);
+    const char *argv2[] = {"bench", "50", "--jobs=7"};
+    EXPECT_EQ(benchjobs::jobsFromArgs(3, const_cast<char **>(argv2)),
+              7);
+    const char *argv3[] = {"bench", "50"};
+    EXPECT_EQ(benchjobs::jobsFromArgs(2, const_cast<char **>(argv3)),
+              0);
+}
+
+TEST(BenchJobs, JobsFromArgsLastOccurrenceWins)
+{
+    // The normal CLI override convention: append `--jobs 1` to any
+    // command line to force a serial run.
+    const char *spaced[] = {"bench", "--jobs", "8", "--jobs", "1"};
+    EXPECT_EQ(benchjobs::jobsFromArgs(5, const_cast<char **>(spaced)),
+              1);
+    const char *inlined[] = {"bench", "--jobs=8", "--jobs=3"};
+    EXPECT_EQ(benchjobs::jobsFromArgs(3, const_cast<char **>(inlined)),
+              3);
+    const char *mixed[] = {"bench", "--jobs=2", "50", "--jobs", "6"};
+    EXPECT_EQ(benchjobs::jobsFromArgs(5, const_cast<char **>(mixed)),
+              6);
+}
+
+TEST(BenchJobsDeathTest, EveryJobsOccurrenceIsValidated)
+{
+    // Last-wins must not become last-parsed: a malformed value dies
+    // loudly wherever it appears in the command line.
+    const char *badLast[] = {"bench", "--jobs", "8", "--jobs", "bogus"};
+    EXPECT_EXIT(
+        benchjobs::jobsFromArgs(5, const_cast<char **>(badLast)),
+        ::testing::ExitedWithCode(1), "positive integer");
+    const char *badFirst[] = {"bench", "--jobs=0x4", "--jobs", "8"};
+    EXPECT_EXIT(
+        benchjobs::jobsFromArgs(4, const_cast<char **>(badFirst)),
+        ::testing::ExitedWithCode(1), "positive integer");
+}
+
+TEST(BenchJobsDeathTest, HalfParsedJobsArgIsFatal)
+{
+    const char *trailing[] = {"bench", "--jobs", "4abc"};
+    EXPECT_EXIT(
+        benchjobs::jobsFromArgs(3, const_cast<char **>(trailing)),
+        ::testing::ExitedWithCode(1), "positive integer");
+    const char *inlineSpelling[] = {"bench", "--jobs=2x"};
+    EXPECT_EXIT(
+        benchjobs::jobsFromArgs(2, const_cast<char **>(inlineSpelling)),
+        ::testing::ExitedWithCode(1), "positive integer");
+    const char *negative[] = {"bench", "--jobs", "-3"};
+    EXPECT_EXIT(
+        benchjobs::jobsFromArgs(3, const_cast<char **>(negative)),
+        ::testing::ExitedWithCode(1), "positive integer");
+    const char *empty[] = {"bench", "--jobs="};
+    EXPECT_EXIT(benchjobs::jobsFromArgs(2, const_cast<char **>(empty)),
+                ::testing::ExitedWithCode(1), "positive integer");
+    const char *overflow[] = {"bench", "--jobs", "99999999999999999999"};
+    EXPECT_EXIT(
+        benchjobs::jobsFromArgs(3, const_cast<char **>(overflow)),
+        ::testing::ExitedWithCode(1), "positive integer");
 }

@@ -223,48 +223,6 @@ TEST(SweepGridTest, TpAxisOverridesSystemConfig)
 
 // ----------------------------------------------------------- runner ----
 
-TEST(SweepRunnerTest, JobsFromArgsParsesBothSpellings)
-{
-    const char *argv1[] = {"bench", "--jobs", "3"};
-    EXPECT_EQ(SweepRunner::jobsFromArgs(3, const_cast<char **>(argv1)),
-              3);
-    const char *argv2[] = {"bench", "50", "--jobs=7"};
-    EXPECT_EQ(SweepRunner::jobsFromArgs(3, const_cast<char **>(argv2)),
-              7);
-    const char *argv3[] = {"bench", "50"};
-    EXPECT_EQ(SweepRunner::jobsFromArgs(2, const_cast<char **>(argv3)),
-              0);
-}
-
-TEST(SweepRunnerTest, JobsFromArgsLastOccurrenceWins)
-{
-    // The normal CLI override convention: append `--jobs 1` to any
-    // command line to force a serial run.
-    const char *spaced[] = {"bench", "--jobs", "8", "--jobs", "1"};
-    EXPECT_EQ(SweepRunner::jobsFromArgs(5, const_cast<char **>(spaced)),
-              1);
-    const char *inlined[] = {"bench", "--jobs=8", "--jobs=3"};
-    EXPECT_EQ(SweepRunner::jobsFromArgs(3, const_cast<char **>(inlined)),
-              3);
-    const char *mixed[] = {"bench", "--jobs=2", "50", "--jobs", "6"};
-    EXPECT_EQ(SweepRunner::jobsFromArgs(5, const_cast<char **>(mixed)),
-              6);
-}
-
-TEST(SweepRunnerJobsDeathTest, EveryJobsOccurrenceIsValidated)
-{
-    // Last-wins must not become last-parsed: a malformed value dies
-    // loudly wherever it appears in the command line.
-    const char *badLast[] = {"bench", "--jobs", "8", "--jobs", "bogus"};
-    EXPECT_EXIT(
-        SweepRunner::jobsFromArgs(5, const_cast<char **>(badLast)),
-        ::testing::ExitedWithCode(1), "positive integer");
-    const char *badFirst[] = {"bench", "--jobs=0x4", "--jobs", "8"};
-    EXPECT_EXIT(
-        SweepRunner::jobsFromArgs(4, const_cast<char **>(badFirst)),
-        ::testing::ExitedWithCode(1), "positive integer");
-}
-
 TEST(SweepRunnerTest, ResolvePositiveRequestWins)
 {
     EXPECT_EQ(SweepRunner::resolveJobs(5), 5);
@@ -528,30 +486,6 @@ TEST(SweepRunnerTest, ThrowingCellLeavesNoPartialRow)
         EXPECT_EQ(rows[i].index, i);
         EXPECT_EQ(rows[i].metric("metric"), static_cast<double>(i));
     }
-}
-
-TEST(SweepRunnerJobsDeathTest, HalfParsedJobsArgIsFatal)
-{
-    const char *trailing[] = {"bench", "--jobs", "4abc"};
-    EXPECT_EXIT(
-        SweepRunner::jobsFromArgs(3, const_cast<char **>(trailing)),
-        ::testing::ExitedWithCode(1), "positive integer");
-    const char *inlineSpelling[] = {"bench", "--jobs=2x"};
-    EXPECT_EXIT(
-        SweepRunner::jobsFromArgs(2,
-                                  const_cast<char **>(inlineSpelling)),
-        ::testing::ExitedWithCode(1), "positive integer");
-    const char *negative[] = {"bench", "--jobs", "-3"};
-    EXPECT_EXIT(
-        SweepRunner::jobsFromArgs(3, const_cast<char **>(negative)),
-        ::testing::ExitedWithCode(1), "positive integer");
-    const char *empty[] = {"bench", "--jobs="};
-    EXPECT_EXIT(SweepRunner::jobsFromArgs(2, const_cast<char **>(empty)),
-                ::testing::ExitedWithCode(1), "positive integer");
-    const char *overflow[] = {"bench", "--jobs", "99999999999999999999"};
-    EXPECT_EXIT(
-        SweepRunner::jobsFromArgs(3, const_cast<char **>(overflow)),
-        ::testing::ExitedWithCode(1), "positive integer");
 }
 
 TEST(SweepRunnerJobsDeathTest, HalfParsedJobsEnvIsFatal)
