@@ -36,6 +36,7 @@
 #include "sweep/sweep.hh"
 #include "flags.hh"
 #include "jobs.hh"
+#include "serving_cell.hh"
 #include "sweep_output.hh"
 
 using namespace moentwine;
@@ -51,34 +52,6 @@ uint64_t
 streamSeed(const SweepPoint &p)
 {
     return 0xFA017514EEDULL ^ (static_cast<uint64_t>(p.arrival + 1) << 32);
-}
-
-/** Serving configuration of one cell (the fault plan is added later —
- *  it needs the cell's topology). */
-ServeConfig
-cellConfig(const SweepPoint &p, int requests)
-{
-    ServeConfig sc;
-    sc.engine.model = qwen3();
-    sc.engine.workload.seed = streamSeed(p);
-    sc.engine.balancer = p.balancerKind();
-    sc.engine.alpha = 0.5;
-    sc.engine.beta = 5;
-    sc.arrival.kind = p.arrivalKind();
-    sc.arrival.ratePerSec = 150.0;
-    sc.arrival.mixDriftPeriodSec = 4.0;
-    sc.arrival.promptMeanTokens = 256;
-    sc.arrival.promptMaxTokens = 2048;
-    sc.arrival.outputMeanTokens = 48;
-    sc.arrival.outputMaxTokens = 256;
-    sc.arrival.seed = streamSeed(p);
-    sc.scheduler.kvBudgetTokens = 16384;
-    sc.scheduler.maxRunningRequests = 32;
-    sc.scheduler.prefillChunkTokens = 512;
-    sc.slo.ttft = 0.05;
-    sc.slo.tpot = 0.005;
-    sc.numRequests = requests;
-    return sc;
 }
 
 } // namespace
@@ -104,11 +77,7 @@ main(int argc, char **argv)
                 requests);
 
     SweepGrid grid;
-    SystemConfig wsc;
-    wsc.platform = PlatformKind::WscEr;
-    wsc.meshN = 4;
-    wsc.tp = 4;
-    grid.systems = {wsc};
+    grid.systems = {benchserve::wscSystem()};
     grid.balancers = {BalancerKind::None, BalancerKind::NonInvasive};
     grid.arrivals = {ArrivalKind::Poisson, ArrivalKind::Bursty};
     grid.faultScenarios = {
@@ -140,7 +109,10 @@ main(int argc, char **argv)
 
     const SweepRunner runner = benchjobs::makeRunner(argc, argv);
     const auto rows = runner.run(grid, [&](const SweepCell &cell) {
-        ServeConfig sc = cellConfig(cell.point, requests);
+        const std::uint64_t seed = streamSeed(cell.point);
+        ServeConfig sc = benchserve::serveConfig(
+            benchserve::arrival(cell.point.arrivalKind(), 150.0, seed),
+            seed, cell.point.balancerKind(), requests);
         sc.faults = makeFaultScenario(cell.point.faultScenario(),
                                       cell.system->mapping().topology(),
                                       spec);

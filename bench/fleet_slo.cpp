@@ -38,6 +38,7 @@
 #include "sweep/sweep.hh"
 #include "flags.hh"
 #include "jobs.hh"
+#include "serving_cell.hh"
 #include "sweep_output.hh"
 
 using namespace moentwine;
@@ -55,50 +56,21 @@ streamSeed(const SweepPoint &p)
     return 0xF1EE751AEEDULL ^ (static_cast<uint64_t>(p.arrival + 1) << 32);
 }
 
-/** Per-replica serving configuration shared by every cell. */
-ServeConfig
-replicaServeConfig(uint64_t seed)
-{
-    ServeConfig sc;
-    sc.engine.model = qwen3();
-    sc.engine.workload.seed = seed;
-    sc.engine.alpha = 0.5;
-    sc.engine.beta = 5;
-    sc.scheduler.kvBudgetTokens = 16384;
-    sc.scheduler.maxRunningRequests = 32;
-    sc.scheduler.prefillChunkTokens = 512;
-    sc.slo.ttft = 0.05;
-    sc.slo.tpot = 0.005;
-    return sc;
-}
-
 /** Fleet configuration of one grid cell (homogeneous WSC replicas). */
 FleetConfig
 cellConfig(const SweepPoint &p, int requests)
 {
-    SystemConfig wsc;
-    wsc.platform = PlatformKind::WscEr;
-    wsc.meshN = 4;
-    wsc.tp = 4;
-
     FleetConfig fc;
+    fc.arrival = benchserve::arrival(p.arrivalKind(), 150.0, streamSeed(p));
     ReplicaConfig rc;
-    rc.system = wsc;
-    rc.serve = replicaServeConfig(streamSeed(p));
+    rc.system = benchserve::wscSystem();
+    rc.serve = benchserve::serveConfig(fc.arrival, streamSeed(p),
+                                       BalancerKind::None, requests);
     fc.replicas.assign(static_cast<std::size_t>(p.replicaCount()), rc);
-    fc.arrival.kind = p.arrivalKind();
-    fc.arrival.ratePerSec = 150.0;
-    fc.arrival.mixDriftPeriodSec = 4.0;
-    fc.arrival.promptMeanTokens = 256;
-    fc.arrival.promptMaxTokens = 2048;
-    fc.arrival.outputMeanTokens = 48;
-    fc.arrival.outputMaxTokens = 256;
-    fc.arrival.seed = streamSeed(p);
     fc.numRequests = requests;
     fc.router = p.routerPolicy();
     fc.routerSeed = p.seed(0xF1EE7);
-    fc.slo.ttft = 0.05;
-    fc.slo.tpot = 0.005;
+    fc.slo = rc.serve.slo;
     return fc;
 }
 

@@ -32,6 +32,7 @@
 #include "sweep/sweep.hh"
 #include "flags.hh"
 #include "jobs.hh"
+#include "serving_cell.hh"
 #include "sweep_output.hh"
 
 using namespace moentwine;
@@ -54,15 +55,8 @@ streamSeed(const SweepPoint &p)
 ArrivalConfig
 cellArrival(const SweepPoint &p, int requests)
 {
-    ArrivalConfig ac;
-    ac.kind = p.arrivalKind();
-    ac.ratePerSec = p.parameter();
-    ac.mixDriftPeriodSec = 4.0; // production mixes drift slowly
-    ac.promptMeanTokens = 256;
-    ac.promptMaxTokens = 2048;
-    ac.outputMeanTokens = 48;
-    ac.outputMaxTokens = 256;
-    ac.seed = streamSeed(p);
+    ArrivalConfig ac = benchserve::arrival(p.arrivalKind(), p.parameter(),
+                                           streamSeed(p));
     if (ac.kind == ArrivalKind::Trace) {
         // Deterministic replay: "record" a Poisson stream with a
         // distinct seed and play it back through the trace path.
@@ -77,26 +71,6 @@ cellArrival(const SweepPoint &p, int requests)
         }
     }
     return ac;
-}
-
-/** Serving configuration of one cell. */
-ServeConfig
-cellConfig(const SweepPoint &p, int requests)
-{
-    ServeConfig sc;
-    sc.engine.model = qwen3();
-    sc.engine.workload.seed = streamSeed(p);
-    sc.engine.balancer = p.balancerKind();
-    sc.engine.alpha = 0.5;
-    sc.engine.beta = 5;
-    sc.arrival = cellArrival(p, requests);
-    sc.scheduler.kvBudgetTokens = 16384;
-    sc.scheduler.maxRunningRequests = 32;
-    sc.scheduler.prefillChunkTokens = 512;
-    sc.slo.ttft = 0.05;
-    sc.slo.tpot = 0.005;
-    sc.numRequests = requests;
-    return sc;
 }
 
 } // namespace
@@ -122,11 +96,7 @@ main(int argc, char **argv)
                 requests);
 
     SweepGrid grid;
-    SystemConfig wsc;
-    wsc.platform = PlatformKind::WscEr;
-    wsc.meshN = 4;
-    wsc.tp = 4;
-    grid.systems = {wsc};
+    grid.systems = {benchserve::wscSystem()};
     grid.balancers = {BalancerKind::None, BalancerKind::NonInvasive};
     grid.params = {40, 80}; // offered load (requests/s)
     grid.arrivals = {ArrivalKind::Poisson, ArrivalKind::Bursty,
@@ -145,7 +115,9 @@ main(int argc, char **argv)
 
     const SweepRunner runner = benchjobs::makeRunner(argc, argv);
     const auto rows = runner.run(grid, [&](const SweepCell &cell) {
-        const ServeConfig sc = cellConfig(cell.point, requests);
+        const ServeConfig sc = benchserve::serveConfig(
+            cellArrival(cell.point, requests), streamSeed(cell.point),
+            cell.point.balancerKind(), requests);
         ServeSimulator sim(cell.system->mapping(), sc);
         if (isTracedCell(cell.point))
             sim.setTrace(&trace);
