@@ -1,7 +1,6 @@
 /**
  * @file
- * Ablation bench for the design choices DESIGN.md calls out beyond the
- * paper's own figures:
+ * Ablation bench for design choices beyond the paper's own figures:
  *
  *  1. time-staggered entwined rings vs naive (un-staggered) sharing —
  *     the scheduling trick of Fig. 8(d);

@@ -410,7 +410,7 @@ TEST(TrafficAccum, SparsePathIsAllocationFreeInSteadyState)
 {
     const int devices = 150;
     TrafficAccumulator acc(TrafficStorageKind::Sparse);
-    // Warm-up: grows the hash and the emission scratch to the
+    // Warm-up: grows the append buffer and the radix scratch to the
     // workload's high-water occupancy.
     acc.reset(devices);
     fillPattern(acc, devices);
