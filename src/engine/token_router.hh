@@ -17,12 +17,12 @@
  * transfers into a TrafficAccumulator — a dense devices×devices byte
  * matrix below TrafficAccumulator::kSparseThreshold devices, a
  * radix-sorted append buffer of touched pairs at/above (see
- * network/traffic_accum.hh) — and materialises
- * the non-zero pairs as dispatch flows in cache-blocked tile-major
- * order (combine is the transpose). Both storages yield bitwise
- * identical flow lists. The unaggregated per-triple flow list is kept
- * behind an `aggregate` toggle as the reference that
- * tests/flow_aggregation_test.cpp checks the aggregated path against.
+ * network/traffic_accum.hh) — and materialises the non-zero pairs as
+ * dispatch flows in cache-blocked tile-major order (combine is the
+ * transpose). Both storages yield bitwise identical flow lists. The
+ * unaggregated per-triple flow list is kept behind an `aggregate`
+ * toggle as the reference that tests/flow_aggregation_test.cpp checks
+ * the aggregated path against.
  */
 
 #ifndef MOENTWINE_ENGINE_TOKEN_ROUTER_HH

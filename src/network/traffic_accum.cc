@@ -14,11 +14,9 @@ void TrafficAccumulator::reset(int devices)
 {
     MOE_ASSERT(devices >= 0, "traffic accumulator device count negative");
     devices_ = devices;
-    if (pinned_)
-        active_ = *pinned_;
-    else
-        active_ = devices >= kSparseThreshold ? TrafficStorageKind::Sparse
-                                              : TrafficStorageKind::Dense;
+    active_ = pinned_.value_or(devices >= kSparseThreshold
+                                   ? TrafficStorageKind::Sparse
+                                   : TrafficStorageKind::Dense);
     if (active_ == TrafficStorageKind::Dense) {
         const std::size_t cells = static_cast<std::size_t>(devices) *
             static_cast<std::size_t>(devices);

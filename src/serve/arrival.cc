@@ -27,21 +27,6 @@ constexpr int kPromptMinTokens = 16;
 constexpr double kOutputSigma = 0.5;
 constexpr int kOutputMinTokens = 4;
 
-/** Log-normal length draw around mean·scale, clamped into [lo, hi]. */
-int
-sampleLength(Rng &rng, double mean, double sigma, double scale, int lo,
-             int hi)
-{
-    // exp(normal(mu, sigma)) has mean exp(mu + sigma²/2); solve mu so
-    // the draw's mean is the configured one.
-    const double mu = std::log(mean * scale) - 0.5 * sigma * sigma;
-    const double len = std::exp(rng.normal(mu, sigma));
-    const double clamped =
-        std::min(static_cast<double>(hi),
-                 std::max(static_cast<double>(lo), std::round(len)));
-    return static_cast<int>(clamped);
-}
-
 } // namespace
 
 std::string
@@ -138,12 +123,31 @@ ArrivalProcess::scenarioMixAt(double t) const
     if (cfg_.mixDriftPeriodSec > 0.0) {
         // The shared raised-cosine rotation (workload.cc uses the same
         // shape with an iteration-index phase).
-        return rotatingScenarioMix(2.0 * M_PI * t /
-                                   cfg_.mixDriftPeriodSec);
+        return rotatingScenarioMix(2.0 * M_PI * t / cfg_.mixDriftPeriodSec);
     }
+    // Static mixture: uniform over the scenarios.
     const std::size_t n = allScenarios().size();
     return std::vector<double>(n, 1.0 / static_cast<double>(n));
 }
+
+namespace {
+
+/** Log-normal length draw around mean·scale, clamped into [lo, hi]. */
+int
+sampleLength(Rng &rng, double mean, double sigma, double scale, int lo,
+             int hi)
+{
+    // exp(normal(mu, sigma)) has mean exp(mu + sigma²/2); solve mu so
+    // the draw's mean is the configured one.
+    const double mu = std::log(mean * scale) - 0.5 * sigma * sigma;
+    const double len = std::exp(rng.normal(mu, sigma));
+    const double clamped =
+        std::min(static_cast<double>(hi),
+                 std::max(static_cast<double>(lo), std::round(len)));
+    return static_cast<int>(clamped);
+}
+
+} // namespace
 
 std::vector<ServeRequest>
 ArrivalProcess::generate(int count) const

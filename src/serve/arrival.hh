@@ -15,8 +15,9 @@
  * Every generated request is tagged with a ScenarioKind drawn from a
  * uniform (optionally slowly rotating) scenario mixture, plus prompt
  * and output lengths from seeded log-normal distributions with
- * per-scenario scale factors (Coding prompts run long, Chat prompts short, Math outputs
- * long — the shape the paper's Fig. 12 scenario study relies on).
+ * per-scenario scale factors (Coding prompts run long, Chat prompts
+ * short, Math outputs long — the shape the paper's Fig. 12 scenario
+ * study relies on).
  * Equal configurations generate byte-identical request streams.
  */
 
