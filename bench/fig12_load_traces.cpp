@@ -47,7 +47,7 @@ trace(ScenarioKind scenario)
         const auto counts = gen.sampleCounts(it, 0, 256, 1);
         const auto loads =
             WorkloadGenerator::expertLoads(counts, wc.numExperts);
-        const auto heats = placement.deviceHeats(loads);
+        const auto heats = deviceHeats(placement, loads);
         const double mean = meanOf(heats);
         double drift = 0.0;
         for (int d = 0; d < kDevices; ++d) {

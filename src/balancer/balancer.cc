@@ -30,6 +30,147 @@ RebalanceTrigger::poll(double imbalance)
     return false;
 }
 
+double
+heatOf(const ExpertPlacement &placement, DeviceId d,
+       const std::vector<double> &expertLoads)
+{
+    double heat = 0.0;
+    for (const int e : placement.expertsOn(d)) {
+        heat += expertLoads[static_cast<std::size_t>(e)] /
+            static_cast<double>(placement.numReplicas(e));
+    }
+    return heat;
+}
+
+std::vector<double>
+deviceHeats(const ExpertPlacement &placement,
+            const std::vector<double> &expertLoads)
+{
+    MOE_ASSERT(expertLoads.size() ==
+                   static_cast<std::size_t>(placement.numExperts()),
+               "expert load vector width mismatch");
+    std::vector<double> heats(
+        static_cast<std::size_t>(placement.numDevices()), 0.0);
+    for (DeviceId d = 0; d < placement.numDevices(); ++d)
+        heats[static_cast<std::size_t>(d)] =
+            heatOf(placement, d, expertLoads);
+    return heats;
+}
+
+void
+HeatIndex::build(const std::vector<double> &expertLoads,
+                 const ExpertPlacement &placement)
+{
+    MOE_ASSERT(expertLoads.size() ==
+                   static_cast<std::size_t>(placement.numExperts()),
+               "expert load vector width mismatch");
+    const int devices = placement.numDevices();
+    heats_.resize(static_cast<std::size_t>(devices));
+    for (DeviceId d = 0; d < devices; ++d)
+        heats_[static_cast<std::size_t>(d)] =
+            heatOf(placement, d, expertLoads);
+
+    treeBase_ = 1;
+    while (treeBase_ < devices)
+        treeBase_ *= 2;
+    const auto leaves = static_cast<std::size_t>(treeBase_);
+    maxTree_.assign(2 * leaves, -1);
+    freeMinTree_.assign(2 * leaves, -1);
+    for (DeviceId d = 0; d < devices; ++d) {
+        maxTree_[leaves + static_cast<std::size_t>(d)] = d;
+        if (placement.freeSlots(d) > 0)
+            freeMinTree_[leaves + static_cast<std::size_t>(d)] = d;
+    }
+    for (std::size_t i = leaves - 1; i >= 1; --i) {
+        maxTree_[i] = hotter(maxTree_[2 * i], maxTree_[2 * i + 1]);
+        freeMinTree_[i] = colder(freeMinTree_[2 * i], freeMinTree_[2 * i + 1]);
+    }
+}
+
+void
+HeatIndex::addReplica(ExpertPlacement &placement, int expert, DeviceId d,
+                      double load)
+{
+    // The expert's per-replica share shrinks from L/n to L/(n+1):
+    // existing replicas cool by the difference, the new host gains the
+    // new share.
+    const auto n = static_cast<double>(placement.numReplicas(expert));
+    const double newShare = load / (n + 1.0);
+    for (const DeviceId r : placement.replicasOf(expert)) {
+        heats_[static_cast<std::size_t>(r)] -= load / n - newShare;
+        touch(placement, r);
+    }
+    heats_[static_cast<std::size_t>(d)] += newShare;
+    placement.addReplica(expert, d);
+    touch(placement, d);
+}
+
+DeviceId
+HeatIndex::coldestOpen(const ExpertPlacement &placement, int expert,
+                       DeviceId skip) const
+{
+    MOE_ASSERT(!freeMinTree_.empty(), "coldestOpen() before build()");
+    return coldestOpenUnder(placement, 1, expert, skip);
+}
+
+DeviceId
+HeatIndex::coldestOpenUnder(const ExpertPlacement &placement, int node,
+                            int expert, DeviceId skip) const
+{
+    // A winner that qualifies is the subtree's answer; otherwise both
+    // children are searched, so only the paths to excluded winners
+    // (skip and the expert's holders) are ever expanded.
+    const DeviceId w = freeMinTree_[static_cast<std::size_t>(node)];
+    if (w < 0 || (w != skip && !placement.hosts(w, expert)))
+        return w;
+    if (node >= treeBase_)
+        return -1;
+    return colder(coldestOpenUnder(placement, 2 * node, expert, skip),
+                  coldestOpenUnder(placement, 2 * node + 1, expert, skip));
+}
+
+DeviceId
+HeatIndex::hotter(DeviceId a, DeviceId b) const
+{
+    if (a < 0 || b < 0)
+        return a < 0 ? b : a;
+    const double ha = heats_[static_cast<std::size_t>(a)];
+    const double hb = heats_[static_cast<std::size_t>(b)];
+    return hb > ha || (hb == ha && b < a) ? b : a;
+}
+
+DeviceId
+HeatIndex::colder(DeviceId a, DeviceId b) const
+{
+    if (a < 0 || b < 0)
+        return a < 0 ? b : a;
+    const double ha = heats_[static_cast<std::size_t>(a)];
+    const double hb = heats_[static_cast<std::size_t>(b)];
+    return hb < ha || (hb == ha && b < a) ? b : a;
+}
+
+void
+HeatIndex::touch(const ExpertPlacement &placement, DeviceId d)
+{
+    // Callers touch after every single-device change, so only d's path
+    // can be stale. A node whose winners stay the same and are not d
+    // feeds its ancestors exactly what it fed them before: stop there.
+    auto i = static_cast<std::size_t>(treeBase_ + d);
+    maxTree_[i] = d;
+    freeMinTree_[i] = placement.freeSlots(d) > 0 ? d : -1;
+    for (i /= 2; i >= 1; i /= 2) {
+        const DeviceId hot = hotter(maxTree_[2 * i], maxTree_[2 * i + 1]);
+        const DeviceId open =
+            colder(freeMinTree_[2 * i], freeMinTree_[2 * i + 1]);
+        if (hot == maxTree_[i] && open == freeMinTree_[i] && hot != d &&
+            open != d) {
+            return;
+        }
+        maxTree_[i] = hot;
+        freeMinTree_[i] = open;
+    }
+}
+
 namespace {
 
 /**
@@ -132,25 +273,21 @@ nearestByScan(const Topology &topo, const ColdTest &cold)
 /**
  * Algorithm 1's core loop: repeatedly replicate the most loaded expert
  * of the hottest device onto a colder device until no improvement is
- * possible. Appends the (expert, dst) additions to @p added in order.
- * @p topo nullptr picks the coldest destination, otherwise the nearest
- * (@p mesh, when non-null, is @p topo as a mesh).
+ * possible. @p index must hold the heats of @p loads on @p placement;
+ * every addition goes through it. Appends the (expert, dst) additions
+ * to @p added in order. @p topo nullptr picks the coldest destination,
+ * otherwise the nearest (@p mesh, when non-null, is @p topo as a mesh).
  */
 void
 replicationLoop(const std::vector<double> &loads,
-                ExpertPlacement &placement, const Topology *topo,
-                const MeshTopology *mesh,
+                ExpertPlacement &placement, HeatIndex &index,
+                const Topology *topo, const MeshTopology *mesh,
                 std::vector<std::pair<int, DeviceId>> &added)
 {
     const int maxAdds = placement.numDevices() * placement.shadowSlots();
-
-    // Track loads so each round reads the incrementally maintained
-    // heats and heat trees, and every addReplica() updates them in
-    // O(replicas × log devices).
-    placement.setExpertLoads(loads);
-    const std::vector<double> &heats = placement.heats();
+    const std::vector<double> &heats = index.heats();
     for (int round = 0; round < maxAdds; ++round) {
-        const DeviceId hottest = placement.hottestDevice();
+        const DeviceId hottest = index.hottest();
 
         // Most loaded per-replica share on the hottest device.
         int srcExpert = -1;
@@ -166,23 +303,22 @@ replicationLoop(const std::vector<double> &loads,
         if (srcExpert < 0 || share <= 0.0)
             break; // nothing worth replicating
 
-        const double newShare = loads[static_cast<std::size_t>(
-                                    srcExpert)] /
-            (placement.numReplicas(srcExpert) + 1);
+        const double load = loads[static_cast<std::size_t>(srcExpert)];
+        const double newShare =
+            load / (placement.numReplicas(srcExpert) + 1);
         const ColdTest cold{placement, heats, srcExpert, hottest, newShare};
         // The cold set is empty iff its coldest eligible device fails.
         const DeviceId coldest =
-            placement.coldestOpenDevice(srcExpert, hottest);
+            index.coldestOpen(placement, srcExpert, hottest);
         if (coldest < 0 || !cold(coldest))
             break; // line 6: no capable destination remains
 
         const DeviceId dst = !topo ? coldest
             : mesh                 ? nearestOnMesh(*mesh, cold)
                                    : nearestByScan(*topo, cold);
-        placement.addReplica(srcExpert, dst);
+        index.addReplica(placement, srcExpert, dst, load);
         added.emplace_back(srcExpert, dst);
     }
-    placement.clearExpertLoads();
 }
 
 /** Prior holder nearest to @p dst; ties to the lowest id. */
@@ -231,8 +367,9 @@ Balancer::rebalanceWith(const std::vector<double> &loads,
     holderStart_[0] = 0;
 
     placement.resetToNative();
+    heatIndex_.build(loads, placement);
     added_.clear();
-    replicationLoop(loads, placement, topo,
+    replicationLoop(loads, placement, heatIndex_, topo,
                     dynamic_cast<const MeshTopology *>(topo), added_);
 
     steps_.clear();

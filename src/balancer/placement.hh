@@ -5,18 +5,11 @@
  * Every device owns its *native* experts (assigned round-robin at load
  * time) plus a fixed number of *shadow slots* that balancers fill with
  * replicas of popular experts (Fig. 7(a) of the paper). Tokens routed
- * to an expert are split evenly across its replicas, so a device's
- * heat is Σ Load_e / Num_e over the experts it hosts (Algorithm 1).
+ * to an expert are split evenly across its replicas.
  *
- * While loads are attached (setExpertLoads()), two tournament trees
- * index the tracked heats for Algorithm 1's per-round queries. Both
- * break heat ties toward the lowest device id:
- *  - hottestDevice() reads the max tree in O(1) and returns exactly
- *    what std::max_element over heats() returns;
- *  - coldestOpenDevice() walks the min tree over devices with a free
- *    slot in O((1 + excluded) · log devices).
- * Every heat write updates its leaf in O(log devices); the trees only
- * index the heat doubles, they never recompute them.
+ * The placement knows nothing of loads: device heats (Algorithm 1's
+ * Σ Load_e / Num_e) and the heat trees the planner queries belong to
+ * the balancer module (balancer.hh: deviceHeats(), HeatIndex).
  */
 
 #ifndef MOENTWINE_BALANCER_PLACEMENT_HH
@@ -119,90 +112,16 @@ class ExpertPlacement
     /** True once markDeviceLost(d) has run. */
     bool deviceLost(DeviceId d) const;
 
-    /**
-     * Device heats given per-expert loads: Heat_d = Σ Load_e / Num_e
-     * over experts hosted by d. Recomputed from scratch in
-     * O(devices × experts); hot callers should attach loads with
-     * setExpertLoads() and read the incrementally maintained heats().
-     */
-    std::vector<double> deviceHeats(
-        const std::vector<double> &expertLoads) const;
-
-    /**
-     * Attach per-expert loads and (re)build the tracked heat vector.
-     * While loads are attached, every placement mutation (addReplica,
-     * removeReplica, resetToNative) and every updateExpertLoad() call
-     * maintains heats() and the trees incrementally in
-     * O(replicas of the changed expert × log devices) — the Algorithm 1
-     * inner loop no longer pays the O(devices × experts) recompute per
-     * round.
-     */
-    void setExpertLoads(const std::vector<double> &expertLoads);
-
-    /** Stop tracking loads (heats() becomes unavailable). */
-    void clearExpertLoads();
-
-    /** True while setExpertLoads() is in effect. */
-    bool tracksLoads() const { return !trackedLoads_.empty(); }
-
-    /**
-     * Update one expert's tracked load in
-     * O(replicas of that expert × log devices).
-     */
-    void updateExpertLoad(int expert, double load);
-
-    /** Incrementally maintained heats for the attached loads. */
-    const std::vector<double> &heats() const;
-
-    /**
-     * Device of maximum tracked heat, ties to the lowest id (the
-     * std::max_element answer). O(1); needs attached loads.
-     */
-    DeviceId hottestDevice() const;
-
-    /**
-     * Device of minimum tracked heat, ties to the lowest id, among
-     * devices with a free slot that are not @p skip and do not host
-     * @p expert; -1 when there is none. Needs attached loads.
-     */
-    DeviceId coldestOpenDevice(int expert, DeviceId skip) const;
-
   private:
     int numExperts_;
     int numDevices_;
     int shadowSlots_;
-    /** Σ load / replicas over the experts hosted by @p d. */
-    double heatOf(DeviceId d, const std::vector<double> &loads) const;
-    /** Rebuild heats_ and both trees from the tracked loads. */
-    void rebuildHeats();
-    /**
-     * Re-seat device @p d's leaf after its heat or slots changed; call
-     * once per changed device, before changing the next.
-     */
-    void touchHeat(DeviceId d);
-    /** Tree winners: the hotter / colder of two devices (-1 = none). */
-    DeviceId hotter(DeviceId a, DeviceId b) const;
-    DeviceId colder(DeviceId a, DeviceId b) const;
-    /** coldestOpenDevice() below tree node @p node. */
-    DeviceId coldestOpenUnder(int node, int expert, DeviceId skip) const;
-
     std::vector<std::vector<int>> byDevice_;
     std::vector<std::vector<DeviceId>> byExpert_;
     std::vector<int> capacity_;
     std::vector<std::vector<int>> nativeByDevice_;
     // Devices retired by markDeviceLost(); empty until faults strike.
     std::vector<char> lost_;
-    // Attached per-expert loads and the incrementally maintained
-    // per-device heats; both empty while no loads are attached.
-    std::vector<double> trackedLoads_;
-    std::vector<double> heats_;
-    // Tournament trees over heats_, built with it: device d's leaf is
-    // node treeBase_ + d, node i plays 2i against 2i + 1, and each node
-    // holds its winning device (-1: none). hotTree_ is the max over all
-    // devices; openTree_ the min over devices with a free slot.
-    int treeBase_ = 0;
-    std::vector<DeviceId> hotTree_;
-    std::vector<DeviceId> openTree_;
 };
 
 // The accessors Algorithm 1 calls per device and round, inline.

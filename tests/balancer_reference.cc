@@ -66,9 +66,11 @@ replicationLoop(const std::vector<double> &loads,
     std::vector<std::pair<int, DeviceId>> added;
     const int maxAdds = placement.numDevices() * placement.shadowSlots();
 
-    placement.setExpertLoads(loads);
+    // Heats computed once, then kept current by the same per-addition
+    // arithmetic as the production HeatIndex (no trees: every query
+    // below is a full scan).
+    std::vector<double> heats = deviceHeats(placement, loads);
     for (int round = 0; round < maxAdds; ++round) {
-        const std::vector<double> &heats = placement.heats();
         const auto hottest = static_cast<DeviceId>(
             std::max_element(heats.begin(), heats.end()) - heats.begin());
 
@@ -108,10 +110,16 @@ replicationLoop(const std::vector<double> &loads,
 
         const DeviceId dst =
             policy.chooseDst(topo, placement, heats, cold, srcExpert);
+        // Existing replicas cool from L/n to L/(n+1); dst gains the
+        // new share.
+        const double load = loads[static_cast<std::size_t>(srcExpert)];
+        const auto n = static_cast<double>(placement.numReplicas(srcExpert));
+        for (const DeviceId r : placement.replicasOf(srcExpert))
+            heats[static_cast<std::size_t>(r)] -= load / n - newShare;
+        heats[static_cast<std::size_t>(dst)] += newShare;
         placement.addReplica(srcExpert, dst);
         added.emplace_back(srcExpert, dst);
     }
-    placement.clearExpertLoads();
     return added;
 }
 

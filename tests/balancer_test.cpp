@@ -1,18 +1,20 @@
 /**
  * @file
- * Tests for the rebalance trigger (Eq. 2) and the greedy /
- * topology-aware balancers (Algorithm 1), plus pinned digests of the
- * planners' step lists (BalancerDigest.*).
+ * Tests for the rebalance trigger (Eq. 2), Algorithm 1's heat index,
+ * and the greedy / topology-aware balancers (Algorithm 1), plus pinned
+ * digests of the planners' step lists (BalancerDigest.*).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 
 #include "balancer/balancer.hh"
 #include "balancer/ni_balancer.hh"
 #include "balancer_reference.hh"
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "digest.hh"
 #include "mapping/er_mapping.hh"
@@ -80,7 +82,7 @@ skewedLoads(int experts, double scale = 1000.0)
 double
 peakHeat(const ExpertPlacement &p, const std::vector<double> &loads)
 {
-    return maxOf(p.deviceHeats(loads));
+    return maxOf(deviceHeats(p, loads));
 }
 
 } // namespace
@@ -238,6 +240,121 @@ TEST(TopoBalancer, Names)
     const MeshTopology mesh = MeshTopology::singleWafer(2);
     EXPECT_EQ(GreedyBalancer{}.name(), "Greedy");
     EXPECT_EQ(TopologyAwareBalancer{mesh}.name(), "Topology-aware");
+}
+
+// ---------------------------------------------------- heat index ----
+
+namespace {
+
+/**
+ * The heat trees must answer exactly what scans of heats() do: the
+ * std::max_element device, and the coldest device with a free slot
+ * that is not @p skip and does not host the expert (ties: lowest id).
+ */
+void
+expectTreesMatchScan(const HeatIndex &index, const ExpertPlacement &p)
+{
+    const auto &heats = index.heats();
+    EXPECT_EQ(index.hottest(),
+              std::max_element(heats.begin(), heats.end()) - heats.begin());
+    for (int e = 0; e < p.numExperts(); ++e) {
+        for (DeviceId skip = -1; skip < p.numDevices(); ++skip) {
+            DeviceId want = -1;
+            for (DeviceId d = 0; d < p.numDevices(); ++d) {
+                if (d != skip && p.freeSlots(d) > 0 && !p.hosts(d, e) &&
+                    (want < 0 || heats[std::size_t(d)] <
+                                     heats[std::size_t(want)])) {
+                    want = d;
+                }
+            }
+            EXPECT_EQ(index.coldestOpen(p, e, skip), want)
+                << "expert " << e << " skip " << skip;
+        }
+    }
+}
+
+/** Indexed heats must match a from-scratch recompute (FP tolerance). */
+void
+expectHeatsMatchRecompute(const HeatIndex &index, const ExpertPlacement &p,
+                          const std::vector<double> &loads)
+{
+    const auto fresh = deviceHeats(p, loads);
+    const auto &indexed = index.heats();
+    ASSERT_EQ(fresh.size(), indexed.size());
+    for (std::size_t d = 0; d < fresh.size(); ++d)
+        EXPECT_NEAR(indexed[d], fresh[d], 1e-9) << "device " << d;
+    expectTreesMatchScan(index, p);
+}
+
+} // namespace
+
+TEST(HeatIndex, AddsMaintainHeatsIncrementally)
+{
+    ExpertPlacement p(8, 4, 2);
+    const std::vector<double> loads{5, 1, 2, 8, 3, 1, 4, 6};
+    HeatIndex index;
+    index.build(loads, p);
+    expectHeatsMatchRecompute(index, p, loads);
+
+    for (const auto &[e, d] :
+         std::vector<std::pair<int, DeviceId>>{{3, 0}, {3, 2}, {7, 1}}) {
+        index.addReplica(p, e, d, loads[std::size_t(e)]);
+        EXPECT_TRUE(p.hosts(d, e));
+        expectHeatsMatchRecompute(index, p, loads);
+    }
+}
+
+TEST(HeatIndex, TreesFollowSeededAddsAndRebuilds)
+{
+    // Small integer loads make exact heat ties common. Additions go
+    // through the index; every other change (a removal, a load change,
+    // a reset to native, one device loss) is followed by a rebuild.
+    for (const auto &[experts, devices] :
+         std::vector<std::pair<int, int>>{{10, 7}, {5, 12}, {16, 16}}) {
+        ExpertPlacement p(experts, devices, 2);
+        Rng rng(static_cast<std::uint64_t>(experts * 100 + devices));
+        std::vector<double> loads(static_cast<std::size_t>(experts));
+        for (double &l : loads)
+            l = static_cast<double>(rng.below(4));
+        HeatIndex index;
+        index.build(loads, p);
+        expectHeatsMatchRecompute(index, p, loads);
+        for (int op = 0; op < 200; ++op) {
+            const int e = static_cast<int>(
+                rng.below(static_cast<std::uint64_t>(experts)));
+            const auto d = static_cast<DeviceId>(
+                rng.below(static_cast<std::uint64_t>(devices)));
+            if (op == 100) {
+                p.markDeviceLost(d);
+                index.build(loads, p);
+            } else if (op % 50 == 49) {
+                p.resetToNative();
+                index.build(loads, p);
+            } else {
+                switch (rng.below(4)) {
+                  case 0:
+                  case 1:
+                    if (p.freeSlots(d) > 0 && !p.hosts(d, e))
+                        index.addReplica(p, e, d, loads[std::size_t(e)]);
+                    break;
+                  case 2:
+                    if (p.hosts(d, e) && !p.isNative(d, e)) {
+                        p.removeReplica(e, d);
+                        index.build(loads, p);
+                    }
+                    break;
+                  default:
+                    loads[std::size_t(e)] =
+                        static_cast<double>(rng.below(4));
+                    index.build(loads, p);
+                    break;
+                }
+            }
+            expectHeatsMatchRecompute(index, p, loads);
+            if (HasFailure())
+                return;
+        }
+    }
 }
 
 // ------------------------------------------------- pinned digests ----

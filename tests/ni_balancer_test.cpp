@@ -55,10 +55,10 @@ TEST(NiBalancer, ReplicasNotActiveUntilTransferCompletes)
     NiBalancer ni(f.er, 42e6);
     ExpertPlacement p(16, 16, 1);
     const auto loads = f.skewedLoads();
-    const double before = maxOf(p.deviceHeats(loads));
+    const double before = maxOf(deviceHeats(p, loads));
     ni.plan(loads, p);
     // Placement unchanged (migrations pending, nothing arrived yet).
-    EXPECT_NEAR(maxOf(p.deviceHeats(loads)), before, 1e-9);
+    EXPECT_NEAR(maxOf(deviceHeats(p, loads)), before, 1e-9);
 }
 
 TEST(NiBalancer, IdleWindowsDrainMigrations)
@@ -80,7 +80,7 @@ TEST(NiBalancer, IdleWindowsDrainMigrations)
     EXPECT_EQ(ni.pendingCount(), 0u);
     EXPECT_GT(completed, 0);
     // Completed replicas now reduce peak heat.
-    EXPECT_LT(maxOf(p.deviceHeats(loads)), 1000.0);
+    EXPECT_LT(maxOf(deviceHeats(p, loads)), 1000.0);
 }
 
 TEST(NiBalancer, ZeroWindowMakesNoProgress)
@@ -169,6 +169,6 @@ TEST(NiBalancer, BalanceQualityEventuallyMatchesInvasive)
         ni.advanceAttention(idle, 1e-3, hidden);
         ni.advanceMoe(idle, 1e-3, hidden);
     }
-    EXPECT_NEAR(maxOf(hidden.deviceHeats(loads)),
-                maxOf(invasive.deviceHeats(loads)), 1e-6);
+    EXPECT_NEAR(maxOf(deviceHeats(hidden, loads)),
+                maxOf(deviceHeats(invasive, loads)), 1e-6);
 }

@@ -185,9 +185,9 @@ TEST_P(BalancerFuzz, PeakHeatNeverIncreasesOnRandomLoads)
         for (Balancer *b : {static_cast<Balancer *>(&tb),
                             static_cast<Balancer *>(&gb)}) {
             ExpertPlacement p(32, 16, 2);
-            const double before = maxOf(p.deviceHeats(loads));
+            const double before = maxOf(deviceHeats(p, loads));
             b->rebalance(loads, p);
-            EXPECT_LE(maxOf(p.deviceHeats(loads)), before + 1e-9)
+            EXPECT_LE(maxOf(deviceHeats(p, loads)), before + 1e-9)
                 << b->name() << " seed " << GetParam() << " round "
                 << round;
         }
