@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "core/moentwine.hh"
+#include "flags.hh"
 
 using namespace moentwine;
 
@@ -135,8 +136,10 @@ ablateShadowSlots()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (!benchflags::positionals(argc, argv).empty())
+        fatal("ablation_design takes no positional arguments");
     std::printf("== Design-choice ablations ==\n\n");
     ablateStagger();
     ablateDedup();

@@ -86,6 +86,8 @@ totalOf(const SweepResult &r)
 int
 main(int argc, char **argv)
 {
+    if (!benchflags::positionals(argc, argv).empty())
+        fatal("fig01_breakdown takes no positional arguments");
     std::printf("== Fig. 1(a): MoE latency breakdown per device "
                 "(DeepSeek-V3) ==\n\n");
 

@@ -25,6 +25,8 @@ using namespace moentwine;
 int
 main(int argc, char **argv)
 {
+    if (!benchflags::positionals(argc, argv).empty())
+        fatal("fig04_ep_scaling takes no positional arguments");
     std::printf("== Fig. 4: EP scaling and per-device MoE "
                 "performance ==\n\n");
 

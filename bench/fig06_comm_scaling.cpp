@@ -23,6 +23,8 @@ using namespace moentwine;
 int
 main(int argc, char **argv)
 {
+    if (!benchflags::positionals(argc, argv).empty())
+        fatal("fig06_comm_scaling takes no positional arguments");
     std::printf("== Fig. 6: all-to-all vs all-reduce across WSC "
                 "scales ==\n\n");
 

@@ -89,6 +89,8 @@ complementarity(const Case &c, Heatmaps &maps)
 int
 main(int argc, char **argv)
 {
+    if (!benchflags::positionals(argc, argv).empty())
+        fatal("fig11_heatmaps takes no positional arguments");
     std::printf("== Fig. 11: complementary hot/cold link distribution "
                 "under ER-Mapping ==\n\n");
 

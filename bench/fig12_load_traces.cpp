@@ -79,6 +79,8 @@ trace(ScenarioKind scenario)
 int
 main(int argc, char **argv)
 {
+    if (!benchflags::positionals(argc, argv).empty())
+        fatal("fig12_load_traces takes no positional arguments");
     std::printf("== Fig. 12: expert load traces, Qwen3 EP=8 ==\n\n");
 
     SweepGrid grid;

@@ -38,6 +38,8 @@ enum Platform
 int
 main(int argc, char **argv)
 {
+    if (!benchflags::positionals(argc, argv).empty())
+        fatal("fig13a_token_count takes no positional arguments");
     std::printf("== Fig. 13(a): impact of token count (Qwen3) ==\n\n");
 
     SweepGrid grid;

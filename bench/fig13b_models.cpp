@@ -24,6 +24,8 @@ using namespace moentwine;
 int
 main(int argc, char **argv)
 {
+    if (!benchflags::positionals(argc, argv).empty())
+        fatal("fig13b_models takes no positional arguments");
     std::printf("== Fig. 13(b): communication latency across models "
                 "==\n\n");
     const int tokens = 256;

@@ -44,6 +44,8 @@ scaleCases()
 int
 main(int argc, char **argv)
 {
+    if (!benchflags::positionals(argc, argv).empty())
+        fatal("fig13c_scales takes no positional arguments");
     std::printf("== Fig. 13(c): scales and parallelism configurations "
                 "(Qwen3) ==\n\n");
 

@@ -50,6 +50,8 @@ constexpr PlatformKind kMappings[] = {PlatformKind::WscBaseline,
 int
 main(int argc, char **argv)
 {
+    if (!benchflags::positionals(argc, argv).empty())
+        fatal("fig13d_multiwafer takes no positional arguments");
     std::printf("== Fig. 13(d): multi-wafer systems and HER-Mapping "
                 "(Qwen3) ==\n\n");
 

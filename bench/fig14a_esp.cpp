@@ -34,6 +34,8 @@ enum Platform
 int
 main(int argc, char **argv)
 {
+    if (!benchflags::positionals(argc, argv).empty())
+        fatal("fig14a_esp takes no positional arguments");
     std::printf("== Fig. 14(a): ESP parallelism (DBRX, Mixtral) "
                 "==\n\n");
 

@@ -22,6 +22,8 @@ using namespace moentwine;
 int
 main(int argc, char **argv)
 {
+    if (!benchflags::positionals(argc, argv).empty())
+        fatal("fig14b_allgather takes no positional arguments");
     std::printf("== Fig. 14(b): retaining the all-gather ==\n\n");
 
     SweepGrid grid;

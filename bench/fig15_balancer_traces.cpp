@@ -46,6 +46,8 @@ kindName(BalancerKind kind)
 int
 main(int argc, char **argv)
 {
+    if (!benchflags::positionals(argc, argv).empty())
+        fatal("fig15_balancer_traces takes no positional arguments");
     std::printf("== Fig. 15: run-time load traces, 150 iterations "
                 "(Qwen3, 4x4 WSC) ==\n\n");
 

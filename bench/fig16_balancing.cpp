@@ -65,6 +65,8 @@ gatingName(GatingMode mode)
 int
 main(int argc, char **argv)
 {
+    if (!benchflags::positionals(argc, argv).empty())
+        fatal("fig16_balancing takes no positional arguments");
     std::printf("== Fig. 16: balancing strategies across schedules and "
                 "workloads ==\n\n");
 

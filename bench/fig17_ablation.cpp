@@ -52,6 +52,8 @@ totalOf(const SweepResult &r)
 int
 main(int argc, char **argv)
 {
+    if (!benchflags::positionals(argc, argv).empty())
+        fatal("fig17_ablation takes no positional arguments");
     std::printf("== Fig. 17: multi-WSC system vs NVL72 supernode "
                 "==\n\n");
 

@@ -19,6 +19,8 @@ using namespace moentwine;
 int
 main(int argc, char **argv)
 {
+    if (!benchflags::positionals(argc, argv).empty())
+        fatal("table1_models takes no positional arguments");
     std::printf("== Table I: Parameters of Evaluation MoE Models ==\n\n");
 
     SweepGrid grid;
