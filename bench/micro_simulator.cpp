@@ -207,9 +207,11 @@ BENCHMARK(BM_TrafficReduce)
  * iteration of Qwen3's 128 experts with the engine's default shadow
  * slots, re-planning from the previous target as the engine does.
  * Loads are skewed and seeded: SingleScenario gating counts over 4 DP
- * groups, alternating between two iterations so every plan moves
- * replicas. Arg 0 is a 4×4 ER wafer (16 devices), 1 the 4×(16×16)
- * mesh of scale_1024 (1024 devices).
+ * groups, alternating with the same loads shifted by one expert. The
+ * shift moves every hot expert to another native device, so every plan
+ * adds replicas the previous target did not hold (steps_per_plan > 0
+ * at both sizes). Arg 0 is a 4×4 ER wafer (16 devices), 1 the
+ * 4×(16×16) mesh of scale_1024 (1024 devices).
  */
 void
 BM_BalancerPlan(benchmark::State &state)
@@ -225,10 +227,10 @@ BM_BalancerPlan(benchmark::State &state)
     wc.seed = 7;
     WorkloadGenerator gen(wc);
     std::vector<double> loads[2];
-    for (int i = 0; i < 2; ++i) {
-        loads[i] = WorkloadGenerator::expertLoads(
-            gen.sampleCounts(i, 0, 256, 4), model.expertsTotal);
-    }
+    loads[0] = WorkloadGenerator::expertLoads(gen.sampleCounts(0, 0, 256, 4),
+                                              model.expertsTotal);
+    loads[1] = loads[0];
+    std::rotate(loads[1].begin(), loads[1].begin() + 1, loads[1].end());
     const EngineConfig defaults{};
     ExpertPlacement placement(model.expertsTotal, mesh.numDevices(),
                               defaults.shadowSlots);
