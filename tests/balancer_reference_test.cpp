@@ -20,63 +20,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <iterator>
-#include <new>
 #include <string>
 
 #include "balancer/ni_balancer.hh"
 #include "balancer_reference.hh"
 #include "common/rng.hh"
+#include "counting_alloc.hh"
 #include "mapping/er_mapping.hh"
 #include "mapping/her_mapping.hh"
 #include "topology/mesh.hh"
 #include "topology/switch_cluster.hh"
-
-// Counting global allocator for the steady-state allocation checks.
-namespace {
-std::atomic<std::size_t> g_allocCount{0};
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 using namespace moentwine;
 using reference::LoadShape;

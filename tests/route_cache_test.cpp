@@ -8,56 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "core/moentwine.hh"
-
-// Counting global allocator: lets the addFlow test assert the hot path
-// performs zero heap allocation.
-namespace {
-std::atomic<std::size_t> g_allocCount{0};
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
+#include "counting_alloc.hh"
 
 using namespace moentwine;
 

@@ -24,62 +24,14 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "core/moentwine.hh"
+#include "counting_alloc.hh"
 #include "fault/fault.hh"
 #include "sweep/sweep.hh"
 #include "watchdog.hh"
-
-// Counting global allocator: lets the steady-state test assert the
-// sparse accumulation path performs zero heap allocation. Atomic to
-// stay safe if a test spawns threads.
-namespace {
-std::atomic<std::size_t> g_allocCount{0};
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 using namespace moentwine;
 
