@@ -547,15 +547,22 @@ TEST(FleetSimulator, AutoscalerColdStartsAndParksReplicas)
 TEST(FleetSimulator, CascadeFaultsUnderAutoscalerConserveRequests)
 {
     // Replica 0 loses devices to a Cascade plan with a tight TTFT
-    // bound and no retry budget (so it sheds and fails requests),
-    // replica 2 starts parked behind the autoscaler, and a KV budget
-    // below the largest requests makes the router shed at the front
-    // door: every outcome path is live in every run, and every run
-    // must conserve requests. A failure is certain by construction:
-    // replica 0 also loses device 0 at iteration 1. Its first
-    // iteration homed a request on device 0 (placeResidents picks the
-    // lowest-index device among equally loaded ones), and that request
-    // is still running, since every output is at least 4 tokens.
+    // bound and no retry budget, replica 2 starts parked behind the
+    // autoscaler, and a replayed trace makes every outcome path
+    // certain by construction, whatever the gating and router seeds:
+    //  - request A (kv 3064) and B (kv 3964) fit only replica 0's 4096
+    //    budget, so both go there. A runs alone in replica 0's first
+    //    iteration, so placeResidents homes it on device 0; device 0
+    //    fails at iteration 1 and A fails (no retries).
+    //  - B waits behind A. Losing 1 of 16 devices cuts the budget to
+    //    3840 < 3964, so B is shed as hopeless at iteration 1;
+    //  - request C (kv 5064) fits no replica: front-door shed;
+    //  - 40 requests at 1 ms each need 16 decode iterations, so they
+    //    are still outstanding at the first evaluation (20 ms), far
+    //    above the scale-up threshold: replica 2 starts;
+    //  - a steady tail keeps replica 0 busy past iteration 20, so the
+    //    Cascade events fire too.
+    // Every run must conserve requests.
     const System sys = System::make(testSystemConfig());
     FaultScenarioSpec spec;
     spec.startIteration = 20;
@@ -566,10 +573,11 @@ TEST(FleetSimulator, CascadeFaultsUnderAutoscalerConserveRequests)
         FleetConfig fc;
         ReplicaConfig rc;
         rc.system = testSystemConfig();
-        rc.serve = testServeConfig(ArrivalKind::Bursty, seed);
+        rc.serve = testServeConfig(ArrivalKind::Trace, seed);
         rc.serve.scheduler.kvBudgetTokens = 2048;
         fc.replicas = {rc, rc, rc};
         ServeConfig &faulty = fc.replicas[0].serve;
+        faulty.scheduler.kvBudgetTokens = 4096;
         faulty.faults.events.push_back(FaultEvent::nodeFail(1, 0));
         const FaultPlan cascade = makeFaultScenario(
             FaultScenarioKind::Cascade, sys.mapping().topology(), spec);
@@ -580,11 +588,17 @@ TEST(FleetSimulator, CascadeFaultsUnderAutoscalerConserveRequests)
         faulty.maxRetries = 0;
         fc.replicas[2].startParked = true;
         fc.arrival = rc.serve.arrival;
-        fc.arrival.ratePerSec = 800.0;
-        fc.arrival.promptMeanTokens = 256;
-        fc.arrival.promptMaxTokens = 4096;
-        fc.numRequests = 72;
+        std::vector<TraceRequest> &trace = fc.arrival.trace;
+        trace.push_back({0.0, ScenarioKind::Coding, 3000, 64}); // A
+        trace.push_back({0.0, ScenarioKind::Coding, 3900, 64}); // B
+        trace.push_back({0.0, ScenarioKind::Coding, 5000, 64}); // C
+        for (int i = 0; i < 40; ++i)
+            trace.push_back({0.001, ScenarioKind::Chat, 64, 16});
+        for (int i = 0; i < 30; ++i)
+            trace.push_back({0.01 + 0.004 * i, ScenarioKind::Math, 128, 24});
+        fc.numRequests = static_cast<int>(trace.size());
         fc.router = RouterPolicy::PowerOfTwo;
+        fc.routerSeed = seed;
         fc.autoscaler.enabled = true;
         fc.autoscaler.evalPeriodSec = 0.02;
         fc.autoscaler.spinUpDelaySec = 0.05;
