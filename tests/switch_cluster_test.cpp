@@ -79,10 +79,13 @@ TEST(SwitchCluster, RouteIsConnected)
 TEST(SwitchCluster, Nvl72AlwaysTwoHops)
 {
     const auto nvl = SwitchClusterTopology::nvl72();
-    for (DeviceId a = 0; a < nvl.numDevices(); a += 9)
-        for (DeviceId b = 0; b < nvl.numDevices(); b += 11)
-            if (a != b)
+    for (DeviceId a = 0; a < nvl.numDevices(); a += 9) {
+        for (DeviceId b = 0; b < nvl.numDevices(); b += 11) {
+            if (a != b) {
                 EXPECT_EQ(nvl.hops(a, b), 2);
+            }
+        }
+    }
 }
 
 TEST(SwitchCluster, InterNodePathIsSlower)
