@@ -60,9 +60,10 @@ namespace {
 
 /**
  * Peak resident set (VmHWM) in bytes, or 0 when unavailable (non-Linux
- * or unreadable /proc).
+ * or unreadable /proc). Unused in sanitizer builds, which skip the RSS
+ * ceiling.
  */
-std::size_t
+[[maybe_unused]] std::size_t
 peakRssBytes()
 {
 #if defined(__linux__)
