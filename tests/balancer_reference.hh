@@ -8,7 +8,9 @@
  * Manhattan-ring destination search and in-place NI planning: a full
  * max_element and a full cold-set scan per round, a std::set snapshot
  * of the prior replicas, and (for NI) two placement copies per plan
- * plus a links-sized budget vector per advance. It is slow on purpose
+ * plus a links-sized budget vector per advance. It keeps its own heat
+ * vector, updated per addition by the same arithmetic as the production
+ * HeatIndex, and never uses the heat trees. It is slow on purpose
  * and exists only so balancer_reference_test can demand that the
  * production planner returns the same step lists and leaves the same
  * placement behind, on the same inputs.
