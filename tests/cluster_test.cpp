@@ -553,7 +553,7 @@ TEST(FleetSimulator, CascadeFaultsUnderAutoscalerConserveRequests)
     //  - request A (kv 3064) and B (kv 3964) fit only replica 0's 4096
     //    budget, so both go there. A runs alone in replica 0's first
     //    iteration, so placeResidents homes it on device 0; device 0
-    //    fails at iteration 1 and A fails (no retries).
+    //    fails at iteration 1 and A fails (no retries);
     //  - B waits behind A. Losing 1 of 16 devices cuts the budget to
     //    3840 < 3964, so B is shed as hopeless at iteration 1;
     //  - request C (kv 5064) fits no replica: front-door shed;
