@@ -1,8 +1,8 @@
 #!/bin/sh
 # Driver-level goldens: the SWEEP rows of fig16_balancing,
-# fig12_load_traces, fig13d_multiwafer and fig11_heatmaps, and the SWEEP
-# rows plus --stats files of serve_slo, fault_slo and fleet_slo, all
-# from smoke-sized runs.
+# fig12_load_traces, fig13d_multiwafer, fig11_heatmaps and fig14a_esp,
+# and the SWEEP rows plus --stats files of serve_slo, fault_slo and
+# fleet_slo, all from smoke-sized runs.
 #
 #   tests/golden/regen.sh BUILD_DIR           rewrite the goldens
 #   tests/golden/regen.sh --check BUILD_DIR   run into a temp dir and
@@ -29,6 +29,7 @@ cd "$out"
 "$build/fig12_load_traces" --jobs 2 > /dev/null
 "$build/fig13d_multiwafer" --jobs 2 > /dev/null
 "$build/fig11_heatmaps" --jobs 2 > /dev/null
+"$build/fig14a_esp" --jobs 2 > /dev/null
 for run in "serve_slo 40" "fault_slo 48" "fleet_slo 48"; do
     set -- $run
     "$build/$1" "$2" --jobs 2 --stats "STATS_$1.json" > /dev/null
@@ -36,6 +37,7 @@ done
 
 files="SWEEP_fig16_balancing.json SWEEP_fig12_load_traces.json
 SWEEP_fig13d_multiwafer.json SWEEP_fig11_heatmaps.json
+SWEEP_fig14a_esp.json
 SWEEP_serve_slo.json STATS_serve_slo.json
 SWEEP_fault_slo.json STATS_fault_slo.json
 SWEEP_fleet_slo.json STATS_fleet_slo.json"
