@@ -137,11 +137,6 @@ InferenceEngine::reset(const EngineConfig &cfg)
     faultLostSeen_ = 0;
     obs_ = ObsHooks{};
     traceNow_ = 0.0;
-    // The accumulator's compaction count is cumulative across resets
-    // (an obs counter); re-baseline so a later attachObs() publishes
-    // only this simulation's compactions, exactly as a fresh engine
-    // would.
-    obsCompactionsSeen_ = routedScratch_.pairBytes.compactions();
     obsHandles_ = ObsHandles{};
 }
 
@@ -171,11 +166,6 @@ InferenceEngine::attachObs(const ObsHooks &obs)
     MOE_ASSERT(iteration_ == 0, "attachObs after the first step");
     obs_ = obs;
     traceNow_ = 0.0;
-    // Baseline, not zero: on a reset (reused) engine the accumulator's
-    // cumulative compaction count is already positive, and only the
-    // compactions of THIS simulation may be published. Identical to 0
-    // on a freshly constructed engine.
-    obsCompactionsSeen_ = routedScratch_.pairBytes.compactions();
     if (obs_.stats != nullptr) {
         StatRegistry &s = *obs_.stats;
         obsHandles_.iterations = s.counter("engine.iterations");
@@ -191,11 +181,8 @@ InferenceEngine::attachObs(const ObsHooks &obs)
         obsHandles_.migCompleted =
             s.counter("engine.migrations.completed");
         obsHandles_.migPending = s.gauge("engine.migrations.pending");
-        obsHandles_.faultEvents = s.counter("engine.fault.events");
         obsHandles_.faultRecovery =
             s.distribution("engine.fault.recovery_s");
-        obsHandles_.compactions =
-            s.counter("engine.traffic.compactions");
     }
     if (obs_.trace != nullptr) {
         obs_.trace->processName(obs_.tracePid, "engine");
@@ -222,18 +209,8 @@ InferenceEngine::publishObs(const IterationStats &stats)
         if (stats.migrationsCompleted > 0)
             s.add(obsHandles_.migCompleted, stats.migrationsCompleted);
         s.set(obsHandles_.migPending, stats.migrationsPending);
-        if (stats.faultEventsApplied > 0)
-            s.add(obsHandles_.faultEvents, stats.faultEventsApplied);
         if (stats.faultRecoveryTime > 0.0)
             s.observe(obsHandles_.faultRecovery, stats.faultRecoveryTime);
-        const std::uint64_t compactions =
-            routedScratch_.pairBytes.compactions();
-        if (compactions > obsCompactionsSeen_) {
-            s.add(obsHandles_.compactions,
-                  static_cast<std::int64_t>(compactions -
-                                            obsCompactionsSeen_));
-            obsCompactionsSeen_ = compactions;
-        }
     }
     if (obs_.trace != nullptr) {
         TraceSink &t = *obs_.trace;

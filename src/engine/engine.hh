@@ -328,7 +328,6 @@ class InferenceEngine
     // so the per-iteration publish is allocation- and lookup-free.
     ObsHooks obs_{};
     double traceNow_ = 0.0;
-    std::uint64_t obsCompactionsSeen_ = 0;
     struct ObsHandles
     {
         StatRegistry::Handle iterations;
@@ -342,9 +341,7 @@ class InferenceEngine
         StatRegistry::Handle migPlanned;
         StatRegistry::Handle migCompleted;
         StatRegistry::Handle migPending;
-        StatRegistry::Handle faultEvents;
         StatRegistry::Handle faultRecovery;
-        StatRegistry::Handle compactions;
     } obsHandles_{};
 
     // Per-iteration scratch, reused across step() calls so the hot

@@ -52,7 +52,6 @@ void TrafficAccumulator::compact() const
 {
     if (sorted_)
         return;
-    ++compactions_;
     const std::size_t n = entries_.size();
     scratch_.resize(n);
     // Stable LSD counting passes over the tile-order key: the in-tile

@@ -153,16 +153,6 @@ class TrafficAccumulator
     /** Device count of the last reset(). */
     int devices() const { return devices_; }
 
-    /**
-     * Sparse compaction passes (radix sort + duplicate fold) run so
-     * far, across resets — an observability counter for the obs
-     * layer (always 0 under the dense storage). Mid-stream
-     * compactions signal the append buffer doubling past the
-     * workload's distinct-pair count; emission-time ones are the
-     * expected one-per-iteration sort.
-     */
-    std::uint64_t compactions() const { return compactions_; }
-
     /** Heap footprint of the accumulator (all retained buffers). */
     std::size_t storageBytes() const;
 
@@ -273,7 +263,6 @@ class TrafficAccumulator
     mutable std::vector<std::uint32_t> hist_;
     mutable std::size_t compactLimit_ = 0;
     mutable bool sorted_ = false;
-    mutable std::uint64_t compactions_ = 0;
     unsigned tileBits_ = 0;
 };
 

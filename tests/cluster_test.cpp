@@ -673,11 +673,11 @@ TEST(FleetDigest, EveryRouterPolicyUnderCascadeAndAutoscaler)
     fc.autoscaler.scaleDownThreshold = 0.5;
 
     const std::pair<RouterPolicy, std::uint64_t> pinned[] = {
-        {RouterPolicy::RoundRobin, 0xe91499d9d695bf18ULL},
-        {RouterPolicy::LeastKvPressure, 0x896b6d99bfa26aacULL},
-        {RouterPolicy::LeastQueueDepth, 0x896b6d99bfa26aacULL},
-        {RouterPolicy::PowerOfTwo, 0x3c271d009c56299bULL},
-        {RouterPolicy::ScenarioAffinity, 0xf93c809044a29f7bULL},
+        {RouterPolicy::RoundRobin, 0xc2be5e034ace9cb6ULL},
+        {RouterPolicy::LeastKvPressure, 0xa87fed85beb72982ULL},
+        {RouterPolicy::LeastQueueDepth, 0xa87fed85beb72982ULL},
+        {RouterPolicy::PowerOfTwo, 0x0eccfcf62a8bbe5fULL},
+        {RouterPolicy::ScenarioAffinity, 0xce740e5941d5e35bULL},
     };
     ASSERT_EQ(std::size(pinned), allRouterPolicies().size());
     for (const auto &[policy, expected] : pinned) {
