@@ -8,7 +8,8 @@
  * Expected shape: WSC beats the GPU cluster by ~50%; ER-Mapping still
  * helps, but only modestly (~9%), because the EP all-reduce dominates.
  *
- * Runs on the SweepRunner model × system grid (`--jobs N`).
+ * Each cell is one evaluateEsp() layer at 256 tokens per TP group, on
+ * the SweepRunner model × system grid (`--jobs N`).
  */
 
 #include <cstdio>
@@ -56,16 +57,12 @@ main(int argc, char **argv)
 
     const SweepRunner runner = benchjobs::makeRunner(argc, argv);
     const auto rows = runner.run(grid, [](const SweepCell &cell) {
-        EngineConfig ec;
-        ec.model = cell.point.modelConfig();
-        ec.esp = true;
-        ec.decodeTokensPerGroup = 256;
-        ec.workload.mode = GatingMode::Balanced;
-        InferenceEngine engine(cell.system->mapping(), ec);
-        const auto s = engine.step();
+        const MoEModelConfig model = cell.point.modelConfig();
+        const IterationStats s =
+            evaluateEsp(cell.system->mapping(), model, 256);
 
         SweepResult row;
-        row.label = ec.model.name + " | " + cell.system->name();
+        row.label = model.name + " | " + cell.system->name();
         row.add("attn_ar_us", s.allReduce * 1e6);
         row.add("ep_ar_us", s.epAllReduce * 1e6);
         row.add("moe_us", s.moeTime * 1e6);

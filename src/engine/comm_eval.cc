@@ -2,6 +2,8 @@
 
 #include "common/logging.hh"
 #include "engine/token_router.hh"
+#include "mapping/ring_order.hh"
+#include "model/cost_model.hh"
 #include "network/collectives.hh"
 
 namespace moentwine {
@@ -40,6 +42,43 @@ evaluateCommunication(const Mapping &mapping, const MoEModelConfig &model,
                           std::move(ar.traffic), std::move(disp.traffic)};
     result.a2aTraffic.merge(comb.traffic);
     return result;
+}
+
+IterationStats
+evaluateEsp(const Mapping &mapping, const MoEModelConfig &model,
+            int tokensPerGroup)
+{
+    MOE_ASSERT(tokensPerGroup > 0, "tokensPerGroup must be positive");
+    const Topology &topo = mapping.topology();
+    const double tokenBytes = model.tokenBytes();
+    IterationStats stats;
+    stats.allReduce = mapping.allReduce(tokensPerGroup * tokenBytes,
+                                        /*withAllGather=*/true)
+                          .time;
+
+    std::vector<std::vector<DeviceId>> rings;
+    rings.reserve(mapping.ftds().size());
+    for (const auto &ftd : mapping.ftds())
+        rings.push_back(serpentineRing(topo, ftd));
+    const double numFtds = static_cast<double>(mapping.ftds().size());
+    const double ftdSize =
+        static_cast<double>(mapping.ftds().front().size());
+    const double perFtdTokens =
+        static_cast<double>(mapping.dp()) * tokensPerGroup / numFtds;
+    CollectiveScratch scratch(topo);
+    stats.epAllReduce = ringCollectiveInto(
+        topo, rings, perFtdTokens * tokenBytes, RingOp::AllReduce,
+        mapping.staggeredRings(), scratch);
+
+    const double perDeviceTokens =
+        perFtdTokens * model.expertsActivated / ftdSize;
+    const double perDeviceExperts = model.expertsTotal / numFtds / ftdSize;
+    const MoeDeviceCost c =
+        CostModel().moeDevice(model, perDeviceTokens, perDeviceExperts);
+    stats.moeTime = c.total();
+    stats.moeComputeOnly = c.computeTime;
+    stats.moeMemoryOnly = c.memoryTime;
+    return stats;
 }
 
 } // namespace moentwine

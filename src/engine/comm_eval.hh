@@ -1,16 +1,20 @@
 /**
  * @file
- * Communication-only evaluation used by the mapping studies
- * (Figs. 6, 13, 14): given a mapping and a model, compute the attention
- * all-reduce time and the MoE dispatch/combine all-to-all times under
- * load-balanced gating (every expert equally likely), exactly as
- * Section VI-B isolates mapping effects from load imbalance.
+ * One-layer communication evaluation used by the mapping studies
+ * (Figs. 6, 13, 14(a), 14(b)). evaluateCommunication() computes the
+ * attention all-reduce time and the MoE dispatch/combine all-to-all
+ * times under load-balanced gating (every expert equally likely),
+ * exactly as Section VI-B isolates mapping effects from load
+ * imbalance. evaluateEsp() is Fig. 14(a)'s expert-sharding layer, in
+ * which the all-to-all is replaced by an all-reduce of expert partial
+ * sums inside each FTD.
  */
 
 #ifndef MOENTWINE_ENGINE_COMM_EVAL_HH
 #define MOENTWINE_ENGINE_COMM_EVAL_HH
 
 #include "balancer/placement.hh"
+#include "engine/engine.hh"
 #include "mapping/mapping.hh"
 #include "model/moe_config.hh"
 #include "network/traffic.hh"
@@ -54,6 +58,25 @@ CommEvalResult evaluateCommunication(const Mapping &mapping,
                                      bool retainAllGather,
                                      const ExpertPlacement *placement =
                                          nullptr);
+
+/**
+ * Evaluate one ESP (expert-sharding parallelism) layer, Fig. 14(a).
+ * Tokens stay in their FTD and every expert is sliced across the FTD's
+ * devices, so there is no dispatch or combine; the partial sums are
+ * all-reduced inside each FTD instead. Gating does not enter: each
+ * device holds an equal slice of every expert its FTD serves.
+ *
+ * @param mapping        Parallelism mapping.
+ * @param model          MoE model.
+ * @param tokensPerGroup Tokens per TP group.
+ * @return allReduce (attention, all-gather retained), epAllReduce
+ *         (ring all-reduce over each FTD's serpentine ring) and the
+ *         per-device expert time moeTime / moeComputeOnly /
+ *         moeMemoryOnly under the default CostModel. Every other field
+ *         is 0, so moePhase() is the ESP MoE phase.
+ */
+IterationStats evaluateEsp(const Mapping &mapping,
+                           const MoEModelConfig &model, int tokensPerGroup);
 
 } // namespace moentwine
 

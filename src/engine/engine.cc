@@ -77,8 +77,7 @@ InferenceEngine::InferenceEngine(const Mapping &mapping,
       a2aTraffic_(mapping.topology()),
       dispTraffic_(mapping.topology()),
       combTraffic_(mapping.topology()),
-      arScratch_(mapping.topology()),
-      espScratch_(mapping.topology())
+      arScratch_(mapping.topology())
 {
     makeBalancer();
 }
@@ -148,7 +147,6 @@ InferenceEngine::attachFaults(FaultInjector *injector)
         faults_ = nullptr;
         return;
     }
-    MOE_ASSERT(!cfg_.esp, "fault injection is unsupported under ESP");
     MOE_ASSERT(&injector->baseTopology() == &mapping_.topology(),
                "fault injector must shadow the engine's topology");
     faults_ = injector;
@@ -260,7 +258,6 @@ InferenceEngine::syncFaults(IterationStats &stats)
         dispTraffic_.retarget(topo);
         combTraffic_.retarget(topo);
         arScratch_.retarget(topo);
-        espScratch_.retarget(topo);
     }
     const auto &lost = faults_->lostDevices();
     while (faultLostSeen_ < lost.size()) {
@@ -397,68 +394,28 @@ InferenceEngine::step(const IterationDemand &demand)
                                countsScratch_);
 
     // --- MoE phase ---------------------------------------------------------
+    routeTokens(mapping_, placement_, countsScratch_, tokenBytes,
+                cfg_.retainAllGather, cfg_.model.expertsActivated,
+                routedScratch_, cfg_.aggregateFlows);
+    stats.dispatch = allToAllInto(routedScratch_.dispatch, dispTraffic_);
+    stats.combine = allToAllInto(routedScratch_.combine, combTraffic_);
     a2aTraffic_.clear();
-    const std::vector<double> *expertLoads = nullptr;
-    const std::vector<double> *deviceTokens = nullptr;
-    if (cfg_.esp) {
-        // Expert-sharding: tokens stay in their FTD; experts are sliced
-        // across the FTD's devices; partial sums are all-reduced inside
-        // each domain.
-        WorkloadGenerator::expertLoadsInto(
-            countsScratch_, cfg_.model.expertsTotal, expertLoadsScratch_);
-        expertLoads = &expertLoadsScratch_;
-        const double numFtds =
-            static_cast<double>(mapping_.ftds().size());
-        const double ftdSize =
-            static_cast<double>(mapping_.ftds().front().size());
-        const double perFtdTokens =
-            static_cast<double>(mapping_.dp()) * tokens / numFtds;
-        stats.epAllReduce = ringCollectiveInto(
-            mapping_.topology(), mapping_.ftdRings(),
-            perFtdTokens * tokenBytes, RingOp::AllReduce,
-            mapping_.staggeredRings(), espScratch_);
-        a2aTraffic_.merge(espScratch_.traffic);
+    a2aTraffic_.merge(dispTraffic_);
+    a2aTraffic_.merge(combTraffic_);
 
-        const double perDeviceTokens =
-            perFtdTokens * cfg_.model.expertsActivated / ftdSize;
-        const double perDeviceExperts =
-            cfg_.model.expertsTotal / numFtds / ftdSize;
+    const std::vector<double> &deviceTokens =
+        routedScratch_.tokensPerDevice;
+    for (DeviceId d = 0; d < mapping_.numDevices(); ++d) {
         const MoeDeviceCost c = cost_.moeDevice(
-            cfg_.model, perDeviceTokens, perDeviceExperts);
-        stats.moeTime = c.total();
-        stats.moeComputeOnly = c.computeTime;
-        stats.moeMemoryOnly = c.memoryTime;
-        espTokensScratch_.assign(
-            static_cast<std::size_t>(mapping_.numDevices()),
-            perDeviceTokens);
-        deviceTokens = &espTokensScratch_;
-    } else {
-        routeTokens(mapping_, placement_, countsScratch_, tokenBytes,
-                    cfg_.retainAllGather, cfg_.model.expertsActivated,
-                    routedScratch_, cfg_.aggregateFlows);
-        expertLoads = &routedScratch_.expertLoads;
-        stats.dispatch =
-            allToAllInto(routedScratch_.dispatch, dispTraffic_);
-        stats.combine =
-            allToAllInto(routedScratch_.combine, combTraffic_);
-        a2aTraffic_.merge(dispTraffic_);
-        a2aTraffic_.merge(combTraffic_);
-
-        for (DeviceId d = 0; d < mapping_.numDevices(); ++d) {
-            const MoeDeviceCost c = cost_.moeDevice(
-                cfg_.model,
-                routedScratch_
-                    .tokensPerDevice[static_cast<std::size_t>(d)],
-                routedScratch_.activeExpertsPerDevice[
-                    static_cast<std::size_t>(d)],
-                faults_ != nullptr ? faults_->computeFactor(d) : 1.0);
-            if (c.total() > stats.moeTime) {
-                stats.moeTime = c.total();
-                stats.moeComputeOnly = c.computeTime;
-                stats.moeMemoryOnly = c.memoryTime;
-            }
+            cfg_.model, deviceTokens[static_cast<std::size_t>(d)],
+            routedScratch_
+                .activeExpertsPerDevice[static_cast<std::size_t>(d)],
+            faults_ != nullptr ? faults_->computeFactor(d) : 1.0);
+        if (c.total() > stats.moeTime) {
+            stats.moeTime = c.total();
+            stats.moeComputeOnly = c.computeTime;
+            stats.moeMemoryOnly = c.memoryTime;
         }
-        deviceTokens = &routedScratch_.tokensPerDevice;
     }
 
     // --- Load statistics ---------------------------------------------------
@@ -466,12 +423,12 @@ InferenceEngine::step(const IterationDemand &demand)
     // and would drag the mean down, so imbalance is over live devices.
     double sum = 0.0;
     std::size_t liveCount = 0;
-    for (std::size_t d = 0; d < deviceTokens->size(); ++d) {
+    for (std::size_t d = 0; d < deviceTokens.size(); ++d) {
         if (faults_ != nullptr &&
             faults_->deviceLost(static_cast<DeviceId>(d))) {
             continue;
         }
-        const double t = (*deviceTokens)[d];
+        const double t = deviceTokens[d];
         stats.loadMax = std::max(stats.loadMax, t);
         sum += t;
         ++liveCount;
@@ -483,7 +440,7 @@ InferenceEngine::step(const IterationDemand &demand)
 
     // --- Expert-load prediction (EMA) ---------------------------------------
     for (std::size_t e = 0; e < emaLoads_.size(); ++e) {
-        emaLoads_[e] = cfg_.emaAlpha * (*expertLoads)[e] +
+        emaLoads_[e] = cfg_.emaAlpha * routedScratch_.expertLoads[e] +
             (1.0 - cfg_.emaAlpha) * emaLoads_[e];
     }
 

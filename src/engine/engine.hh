@@ -85,8 +85,6 @@ struct EngineConfig
     bool retainAllGather = true;
     /** Micro-batch pipeline stages (PipeMoE-style overlap). */
     int pipelineStages = 4;
-    /** Expert-sharding parallelism instead of pure EP (Fig. 14(a)). */
-    bool esp = false;
     /** Shadow slots per device. */
     int shadowSlots = 1;
     /** Balancing strategy. */
@@ -157,7 +155,8 @@ struct IterationStats
     double moeComputeOnly = 0.0;
     /** Weight-streaming component of the worst device. */
     double moeMemoryOnly = 0.0;
-    /** ESP-mode all-reduce of expert partial sums (Fig. 14(a)). */
+    /** ESP all-reduce of expert partial sums (Fig. 14(a)); set by
+     *  evaluateEsp(), 0 for engine iterations. */
     double epAllReduce = 0.0;
     /** Invasive migration time exposed on the critical path. */
     double migrationOverhead = 0.0;
@@ -267,7 +266,6 @@ class InferenceEngine
      * must shadow this engine's topology and outlive it. A null or
      * empty-plan injector detaches — the engine then runs the exact
      * fault-free code path, bitwise identical to an unattached run.
-     * Unsupported under ESP.
      */
     void attachFaults(FaultInjector *injector);
 
@@ -350,17 +348,12 @@ class InferenceEngine
     // topology are only ever read, which is what lets sweep workers
     // share one const System across threads.
     std::vector<std::vector<int>> countsScratch_;
-    std::vector<double> expertLoadsScratch_;
-    std::vector<double> espTokensScratch_;
     RoutedTraffic routedScratch_;
     PhaseTraffic a2aTraffic_;
     PhaseTraffic dispTraffic_;
     PhaseTraffic combTraffic_;
-    // Collective buffers: attention all-reduce and ESP expert
-    // all-reduce (the FTD ring orders themselves are memoised by the
-    // mapping; see Mapping::ftdRings()).
+    // Attention all-reduce buffers.
     CollectiveScratch arScratch_;
-    CollectiveScratch espScratch_;
 };
 
 } // namespace moentwine

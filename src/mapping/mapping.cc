@@ -1,7 +1,6 @@
 #include "mapping/mapping.hh"
 
 #include "common/logging.hh"
-#include "mapping/ring_order.hh"
 
 namespace moentwine {
 
@@ -45,13 +44,6 @@ Mapping::finalize()
         MOE_ASSERT(groupOf_[d] >= 0, "device missing from TP groups");
         MOE_ASSERT(ftdIndexOf_[d] >= 0, "device missing from FTDs");
     }
-
-    // FTDs are fixed, so their collective ring orders are derived once
-    // here instead of per call at the engine layer.
-    ftdRings_.clear();
-    ftdRings_.reserve(ftds_.size());
-    for (const auto &ftd : ftds_)
-        ftdRings_.push_back(serpentineRing(topo_, ftd));
 }
 
 CollectiveTiming

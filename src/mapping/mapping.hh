@@ -92,17 +92,6 @@ class Mapping
         return ftdIndexOf_[static_cast<std::size_t>(d)];
     }
 
-    /**
-     * Every FTD ordered as a short-step collective ring (serpentine on
-     * meshes, stored order elsewhere). Memoised eagerly at finalize()
-     * — FTDs are fixed — so the engine's ESP expert all-reduce and any
-     * other FTD-wide collective never re-derive ring orders per call.
-     */
-    const std::vector<std::vector<DeviceId>> &ftdRings() const
-    {
-        return ftdRings_;
-    }
-
     /** Mapping name for bench output. */
     virtual std::string name() const = 0;
 
@@ -239,8 +228,6 @@ class Mapping
     std::vector<int> groupOf_;
     std::vector<int> rankOf_;
     std::vector<int> ftdIndexOf_;
-    // FTD collective rings, derived once in finalize().
-    std::vector<std::vector<DeviceId>> ftdRings_;
 };
 
 } // namespace moentwine

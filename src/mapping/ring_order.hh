@@ -45,8 +45,8 @@ int maxCycleStep(const std::vector<GridPos> &cycle);
  * Order a device set as a short-step ring. On meshes this is a
  * serpentine sweep (row-major with alternate rows reversed) that keeps
  * consecutive members adjacent; other topologies keep the stored
- * order. Mappings memoise the result per FTD (Mapping::ftdRings()) so
- * per-iteration collective paths never re-derive ring structures.
+ * order. evaluateEsp() (engine/comm_eval.hh) orders each FTD with it
+ * for the expert all-reduce of Fig. 14(a).
  */
 std::vector<DeviceId> serpentineRing(const Topology &topo,
                                      std::vector<DeviceId> devices);

@@ -52,9 +52,9 @@ struct CollectiveTiming
 /**
  * Reusable per-caller buffers for the allocation-free collective entry
  * points. One engine owns one scratch per collective call site and
- * reuses it across iterations, so the attention all-reduce and the ESP
- * expert all-reduce perform no steady-state allocation (mirroring the
- * MoE all-to-all's allToAllInto() path). Scratches are caller state,
+ * reuses it across iterations, so the attention all-reduce performs no
+ * steady-state allocation (mirroring the MoE all-to-all's
+ * allToAllInto() path). Scratches are caller state,
  * never mapping state: mappings stay immutable and shareable across
  * sweep worker threads.
  */

@@ -634,23 +634,14 @@ std::vector<double>
 WorkloadGenerator::expertLoads(const std::vector<std::vector<int>> &counts,
                                int numExperts)
 {
-    std::vector<double> loads;
-    expertLoadsInto(counts, numExperts, loads);
-    return loads;
-}
-
-void
-WorkloadGenerator::expertLoadsInto(
-    const std::vector<std::vector<int>> &counts, int numExperts,
-    std::vector<double> &loads)
-{
-    loads.assign(static_cast<std::size_t>(numExperts), 0.0);
+    std::vector<double> loads(static_cast<std::size_t>(numExperts), 0.0);
     for (const auto &row : counts) {
         MOE_ASSERT(row.size() == loads.size(),
                    "counts row width mismatch");
         for (std::size_t e = 0; e < row.size(); ++e)
             loads[e] += row[e];
     }
+    return loads;
 }
 
 } // namespace moentwine

@@ -263,11 +263,6 @@ class WorkloadGenerator
     static std::vector<double> expertLoads(
         const std::vector<std::vector<int>> &counts, int numExperts);
 
-    /** In-place variant of expertLoads() (reuses @p loads storage). */
-    static void expertLoadsInto(
-        const std::vector<std::vector<int>> &counts, int numExperts,
-        std::vector<double> &loads);
-
     /** The configuration in use. */
     const WorkloadConfig &config() const { return cfg_; }
 

@@ -199,20 +199,6 @@ TEST(Engine, BalancingReducesLoadRatio)
     EXPECT_LT(balRatio, noneRatio);
 }
 
-TEST(Engine, EspModeSkipsAllToAll)
-{
-    const System sys = smallWsc();
-    EngineConfig ec = baseConfig();
-    ec.model = mixtral8x22b();
-    ec.esp = true;
-    InferenceEngine engine(sys.mapping(), ec);
-    const auto s = engine.step();
-    EXPECT_DOUBLE_EQ(s.dispatch, 0.0);
-    EXPECT_DOUBLE_EQ(s.combine, 0.0);
-    EXPECT_GT(s.epAllReduce, 0.0);
-    EXPECT_GT(s.moeTime, 0.0);
-}
-
 TEST(Engine, WorksOnClusterPlatforms)
 {
     SystemConfig sc;

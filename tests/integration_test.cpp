@@ -27,6 +27,20 @@ commFor(PlatformKind platform, int meshN, int wafers, int tp,
     return evaluateCommunication(sys.mapping(), model, tokens, true);
 }
 
+/** Attention all-reduce plus ESP expert all-reduce of one layer. */
+double
+espCommFor(PlatformKind platform, int meshN, const MoEModelConfig &model)
+{
+    SystemConfig sc;
+    sc.platform = platform;
+    sc.meshN = meshN;
+    sc.tp = 4;
+    sc.dgxNodes = 4;
+    const System sys = System::make(sc);
+    const IterationStats s = evaluateEsp(sys.mapping(), model, 256);
+    return s.allReduce + s.epAllReduce;
+}
+
 } // namespace
 
 // Fig. 13(b): unified WSC network beats DGX on total communication.
@@ -38,6 +52,20 @@ TEST(PaperShape, WscBeatsDgxOnCommunication)
         const auto wsc = commFor(PlatformKind::WscBaseline, 6, 1, 4,
                                  model, 256);
         EXPECT_LT(wsc.total(), dgx.total()) << model.name;
+    }
+}
+
+// Fig. 14(a): under ESP both 6x6 WSC mappings beat the 4-node DGX on
+// attention all-reduce plus EP all-reduce (the rows read 50.0 and
+// 76.8 us against 225.3 us).
+TEST(PaperShape, EspWscBeatsDgx)
+{
+    for (const auto &model : {dbrx(), mixtral8x22b()}) {
+        const double dgx = espCommFor(PlatformKind::DgxCluster, 0, model);
+        EXPECT_LT(espCommFor(PlatformKind::WscBaseline, 6, model), dgx)
+            << model.name;
+        EXPECT_LT(espCommFor(PlatformKind::WscEr, 6, model), dgx)
+            << model.name;
     }
 }
 

@@ -98,6 +98,21 @@ TEST(CommEval, AllComponentsPositive)
     EXPECT_NEAR(r.total(), r.allReduce + r.dispatch + r.combine, 1e-15);
 }
 
+TEST(CommEval, EspSkipsAllToAll)
+{
+    SystemConfig sc;
+    sc.platform = PlatformKind::WscEr;
+    sc.meshN = 4;
+    sc.tp = 4;
+    const System sys = System::make(sc);
+    const IterationStats s = evaluateEsp(sys.mapping(), mixtral8x22b(), 128);
+    EXPECT_DOUBLE_EQ(s.dispatch, 0.0);
+    EXPECT_DOUBLE_EQ(s.combine, 0.0);
+    EXPECT_GT(s.allReduce, 0.0);
+    EXPECT_GT(s.epAllReduce, 0.0);
+    EXPECT_GT(s.moeTime, 0.0);
+}
+
 TEST(CommEval, DispatchAndCombineSymmetric)
 {
     SystemConfig sc;
