@@ -9,30 +9,6 @@ namespace benchout {
 
 namespace {
 
-/** Minimal JSON string escaping (labels are plain ASCII in practice). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            out += c;
-        }
-    }
-    return out;
-}
-
 /**
  * Fixed-format float with enough digits to round-trip the table-level
  * comparisons the smoke tests do; %.10g keeps the files compact and,
@@ -52,14 +28,14 @@ std::string
 sweepJson(const std::string &bench, const std::vector<SweepResult> &rows)
 {
     std::string out = "{\n  \"schema\": \"moentwine.sweep.v1\",\n"
-                      "  \"bench\": \"" +
-        jsonEscape(bench) + "\",\n  \"rows\": [\n";
+                      "  \"bench\": " +
+        TraceSink::str(bench) + ",\n  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const SweepResult &r = rows[i];
         out += "    {\"index\": " + std::to_string(r.index) +
-            ", \"label\": \"" + jsonEscape(r.label) + "\"";
+            ", \"label\": " + TraceSink::str(r.label);
         for (const auto &[key, value] : r.metrics)
-            out += ", \"" + jsonEscape(key) + "\": " + num(value);
+            out += ", " + TraceSink::str(key) + ": " + num(value);
         out += i + 1 < rows.size() ? "},\n" : "}\n";
     }
     out += "  ]\n}\n";

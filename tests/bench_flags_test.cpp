@@ -1,15 +1,17 @@
 /**
  * @file
- * Tests for the shared bench CLI helpers (bench/flags.hh, bench/jobs.hh):
- * last-wins value flags, `--jobs` parsing that validates every
- * occurrence, positionals() skipping known flags' values and rejecting
- * unknown flags, and the strict numeric parsing.
+ * Tests for the shared bench helpers (bench/flags.hh, bench/jobs.hh,
+ * bench/sweep_output.hh): last-wins value flags, `--jobs` parsing that
+ * validates every occurrence, positionals() skipping known flags'
+ * values and rejecting unknown flags, the strict numeric parsing, and
+ * valid JSON string escaping in SWEEP files.
  */
 
 #include <gtest/gtest.h>
 
 #include "flags.hh"
 #include "jobs.hh"
+#include "sweep_output.hh"
 
 using namespace moentwine;
 
@@ -135,4 +137,22 @@ TEST(BenchJobsDeathTest, HalfParsedJobsArgIsFatal)
     EXPECT_EXIT(
         benchjobs::jobsFromArgs(3, const_cast<char **>(overflow)),
         ::testing::ExitedWithCode(1), "positive integer");
+}
+
+TEST(SweepOutput, JsonEscapesControlCharacters)
+{
+    SweepResult row;
+    row.label = "a\tb\x01" "c\"d";
+    row.add("key\n", 1.0);
+    const std::string json = benchout::sweepJson("bench\\", {row});
+    for (const char c : json) {
+        EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
+            << "raw control character " << static_cast<int>(c);
+    }
+    EXPECT_NE(json.find("\"label\": \"a\\tb\\u0001c\\\"d\""),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"key\\n\": 1"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"bench\": \"bench\\\\\""), std::string::npos)
+        << json;
 }
