@@ -65,10 +65,11 @@ evaluateEsp(const Mapping &mapping, const MoEModelConfig &model,
         static_cast<double>(mapping.ftds().front().size());
     const double perFtdTokens =
         static_cast<double>(mapping.dp()) * tokensPerGroup / numFtds;
-    CollectiveScratch scratch(topo);
-    stats.epAllReduce = ringCollectiveInto(
-        topo, rings, perFtdTokens * tokenBytes, RingOp::AllReduce,
-        mapping.staggeredRings(), scratch);
+    stats.epAllReduce = ringCollective(topo, rings,
+                                       perFtdTokens * tokenBytes,
+                                       RingOp::AllReduce,
+                                       mapping.staggeredRings())
+                            .time;
 
     const double perDeviceTokens =
         perFtdTokens * model.expertsActivated / ftdSize;
