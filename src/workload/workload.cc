@@ -399,38 +399,67 @@ GatingSampler::tail(int cut)
 }
 
 void
-GatingSampler::sampleInto(Rng &rng, int slots, std::vector<int> &row)
+GatingSampler::sampleRowsInto(Rng *rngs, std::vector<int> *rows,
+                              int groups, int slots)
 {
     MOE_ASSERT(slots >= 0, "negative slot count");
+    MOE_ASSERT(groups >= 0, "negative row count");
     const int n = static_cast<int>(weights_.size());
     MOE_ASSERT(n > 0, "sampling an unbuilt gating sampler");
-    row.assign(weights_.size(), 0);
     if (slots <= aliasBelow_) {
         // Cut 0: the plain alias table over every expert.
-        tail(0).addDraws(rng, slots, row.data());
+        const AliasTable &table = tail(0);
+        for (int g = 0; g < groups; ++g) {
+            rows[g].assign(weights_.size(), 0);
+            table.addDraws(rngs[g], slots, rows[g].data());
+        }
         return;
     }
-    int left = slots;
-    for (int cut = 0; left > 0; ++cut) {
-        // Unreachable while left > 0: the last positive rank's
-        // conditional probability is exactly 1.
+    // walkers_[0, live) are the rows still in the head, in row order.
+    walkers_.resize(static_cast<std::size_t>(groups));
+    Walker *walkers = walkers_.data();
+    for (int g = 0; g < groups; ++g) {
+        rows[g].assign(weights_.size(), 0);
+        walkers[g] = {&rngs[g], rows[g].data(), slots};
+    }
+    int live = groups;
+    for (int cut = 0; live > 0; ++cut) {
+        // Unreachable while a row has slots left: the last positive
+        // rank's conditional probability is exactly 1.
         MOE_ASSERT(cut < static_cast<int>(switchBelow_.size()),
                    "gating head walked past the last expert");
         if (cut == preparedCuts_)
             prepareCut(cut);
-        if (left <= switchBelow_[static_cast<std::size_t>(cut)]) {
-            // Ranks before the cut are zero in its tail table, so its
-            // draws land only on experts the head has not placed.
-            tail(cut).addDraws(rng, left, row.data());
-            return;
+        // Rows with few enough slots left leave the head here. Ranks
+        // before the cut are zero in its tail table, so its draws land
+        // only on experts the head has not placed.
+        const double switchBelow =
+            switchBelow_[static_cast<std::size_t>(cut)];
+        int kept = 0;
+        for (int j = 0; j < live; ++j) {
+            const Walker w = walkers[j];
+            if (w.left <= switchBelow)
+                tail(cut).addDraws(*w.rng, w.left, w.row);
+            else
+                walkers[kept++] = w;
         }
+        live = kept;
         const int end = std::min(n, (cut + 1) * cutStride_);
-        for (int i = cut * cutStride_; i < end && left > 0; ++i) {
-            const Rank &rank = ranks_[static_cast<std::size_t>(i)];
-            const int k = binomialReflected(rng, left, rank.binomial);
-            const int placed = rank.flip ? left - k : k;
-            row[static_cast<std::size_t>(rank.expert)] = placed;
-            left -= placed;
+        for (int i = cut * cutStride_; i < end && live > 0; ++i) {
+            // One binomial per row; the rows' draws are independent.
+            const Rank rank = ranks_[static_cast<std::size_t>(i)];
+            kept = 0;
+            for (int j = 0; j < live; ++j) {
+                Walker w = walkers[j];
+                const int k = binomialReflected(*w.rng, w.left,
+                                                rank.binomial);
+                const int placed = rank.flip ? w.left - k : k;
+                w.row[rank.expert] = placed;
+                w.left -= placed;
+                if (w.left > 0)
+                    walkers[kept++] = w;
+            }
+            live = kept;
         }
     }
 }
@@ -624,10 +653,10 @@ WorkloadGenerator::sampleCountsInto(int iteration, int layer,
     counts.resize(static_cast<std::size_t>(dpGroups));
     const int slots = tokensPerGroup * cfg_.topK;
     const uint64_t key = gatingStreamKey(cfg_.seed, iteration, layer);
-    for (int g = 0; g < dpGroups; ++g) {
-        Rng rng(splitmix64(key ^ static_cast<uint64_t>(g)));
-        sampler_.sampleInto(rng, slots, counts[static_cast<std::size_t>(g)]);
-    }
+    rngs_.clear();
+    for (int g = 0; g < dpGroups; ++g)
+        rngs_.emplace_back(splitmix64(key ^ static_cast<uint64_t>(g)));
+    sampler_.sampleRowsInto(rngs_.data(), counts.data(), dpGroups, slots);
 }
 
 std::vector<double>

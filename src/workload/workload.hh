@@ -111,20 +111,26 @@ struct BinomialParam
 };
 
 /**
- * Exact multinomial sampler of one DP group's expert counts: a draw of
- * `slots` categories with replacement over fixed weights, at a cost
- * that scales with the experts, not the slots.
+ * Exact multinomial sampler of DP groups' expert counts: each row is a
+ * draw of `slots` categories with replacement over fixed weights, at a
+ * cost that scales with the experts, not the slots.
  *  - The head: experts by descending weight (ties by id), with each
  *    rank's conditional probability p_i / (1 − Σ_{j<i} p_j) and its
  *    binomial parameters precomputed.
- *  - sampleInto() walks the head with sequential conditional
- *    binomials. At every cut rank (a fixed grid over the ranks) it
+ *  - sampleRowsInto() walks the head with sequential conditional
+ *    binomials. At every cut rank (a fixed grid over the ranks) a row
  *    switches to one alias draw per remaining slot once the next cut's
  *    binomials would place too few slots each to beat the alias draws.
  *    Conditional on the head counts the tail is multinomial(left, tail
  *    weights), so any switching rule is exact. The cut-0 table is the
  *    plain alias table over every expert, so small slot counts cost
  *    one alias draw per slot.
+ *  - The walk is rank-major over the rows: at each head rank it draws
+ *    one binomial for every row still in the head, each from that row's
+ *    own Rng. A row's binomial depends on its previous one (n is the
+ *    leftover), but the rows are independent, so the rows' latency
+ *    chains overlap. Each row consumes its stream exactly as a walk of
+ *    that row alone would, and switches to its tail at its own cut.
  *  - Each cut's ranks and tail table are prepared on its first use
  *    after a build(), by selecting the heaviest unranked experts, so a
  *    rebuild costs only the cuts that draws reach; one that only small
@@ -139,10 +145,12 @@ class GatingSampler
     void build(const std::vector<double> &weights);
 
     /**
-     * Assign the counts of @p slots draws to @p row (resized to size(),
-     * storage reused), drawing from @p rng.
+     * Assign the counts of @p slots draws to each of the @p groups rows
+     * at @p rows (each resized to size(), storage reused); row g draws
+     * from @p rngs[g] only.
      */
-    void sampleInto(Rng &rng, int slots, std::vector<int> &row);
+    void sampleRowsInto(Rng *rngs, std::vector<int> *rows, int groups,
+                        int slots);
 
     /** Number of categories (0 before the first build). */
     std::size_t size() const { return weights_.size(); }
@@ -155,6 +163,14 @@ class GatingSampler
         BinomialParam binomial;
         int expert;
         bool flip; ///< p > ½: the count is n − Binomial(n, q)
+    };
+
+    /** A row still in the head walk. */
+    struct Walker
+    {
+        Rng *rng;
+        int *row;
+        int left; ///< slots not yet placed
     };
 
     /** Rank the experts of cut @p cut (its first use after build()). */
@@ -184,6 +200,8 @@ class GatingSampler
     // (weight, expert) pairs and the weights a tail table is built on.
     std::vector<std::pair<double, int>> cutTop_;
     std::vector<double> tailWeights_;
+    // sampleRowsInto()'s rows, one per group (walk scratch).
+    std::vector<Walker> walkers_;
 };
 
 /** Workload generator configuration. */
@@ -297,6 +315,8 @@ class WorkloadGenerator
     // MixedScenario mixture.
     std::vector<double> affinityScratch_;
     GatingSampler sampler_;
+    // The groups' keyed streams of the current call.
+    std::vector<Rng> rngs_;
     int builtIteration_ = -1;
     int builtLayer_ = -1;
     // Mixture weights at the last sampler build (drift reference) and

@@ -391,7 +391,7 @@ TEST(GatingSampler, MomentsMatchMultinomial)
             std::vector<int> row;
             for (int i = 0; i < kRows; ++i) {
                 Rng rng(static_cast<std::uint64_t>(slots) * 7919 + i);
-                sampler.sampleInto(rng, slots, row);
+                sampler.sampleRowsInto(&rng, &row, 1, slots);
                 ASSERT_EQ(row.size(), weights.size());
                 ASSERT_EQ(std::accumulate(row.begin(), row.end(), 0),
                           slots);
@@ -502,7 +502,10 @@ TEST(GatingSampler, MatchesPerSlotAliasSampler)
 // Each group draws from its own keyed stream: an iteration sampled by
 // a fresh generator equals the same iteration inside a run (the fixed
 // regimes build once, so the rebuild state agrees), and row g does not
-// depend on how many groups are sampled.
+// depend on how many groups the rank-major walk interleaves. At 1024
+// tokens the scenario-driven rows leave the head at different cuts
+// (one row can also walk to its last rank), and Balanced rows never
+// leave it.
 TEST(GatingSampler, KeyedStreamIsPerIterationAndGroup)
 {
     for (const GatingMode mode :
@@ -518,13 +521,35 @@ TEST(GatingSampler, KeyedStreamIsPerIterationAndGroup)
         WorkloadGenerator alone(cfg);
         EXPECT_EQ(alone.sampleCounts(37, 0, 1 + (37 * 53) % 400, 4),
                   inRun);
-
-        const auto wide = alone.sampleCounts(5, 0, 300, 8);
-        const auto narrow = alone.sampleCounts(5, 0, 300, 2);
-        ASSERT_EQ(narrow.size(), 2u);
-        EXPECT_EQ(narrow[0], wide[0]);
-        EXPECT_EQ(narrow[1], wide[1]);
-        EXPECT_NE(wide[0], wide[1]);
+    }
+    for (const GatingMode mode :
+         {GatingMode::Balanced, GatingMode::SingleScenario,
+          GatingMode::MixedScenario}) {
+        for (const int experts : {128, 256}) {
+            WorkloadConfig cfg;
+            cfg.numExperts = experts;
+            cfg.topK = 8;
+            cfg.mode = mode;
+            for (const auto &[iteration, tokens] :
+                 {std::pair<int, int>{5, 300}, {2, 1024}, {3, 1024}}) {
+                WorkloadGenerator wideGen(cfg);
+                const auto wide =
+                    wideGen.sampleCounts(iteration, 0, tokens, 8);
+                EXPECT_NE(wide[0], wide[1]);
+                for (const int dp : {1, 4}) {
+                    WorkloadGenerator gen(cfg);
+                    const auto rows =
+                        gen.sampleCounts(iteration, 0, tokens, dp);
+                    ASSERT_EQ(rows.size(), static_cast<std::size_t>(dp));
+                    for (int g = 0; g < dp; ++g)
+                        EXPECT_EQ(rows[static_cast<std::size_t>(g)],
+                                  wide[static_cast<std::size_t>(g)])
+                            << "mode " << static_cast<int>(mode) << ", "
+                            << experts << " experts, " << tokens
+                            << " tokens, dp " << dp << ", row " << g;
+                }
+            }
+        }
     }
 }
 
