@@ -7,31 +7,97 @@ namespace moentwine {
 namespace {
 
 /**
- * Emit dispatch/combine flows for one routed token batch. The
- * aggregated path accumulates per-(src, dst) bytes into out.pairBytes;
- * the reference path (the equivalence tests' baseline) appends one
- * flow per (group, rank, replica) triple.
+ * The aggregated path: per-(src, dst) dispatch bytes into
+ * out.pairBytes, per-device token loads and per-expert loads, in one
+ * pass over the (group, expert, replica[, rank]) contributions. Each
+ * (group, rank, device) source and dedup factor comes from the mapping
+ * once, on the device's first replica in the group.
  */
 void
-accumulateFlows(const Mapping &mapping, const ExpertPlacement &placement,
+accumulatePairs(const Mapping &mapping, const ExpertPlacement &placement,
                 const std::vector<std::vector<int>> &counts,
                 double tokenBytes, bool retainAllGather, int topk,
-                RoutedTraffic &out, bool aggregate)
+                RoutedTraffic &out)
 {
     const int tp = mapping.tp();
     // When the source choice ignores the shard rank, the tp identical
     // per-shard contributions collapse into one per-replica volume.
-    const bool collapseRanks = aggregate &&
+    const bool collapseRanks =
         mapping.dispatchSourceRankInvariant(retainAllGather);
+    const int ranks = collapseRanks ? 1 : tp;
+    const auto devices = static_cast<std::size_t>(mapping.numDevices());
+    out.sourceGroup.assign(devices, -1);
+    out.sources.resize(devices * static_cast<std::size_t>(ranks));
+    out.dedupFactors.resize(out.sources.size());
     for (int g = 0; g < mapping.dp(); ++g) {
         const auto &row = counts[static_cast<std::size_t>(g)];
-        MOE_ASSERT(row.size() ==
-                       static_cast<std::size_t>(placement.numExperts()),
+        MOE_ASSERT(row.size() == out.expertLoads.size(),
                    "counts row width must equal expert count");
         for (int e = 0; e < placement.numExperts(); ++e) {
             const int count = row[static_cast<std::size_t>(e)];
             if (count == 0)
                 continue;
+            out.expertLoads[static_cast<std::size_t>(e)] += count;
+            const auto &replicas = placement.replicasOf(e);
+            // count / 1 is count exactly.
+            const double perReplica = replicas.size() == 1
+                ? static_cast<double>(count)
+                : static_cast<double>(count) /
+                    static_cast<double>(replicas.size());
+            const double perRank = collapseRanks ? perReplica
+                                                 : perReplica / tp;
+            const double rankBytes = perRank * tokenBytes;
+            for (const DeviceId dev : replicas) {
+                const auto d = static_cast<std::size_t>(dev);
+                out.tokensPerDevice[d] += perReplica;
+                const std::size_t first = d * static_cast<std::size_t>(ranks);
+                if (out.sourceGroup[d] != g) {
+                    out.sourceGroup[d] = g;
+                    for (int r = 0; r < ranks; ++r) {
+                        const DeviceId src = mapping.dispatchSource(
+                            g, r, dev, retainAllGather);
+                        out.sources[first + static_cast<std::size_t>(r)] =
+                            src;
+                        out.dedupFactors[first +
+                                         static_cast<std::size_t>(r)] =
+                            mapping.dispatchDedupFactor(src, dev, topk);
+                    }
+                }
+                const std::size_t last =
+                    first + static_cast<std::size_t>(ranks);
+                for (std::size_t r = first; r < last; ++r) {
+                    const DeviceId src = out.sources[r];
+                    const double bytes = rankBytes * out.dedupFactors[r];
+                    if (src == dev || bytes <= 0.0)
+                        continue;
+                    out.pairBytes.add(src, dev, bytes);
+                }
+            }
+        }
+    }
+}
+
+/**
+ * The reference path: one dispatch and one combine flow per
+ * (group, rank, replica) triple, each asking the mapping for its
+ * source and dedup factor, plus the per-device and per-expert loads.
+ */
+void
+emitTripleFlows(const Mapping &mapping, const ExpertPlacement &placement,
+                const std::vector<std::vector<int>> &counts,
+                double tokenBytes, bool retainAllGather, int topk,
+                RoutedTraffic &out)
+{
+    const int tp = mapping.tp();
+    for (int g = 0; g < mapping.dp(); ++g) {
+        const auto &row = counts[static_cast<std::size_t>(g)];
+        MOE_ASSERT(row.size() == out.expertLoads.size(),
+                   "counts row width must equal expert count");
+        for (int e = 0; e < placement.numExperts(); ++e) {
+            const int count = row[static_cast<std::size_t>(e)];
+            if (count == 0)
+                continue;
+            out.expertLoads[static_cast<std::size_t>(e)] += count;
             const auto &replicas = placement.replicasOf(e);
             const double perReplica =
                 static_cast<double>(count) /
@@ -40,22 +106,15 @@ accumulateFlows(const Mapping &mapping, const ExpertPlacement &placement,
             for (const DeviceId dev : replicas) {
                 out.tokensPerDevice[static_cast<std::size_t>(dev)] +=
                     perReplica;
-                const int ranks = collapseRanks ? 1 : tp;
-                const double perRank = collapseRanks ? perReplica
-                                                    : perShard;
-                for (int r = 0; r < ranks; ++r) {
+                for (int r = 0; r < tp; ++r) {
                     const DeviceId src = mapping.dispatchSource(
                         g, r, dev, retainAllGather);
-                    const double bytes = perRank * tokenBytes *
+                    const double bytes = perShard * tokenBytes *
                         mapping.dispatchDedupFactor(src, dev, topk);
                     if (src == dev || bytes <= 0.0)
                         continue;
-                    if (aggregate) {
-                        out.pairBytes.add(src, dev, bytes);
-                    } else {
-                        out.dispatch.push_back(Flow{src, dev, bytes});
-                        out.combine.push_back(Flow{dev, src, bytes});
-                    }
+                    out.dispatch.push_back(Flow{src, dev, bytes});
+                    out.combine.push_back(Flow{dev, src, bytes});
                 }
             }
         }
@@ -83,21 +142,14 @@ routeTokens(const Mapping &mapping, const ExpertPlacement &placement,
                                       0);
     out.pairBytes.reset(aggregate ? devices : 0);
 
-    // Per-expert total loads, computed once (the active-expert scan
-    // below and the engine's EMA both read them).
+    // Per-expert total loads, summed with the contributions (the
+    // active-expert scan below and the engine's EMA both read them).
     out.expertLoads.assign(
         static_cast<std::size_t>(placement.numExperts()), 0.0);
-    for (const auto &row : counts) {
-        MOE_ASSERT(row.size() == out.expertLoads.size(),
-                   "counts row width must equal expert count");
-        for (std::size_t e = 0; e < row.size(); ++e)
-            out.expertLoads[e] += row[e];
-    }
-
-    accumulateFlows(mapping, placement, counts, tokenBytes,
-                    retainAllGather, topk, out, aggregate);
 
     if (aggregate) {
+        accumulatePairs(mapping, placement, counts, tokenBytes,
+                        retainAllGather, topk, out);
         // Materialise the non-zero pairs as flows in tile-major order
         // (cache-blocked so the downstream addFlow reduction touches
         // the link-volume buffer with locality); combine mirrors
@@ -107,6 +159,9 @@ routeTokens(const Mapping &mapping, const ExpertPlacement &placement,
                 out.dispatch.push_back(Flow{s, d, bytes});
                 out.combine.push_back(Flow{d, s, bytes});
             });
+    } else {
+        emitTripleFlows(mapping, placement, counts, tokenBytes,
+                        retainAllGather, topk, out);
     }
 
     // Active experts per device (for weight-streaming time), answered

@@ -20,9 +20,13 @@
  * network/traffic_accum.hh) — and materialises the non-zero pairs as
  * dispatch flows in cache-blocked tile-major order (combine is the
  * transpose). Both storages yield bitwise identical flow lists. The
- * unaggregated per-triple flow list is kept behind an `aggregate`
- * toggle as the reference that tests/flow_aggregation_test.cpp checks
- * the aggregated path against.
+ * aggregated path asks the mapping for each (group, rank, device)
+ * dispatch source and dedup factor once per call, on the device's
+ * first replica in the group, and keeps the answers in a per-device
+ * table for the group's other experts. The unaggregated per-triple
+ * flow list, which asks the mapping for every triple, is kept behind
+ * an `aggregate` toggle as the reference that
+ * tests/flow_aggregation_test.cpp checks the aggregated path against.
  */
 
 #ifndef MOENTWINE_ENGINE_TOKEN_ROUTER_HH
@@ -56,6 +60,14 @@ struct RoutedTraffic
     TrafficAccumulator pairBytes;
     /** Per-expert total token counts summed over DP groups. */
     std::vector<double> expertLoads;
+
+    // Aggregated-path scratch, reused across calls: the dispatch source
+    // and dedup factor of each (device, rank) for the group being
+    // routed, at device · ranks + rank (ranks is 1 when the sources
+    // ignore the rank), and per device the group they hold (-1: none).
+    std::vector<int> sourceGroup;
+    std::vector<DeviceId> sources;
+    std::vector<double> dedupFactors;
 };
 
 /**

@@ -27,14 +27,14 @@ expectAggregationPreservesTraffic(const Mapping &mapping,
                                   const ExpertPlacement &placement,
                                   const std::vector<std::vector<int>>
                                       &counts,
-                                  int topk)
+                                  int topk, bool retainAllGather = true)
 {
     RoutedTraffic agg;
-    routeTokens(mapping, placement, counts, 1024.0, true, topk, agg,
-                true);
+    routeTokens(mapping, placement, counts, 1024.0, retainAllGather, topk,
+                agg, true);
     RoutedTraffic flat;
-    routeTokens(mapping, placement, counts, 1024.0, true, topk, flat,
-                false);
+    routeTokens(mapping, placement, counts, 1024.0, retainAllGather, topk,
+                flat, false);
 
     // Aggregation can only shrink the flow list.
     EXPECT_LE(agg.dispatch.size(), flat.dispatch.size());
@@ -115,6 +115,47 @@ TEST(FlowAggregation, SwitchClusterDedupPreservesTraffic)
     WorkloadGenerator gen(wc);
     expectAggregationPreservesTraffic(
         cm, p, skewedCounts(gen, cm.dp(), 48), wc.topK);
+}
+
+// Contiguous TP blocks clamp the destination into the group's block,
+// and the shadow replicas split their experts' tokens.
+TEST(FlowAggregation, MeshBaselineMappingWithShadowsPreservesTraffic)
+{
+    const MeshTopology mesh = MeshTopology::singleWafer(4);
+    const BaselineMapping base(mesh, ParallelismConfig{2, 2});
+    ExpertPlacement p(32, 16, 2);
+    p.addReplica(0, 15);
+    p.addReplica(0, 6);
+    p.addReplica(3, 9);
+    WorkloadConfig wc;
+    wc.numExperts = 32;
+    wc.topK = 4;
+    wc.mode = GatingMode::SingleScenario;
+    WorkloadGenerator gen(wc);
+    for (const bool retainAllGather : {true, false})
+        expectAggregationPreservesTraffic(
+            base, p, skewedCounts(gen, base.dp(), 64), wc.topK,
+            retainAllGather);
+}
+
+// Without the all-gather only the rank owner serves, so the source
+// depends on the rank and the dedup factor applies to every triple. At
+// tp 16 each group spans both nodes, so the factor differs by rank.
+TEST(FlowAggregation, SwitchClusterOwnerSourcesPreserveTraffic)
+{
+    const SwitchClusterTopology dgx = SwitchClusterTopology::dgx(2);
+    for (const int tp : {4, 16}) {
+        const ClusterMapping cm(dgx, tp);
+        ExpertPlacement p(32, 16, 1);
+        p.addReplica(5, 12);
+        WorkloadConfig wc;
+        wc.numExperts = 32;
+        wc.topK = 8;
+        wc.mode = GatingMode::MixedScenario;
+        WorkloadGenerator gen(wc);
+        expectAggregationPreservesTraffic(
+            cm, p, skewedCounts(gen, cm.dp(), 48), wc.topK, false);
+    }
 }
 
 TEST(FlowAggregation, PairBytesMatrixMatchesFlowList)
