@@ -36,24 +36,37 @@ NiBalancer::plan(const std::vector<double> &expertLoads,
             continue;
         }
         placement.removeReplica(step.expert, step.dstDevice);
-        Pending p;
-        p.step = step;
-        p.segments = decompose(step.srcDevice, step.dstDevice);
-        MOE_ASSERT(!p.segments.empty(),
-                   "migration between co-located replicas");
-        p.delivered.assign(p.segments.size(), 0.0);
-        pending_.push_back(std::move(p));
+        enqueue(step);
         ++enqueued;
     }
     return enqueued;
 }
 
-std::vector<NiBalancer::Segment>
-NiBalancer::decompose(DeviceId src, DeviceId dst) const
+void
+NiBalancer::enqueue(const MigrationStep &step)
 {
+    if (spare_.empty()) {
+        pending_.emplace_back();
+    } else {
+        pending_.push_back(std::move(spare_.back()));
+        spare_.pop_back();
+    }
+    Pending &p = pending_.back();
+    p.step = step;
+    decompose(p);
+    MOE_ASSERT(!p.segments.empty(), "migration between co-located replicas");
+    p.delivered.assign(p.segments.size(), 0.0);
+}
+
+void
+NiBalancer::decompose(Pending &p) const
+{
+    const DeviceId src = p.step.srcDevice;
+    const DeviceId dst = p.step.dstDevice;
     MOE_ASSERT(mapping_.topology().hops(src, dst) > 0,
                "empty migration route");
-    std::vector<Segment> segments;
+    p.links.clear();
+    p.segments.clear();
     const auto &links = mapping_.topology().links();
     const int devices = mapping_.numDevices();
     // Links touching internal switch nodes (no FTD of their own)
@@ -64,11 +77,12 @@ NiBalancer::decompose(DeviceId src, DeviceId dst) const
         bool local = flowLocal;
         if (link.src < devices && link.dst < devices)
             local = mapping_.ftdOf(link.src) == mapping_.ftdOf(link.dst);
-        if (segments.empty() || segments.back().local != local)
-            segments.push_back(Segment{{}, local});
-        segments.back().links.push_back(l);
+        if (p.segments.empty() || p.segments.back().local != local)
+            p.segments.push_back(Segment{p.links.size(), p.links.size(),
+                                         local});
+        p.links.push_back(l);
+        ++p.segments.back().end;
     }
-    return segments;
 }
 
 int
@@ -114,12 +128,12 @@ NiBalancer::advance(const PhaseTraffic &traffic, double window, bool local,
             if (upstream <= 0.0)
                 continue;
             double capacity = upstream;
-            for (const LinkId l : seg.links)
-                capacity = std::min(capacity, budgetOf(l));
+            for (std::size_t k = seg.begin; k < seg.end; ++k)
+                capacity = std::min(capacity, budgetOf(p.links[k]));
             if (capacity <= 0.0)
                 continue;
-            for (const LinkId l : seg.links)
-                budgetOf(l) -= capacity;
+            for (std::size_t k = seg.begin; k < seg.end; ++k)
+                budgetOf(p.links[k]) -= capacity;
             p.delivered[i] += capacity;
             hiddenBytes_ += capacity;
         }
@@ -128,21 +142,29 @@ NiBalancer::advance(const PhaseTraffic &traffic, double window, bool local,
         budget_[static_cast<std::size_t>(l)] = -1.0;
     touched_.clear();
 
-    // Activate completed migrations.
+    // Activate completed migrations, in enqueue order, and compact the
+    // rest in order; the completed ones end up past `kept`.
     int completed = 0;
+    std::size_t kept = 0;
     const double done = expertBytes_ * (1.0 - 1e-9);
-    for (auto it = pending_.begin(); it != pending_.end();) {
-        if (it->delivered.back() >= done) {
-            const MigrationStep &s = it->step;
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+        Pending &p = pending_[i];
+        if (p.delivered.back() >= done) {
+            const MigrationStep &s = p.step;
             if (!placement.hosts(s.dstDevice, s.expert) &&
                 placement.freeSlots(s.dstDevice) > 0) {
                 placement.addReplica(s.expert, s.dstDevice);
             }
-            it = pending_.erase(it);
             ++completed;
-        } else {
-            ++it;
+            continue;
         }
+        if (kept != i)
+            std::swap(pending_[kept], p);
+        ++kept;
+    }
+    while (pending_.size() > kept) {
+        spare_.push_back(std::move(pending_.back()));
+        pending_.pop_back();
     }
     return completed;
 }

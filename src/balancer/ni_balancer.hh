@@ -20,15 +20,15 @@
  * segment has delivered all bytes — so balancing is slightly delayed
  * but costs zero iteration latency.
  *
- * Planning re-plans the live placement in place and draining reuses a
- * links-sized budget array reset through the links it touched, so a
- * steady-state step allocates only for newly enqueued migrations.
+ * Planning re-plans the live placement in place, draining reuses a
+ * links-sized budget array reset through the links it touched, and a
+ * newly enqueued migration takes over the buffers of a completed one,
+ * so a steady-state step allocates nothing.
  */
 
 #ifndef MOENTWINE_BALANCER_NI_BALANCER_HH
 #define MOENTWINE_BALANCER_NI_BALANCER_HH
 
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -88,10 +88,12 @@ class NiBalancer
     double hiddenBytesMoved() const { return hiddenBytes_; }
 
   private:
-    /** One contiguous run of same-class links along a migration route. */
+    /** One contiguous run of same-class links along a migration route:
+     *  the route's links [begin, end). */
     struct Segment
     {
-        std::vector<LinkId> links;
+        std::size_t begin;
+        std::size_t end;
         bool local; ///< true: intra-FTD (attention window)
     };
 
@@ -99,13 +101,19 @@ class NiBalancer
     struct Pending
     {
         MigrationStep step;
+        /** The route's links, in order. */
+        std::vector<LinkId> links;
         std::vector<Segment> segments;
         /** Bytes delivered through the *end* of each segment. */
         std::vector<double> delivered;
     };
 
-    /** Decompose a route into alternating local/global segments. */
-    std::vector<Segment> decompose(DeviceId src, DeviceId dst) const;
+    /** Enqueue @p step, reusing a completed migration's buffers. */
+    void enqueue(const MigrationStep &step);
+
+    /** Decompose the route of @p p's step into alternating local/global
+     *  segments, refilling @p p's links and segments. */
+    void decompose(Pending &p) const;
 
     /** Shared draining logic for the two phase kinds. */
     int advance(const PhaseTraffic &traffic, double window, bool local,
@@ -114,7 +122,11 @@ class NiBalancer
     const Mapping &mapping_;
     double expertBytes_;
     TopologyAwareBalancer planner_;
-    std::deque<Pending> pending_;
+    // Migrations in flight, in enqueue order: advance() shares link
+    // budgets first come, first served.
+    std::vector<Pending> pending_;
+    // Completed migrations, kept for their buffers.
+    std::vector<Pending> spare_;
     double hiddenBytes_ = 0.0;
     // Idle byte budget per link within one advance() (-1: not yet
     // read), and the links read so far, for resetting.

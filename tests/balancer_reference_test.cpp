@@ -352,3 +352,39 @@ TEST(BalancerAllocations, SteadyStateNiPlanAndDrainAllocateNothing)
     EXPECT_EQ(g_allocCount.load(), before);
     EXPECT_EQ(ni.pendingCount(), pending);
 }
+
+TEST(BalancerAllocations, NiEnqueueAndCompleteAllocateNothing)
+{
+    const MeshTopology mesh = MeshTopology::singleWafer(4);
+    const ErMapping er(mesh, ParallelismConfig{2, 2});
+    // A 1 kB expert drains within one attention and one MoE window, so
+    // every migration completes, and alternating loads make every plan
+    // enqueue new ones into the buffers of completed ones.
+    NiBalancer ni(er, 1e3);
+    ExpertPlacement p(35, mesh.numDevices(), 2);
+    const std::vector<double> loads[] = {
+        shapedLoads(LoadShape::Zipf, 35, 3),
+        shapedLoads(LoadShape::Zipf, 35, 4)};
+    const PhaseTraffic busy = mixedTraffic(mesh, 5);
+    int enqueued = 0;
+    int completed = 0;
+    auto round = [&](int i) {
+        const int planned = ni.plan(loads[i % 2], p);
+        enqueued += planned;
+        completed += ni.advanceAttention(busy, 1e-6, p);
+        completed += ni.advanceMoe(busy, 1e-6, p);
+        return planned;
+    };
+    for (int i = 0; i < 8; ++i)
+        round(i);
+    const int pending = static_cast<int>(ni.pendingCount());
+    const std::size_t before = g_allocCount.load();
+    enqueued = 0;
+    completed = 0;
+    for (int i = 0; i < 16; ++i)
+        EXPECT_GT(round(i), 0) << "round " << i;
+    EXPECT_EQ(g_allocCount.load(), before);
+    EXPECT_GT(completed, 0);
+    EXPECT_EQ(static_cast<int>(ni.pendingCount()),
+              pending + enqueued - completed);
+}
