@@ -235,11 +235,6 @@ InferenceEngine::publishObs(const IterationStats &stats)
                    cursor + stats.faultRecoveryTime);
             cursor += stats.faultRecoveryTime;
         }
-        if (stats.faultEventsApplied > 0) {
-            t.instant(pid, 0, "fault", "fault_events", traceNow_,
-                      {{"applied", TraceSink::num(static_cast<long long>(
-                                       stats.faultEventsApplied))}});
-        }
         traceNow_ = cursor;
     }
 }
