@@ -200,8 +200,11 @@ class ContinuousBatchScheduler
             static_cast<double>(cfg_.kvBudgetTokens);
     }
 
-    /** Completed requests so far. */
+    /** Finished requests so far: completed, shed or failed. */
     int finishedCount() const { return finished_; }
+
+    /** Requests that arrived so far (moved into the queue by admit()). */
+    int arrivedCount() const { return static_cast<int>(nextArrival_); }
 
     /**
      * Planned tokens per scenario of the last plan() call (prefill

@@ -138,6 +138,16 @@ ServeLoop::faultBoundary()
 }
 
 void
+ServeLoop::assertRequestsConserved() const
+{
+    MOE_ASSERT(sched_.arrivedCount() ==
+                   sched_.finishedCount() + sched_.queueDepth() +
+                       sched_.runningCount() + sched_.retryPending(),
+               "arrived requests must be finished, queued, running or "
+               "retrying");
+}
+
+void
 ServeLoop::placeResidents()
 {
     // Residents are counted from the running batch itself, so finished,
@@ -207,6 +217,7 @@ ServeLoop::beginIteration()
                 sched_.tickIdle();
                 continue;
             }
+            assertRequestsConserved();
             return false; // idle: the caller advances the clock
         }
         // Couple the engine's gating mixture to the live batch mix.
@@ -219,6 +230,7 @@ ServeLoop::beginIteration()
         iterStart_ = now_;
         iterEnd_ = now_ + pendingStats_.layerTime(stages_) * layers_;
         inFlight_ = true;
+        assertRequestsConserved();
         return true;
     }
 }
@@ -232,6 +244,7 @@ ServeLoop::finishIteration()
     const double iterStart = iterStart_;
     now_ = iterEnd_;
     sched_.complete(now_);
+    assertRequestsConserved();
     ++report_.iterations;
     if (trace_ != nullptr) {
         // Engine phases stretched to the serve clock: one stepped

@@ -153,6 +153,13 @@ class ServeLoop
     void faultBoundary();
 
     /**
+     * Assert, in O(1), that every arrived request is finished
+     * (completed, shed or failed), queued, running or waiting out a
+     * retry backoff. Checked at every boundary.
+     */
+    void assertRequestsConserved() const;
+
+    /**
      * Home every homeless running request on the live device with the
      * fewest running residents (ties to the lowest id). Faulted runs
      * only.
