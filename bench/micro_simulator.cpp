@@ -49,18 +49,19 @@ BM_RingAllReduce(benchmark::State &state)
 BENCHMARK(BM_RingAllReduce)->Arg(4)->Arg(8);
 
 /**
- * Gating: one sampleCountsInto() per iteration over 4 DP groups.
- * Args: gating mode (0 Balanced, 1 SingleScenario, 2 MixedScenario),
- * experts, tokens per group. Items are token·top-k slots (tokens ×
- * top-k × groups), so items/s is slots placed per second, whatever mix
- * of binomials and alias draws placed them. Tokens 1-16 are small
- * decode batches with fewer slots per group than experts; 384 is
- * paper_grid's Hybrid schedule (3072 slots per group).
+ * Gating: one sampleCountsInto() per iteration. Args: gating mode (0
+ * Balanced, 1 SingleScenario, 2 MixedScenario), experts, tokens per
+ * group, DP groups. Items are token·top-k slots (tokens × top-k ×
+ * groups), so items/s is slots placed per second, whatever mix of
+ * binomials and alias draws placed them. Tokens 1-16 are small decode
+ * batches with fewer slots per group than experts; 384 is paper_grid's
+ * Hybrid schedule (3072 slots per group). The groups axis is the
+ * sampler's rank-major walk width: at 1 group it interleaves nothing;
+ * 4 is paper_grid's dp.
  */
 void
 BM_Gating(benchmark::State &state)
 {
-    constexpr int kGroups = 4;
     const GatingMode modes[] = {GatingMode::Balanced,
                                 GatingMode::SingleScenario,
                                 GatingMode::MixedScenario};
@@ -69,34 +70,46 @@ BM_Gating(benchmark::State &state)
     cfg.numExperts = static_cast<int>(state.range(1));
     cfg.topK = 8;
     const int tokens = static_cast<int>(state.range(2));
+    const int groups = static_cast<int>(state.range(3));
     WorkloadGenerator gen(cfg);
     std::vector<std::vector<int>> counts;
     int iteration = 0;
     for (auto _ : state) {
-        gen.sampleCountsInto(iteration++, 0, tokens, kGroups, counts);
+        gen.sampleCountsInto(iteration++, 0, tokens, groups, counts);
         benchmark::DoNotOptimize(counts.data());
         benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations() * kGroups * tokens *
+    state.SetItemsProcessed(state.iterations() * groups * tokens *
                             cfg.topK);
 }
 BENCHMARK(BM_Gating)
-    ->ArgNames({"mode", "experts", "tokens"})
-    ->ArgsProduct({{0, 1, 2}, {128, 256}, {1, 4, 16, 128, 384, 1024}});
+    ->ArgNames({"mode", "experts", "tokens", "groups"})
+    ->ArgsProduct({{0, 1, 2},
+                   {128, 256},
+                   {1, 4, 16, 128, 384, 1024},
+                   {1, 4, 16}});
 
 /**
- * Token routing: one aggregated routeTokens() per iteration into one
- * reused RoutedTraffic, with the all-gather retained, so every logical
- * transfer asks the mapping's dispatch rule for its source. Qwen3's 128
- * experts with 4 tokens each per DP group, on the default placement.
- * Args: 0 ER 4×4, 1 ER 8×8, 2 Baseline 8×8, 3 HER 2×(8×8), 4 NVL72
- * (cluster), all at tp 4.
+ * Token routing in the engine's shapes: one aggregated routeTokens()
+ * per iteration into one reused RoutedTraffic, with the all-gather
+ * retained. The rows are SingleScenario gating of paper_grid's decode
+ * batch (128 tokens per DP group) over kRoutedIterations iterations,
+ * cycled, so rows are skewed and may hold zero counts. The placement
+ * carries the shadow replicas (two slots per device) that a
+ * Topology-aware plan gives those rows' total loads, so hot experts
+ * split their tokens over several replicas. Args: 0 ER 4×4, 1 ER 8×8,
+ * 2 Baseline 8×8, 3 HER 2×(8×8), 4 NVL72 (cluster), all Qwen3 (128
+ * experts); 5 ER 4×4 with DeepSeek-V3 (256 experts), paper_grid's
+ * heavier model. All at tp 4.
  */
 void
 BM_TokenRouting(benchmark::State &state)
 {
+    constexpr int kRoutedIterations = 8;
+    constexpr int kTokensPerGroup = 128;
     SystemConfig sc;
     sc.tp = 4;
+    MoEModelConfig model = qwen3();
     switch (state.range(0)) {
       case 0:
         sc.platform = PlatformKind::WscEr;
@@ -114,32 +127,53 @@ BM_TokenRouting(benchmark::State &state)
         sc.meshN = 8;
         sc.wafers = 2;
         break;
-      default:
+      case 4:
         sc.platform = PlatformKind::Nvl72;
+        break;
+      default:
+        sc.platform = PlatformKind::WscEr;
+        model = deepseekV3();
         break;
     }
     const System sys = System::make(sc);
     const Mapping &m = sys.mapping();
-    const MoEModelConfig model = qwen3();
-    const ExpertPlacement p(model.expertsTotal, m.numDevices(), 0);
-    const std::vector<std::vector<int>> counts(
-        std::size_t(m.dp()),
-        std::vector<int>(std::size_t(model.expertsTotal), 4));
+
+    WorkloadConfig wc;
+    wc.numExperts = model.expertsTotal;
+    wc.topK = model.expertsActivated;
+    wc.mode = GatingMode::SingleScenario;
+    WorkloadGenerator gen(wc);
+    std::vector<std::vector<std::vector<int>>> rows(kRoutedIterations);
+    std::vector<double> loads(std::size_t(model.expertsTotal), 0.0);
+    for (int i = 0; i < kRoutedIterations; ++i) {
+        auto &counts = rows[std::size_t(i)];
+        gen.sampleCountsInto(i, 0, kTokensPerGroup, m.dp(), counts);
+        const auto column = WorkloadGenerator::expertLoads(
+            counts, model.expertsTotal);
+        for (std::size_t e = 0; e < loads.size(); ++e)
+            loads[e] += column[e];
+    }
+    ExpertPlacement p(model.expertsTotal, m.numDevices(), 2);
+    TopologyAwareBalancer(m.topology()).rebalance(loads, p);
+
     RoutedTraffic routed;
     // Warm pass: reach steady-state buffer capacity untimed.
-    routeTokens(m, p, counts, model.tokenBytes(), true,
-                model.expertsActivated, routed);
-    for (auto _ : state) {
+    for (const auto &counts : rows)
         routeTokens(m, p, counts, model.tokenBytes(), true,
                     model.expertsActivated, routed);
+    std::size_t next = 0;
+    for (auto _ : state) {
+        routeTokens(m, p, rows[next], model.tokenBytes(), true,
+                    model.expertsActivated, routed);
+        next = (next + 1) % rows.size();
         benchmark::DoNotOptimize(routed.dispatch.data());
         benchmark::ClobberMemory();
     }
-    state.SetLabel(sys.name());
+    state.SetLabel(sys.name() + " " + model.name);
 }
 BENCHMARK(BM_TokenRouting)
     ->ArgName("system")
-    ->DenseRange(0, 4)
+    ->DenseRange(0, 5)
     ->Unit(benchmark::kMicrosecond);
 
 /**
