@@ -24,11 +24,12 @@ accumulatePairs(const Mapping &mapping, const ExpertPlacement &placement,
     // per-shard contributions collapse into one per-replica volume.
     const bool collapseRanks =
         mapping.dispatchSourceRankInvariant(retainAllGather);
-    const int ranks = collapseRanks ? 1 : tp;
+    const std::size_t ranks =
+        collapseRanks ? 1 : static_cast<std::size_t>(tp);
     const auto devices = static_cast<std::size_t>(mapping.numDevices());
     out.sourceGroup.assign(devices, -1);
-    out.sources.resize(devices * static_cast<std::size_t>(ranks));
-    out.dedupFactors.resize(out.sources.size());
+    out.sources.resize(devices * ranks);
+    out.dedupFactors.resize(devices * ranks);
     for (int g = 0; g < mapping.dp(); ++g) {
         const auto &row = counts[static_cast<std::size_t>(g)];
         MOE_ASSERT(row.size() == out.expertLoads.size(),
@@ -39,7 +40,7 @@ accumulatePairs(const Mapping &mapping, const ExpertPlacement &placement,
                 continue;
             out.expertLoads[static_cast<std::size_t>(e)] += count;
             const auto &replicas = placement.replicasOf(e);
-            // count / 1 is count exactly.
+            // One replica takes the whole count: count / 1 is count.
             const double perReplica = replicas.size() == 1
                 ? static_cast<double>(count)
                 : static_cast<double>(count) /
@@ -50,24 +51,23 @@ accumulatePairs(const Mapping &mapping, const ExpertPlacement &placement,
             for (const DeviceId dev : replicas) {
                 const auto d = static_cast<std::size_t>(dev);
                 out.tokensPerDevice[d] += perReplica;
-                const std::size_t first = d * static_cast<std::size_t>(ranks);
+                // This device's entries, one per rank.
+                const std::size_t first = d * ranks;
+                const std::size_t last = first + ranks;
                 if (out.sourceGroup[d] != g) {
                     out.sourceGroup[d] = g;
-                    for (int r = 0; r < ranks; ++r) {
+                    for (std::size_t i = first; i < last; ++i) {
                         const DeviceId src = mapping.dispatchSource(
-                            g, r, dev, retainAllGather);
-                        out.sources[first + static_cast<std::size_t>(r)] =
-                            src;
-                        out.dedupFactors[first +
-                                         static_cast<std::size_t>(r)] =
+                            g, static_cast<int>(i - first), dev,
+                            retainAllGather);
+                        out.sources[i] = src;
+                        out.dedupFactors[i] =
                             mapping.dispatchDedupFactor(src, dev, topk);
                     }
                 }
-                const std::size_t last =
-                    first + static_cast<std::size_t>(ranks);
-                for (std::size_t r = first; r < last; ++r) {
-                    const DeviceId src = out.sources[r];
-                    const double bytes = rankBytes * out.dedupFactors[r];
+                for (std::size_t i = first; i < last; ++i) {
+                    const DeviceId src = out.sources[i];
+                    const double bytes = rankBytes * out.dedupFactors[i];
                     if (src == dev || bytes <= 0.0)
                         continue;
                     out.pairBytes.add(src, dev, bytes);
