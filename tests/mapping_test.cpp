@@ -1,18 +1,27 @@
 /**
  * @file
  * Tests for the parallelism mappings — the paper's core contribution.
- * Covers the Fig. 8/10 worked examples exactly, plus partition and
- * geometry invariants swept over mesh scales and TP shapes.
+ * Covers the Fig. 8/10 worked examples exactly, partition and geometry
+ * invariants swept over mesh scales and TP shapes, pinned FNV-1a
+ * digests of the layouts the fig13c, fig13d and fig17 drivers build
+ * (MappingDigest.*), and the fatal message of a TP shape that does not
+ * divide the mesh or wafer.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <tuple>
+#include <utility>
+#include <vector>
 
+#include "core/moentwine.hh"
+#include "digest.hh"
 #include "mapping/baseline_mapping.hh"
 #include "mapping/er_mapping.hh"
 #include "mapping/ftd.hh"
+#include "mapping/her_mapping.hh"
 #include "mapping/parallelism.hh"
 #include "topology/mesh.hh"
 
@@ -347,3 +356,120 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(8, 2, 2),   // 8×8 TP=4
                       std::make_tuple(8, 2, 4),   // TP=8
                       std::make_tuple(8, 4, 4))); // TP=16
+
+// ---------------------------------------------------- layout digests ----
+
+namespace {
+
+/** Fold a list of device lists in: its size, then each list's size
+ *  and members, in order. */
+void
+mixLists(std::uint64_t &h, const std::vector<std::vector<DeviceId>> &lists)
+{
+    digest::mix(h, lists.size());
+    for (const auto &list : lists) {
+        digest::mix(h, list.size());
+        for (const DeviceId d : list)
+            digest::mixInt(h, d);
+    }
+}
+
+/**
+ * Digest of the layouts of @p platform at every (meshN, tp) point, on
+ * @p wafers wafers in a row: tpGroups(), ftds() and, under HER-Mapping,
+ * interWaferRings(), each in order. Built through System::make, as the
+ * figure drivers build them. The pinned constants below must never be
+ * regenerated to make a layout change pass.
+ */
+std::uint64_t
+layoutDigest(PlatformKind platform, int wafers,
+             const std::vector<std::pair<int, int>> &points)
+{
+    std::uint64_t h = digest::kOffset;
+    for (const auto &[meshN, tp] : points) {
+        SystemConfig sc;
+        sc.platform = platform;
+        sc.meshN = meshN;
+        sc.wafers = wafers;
+        sc.tp = tp;
+        const System sys = System::make(sc);
+        mixLists(h, sys.mapping().tpGroups());
+        mixLists(h, sys.mapping().ftds());
+        if (const auto *her = dynamic_cast<const HierarchicalErMapping *>(
+                &sys.mapping())) {
+            mixLists(h, her->interWaferRings());
+        }
+    }
+    return h;
+}
+
+// bench/fig13c_scales.cpp: single wafers, (meshN, tp).
+const std::vector<std::pair<int, int>> kFig13c = {
+    {4, 2}, {4, 4}, {4, 8}, {6, 2}, {6, 4},  {6, 6},
+    {6, 18}, {8, 2}, {8, 4}, {8, 8}, {8, 16}};
+// bench/fig13d_multiwafer.cpp: four wafers, (meshN, tp).
+const std::vector<std::pair<int, int>> kFig13d = {
+    {4, 4}, {4, 8}, {4, 16}, {6, 4}, {6, 6},
+    {6, 36}, {8, 4}, {8, 8}, {8, 16}, {8, 32}};
+// bench/fig17_ablation.cpp: four 8×8 wafers at tp 16.
+const std::vector<std::pair<int, int>> kFig17 = {{8, 16}};
+
+} // namespace
+
+TEST(MappingDigest, Fig13cSingleWafer)
+{
+    EXPECT_EQ(layoutDigest(PlatformKind::WscEr, 1, kFig13c),
+              0x3c02faea62f42a6eULL);
+    EXPECT_EQ(layoutDigest(PlatformKind::WscBaseline, 1, kFig13c),
+              0xfa2e5d0b3e69f9eeULL);
+}
+
+TEST(MappingDigest, Fig13dFourWafers)
+{
+    EXPECT_EQ(layoutDigest(PlatformKind::WscEr, 4, kFig13d),
+              0x85401e3529cb5dffULL);
+    EXPECT_EQ(layoutDigest(PlatformKind::WscBaseline, 4, kFig13d),
+              0x4a8b8e02c14e38bfULL);
+    EXPECT_EQ(layoutDigest(PlatformKind::WscHer, 4, kFig13d),
+              0x70f88f92170c2495ULL);
+}
+
+TEST(MappingDigest, Fig17FourWafers)
+{
+    EXPECT_EQ(layoutDigest(PlatformKind::WscEr, 4, kFig17),
+              0x2ecca62c6fc46465ULL);
+    EXPECT_EQ(layoutDigest(PlatformKind::WscBaseline, 4, kFig17),
+              0x0f3a1a91ec006e65ULL);
+    EXPECT_EQ(layoutDigest(PlatformKind::WscHer, 4, kFig17),
+              0x404107cfd51d5715ULL);
+}
+
+// ------------------------------------------------ indivisible shapes ----
+
+TEST(MappingDeathTest, ErShapeMustDivideMesh)
+{
+    const MeshTopology mesh = MeshTopology::singleWafer(4);
+    EXPECT_EXIT(ErMapping(mesh, ParallelismConfig{3, 1}),
+                ::testing::ExitedWithCode(1),
+                "^fatal: ER-Mapping: TP shape TP3\\(3x1\\) does not "
+                "divide the 4x4 mesh\n$");
+}
+
+TEST(MappingDeathTest, BaselineShapeMustDivideMesh)
+{
+    const MeshTopology mesh = MeshTopology::singleWafer(4);
+    EXPECT_EXIT(BaselineMapping(mesh, ParallelismConfig{1, 3}),
+                ::testing::ExitedWithCode(1),
+                "^fatal: baseline mapping: TP shape TP3\\(1x3\\) does "
+                "not divide the 4x4 mesh\n$");
+}
+
+TEST(MappingDeathTest, HerShapeMustDivideWafer)
+{
+    // 3 divides the 4×12 three-wafer mesh's columns but not a wafer's.
+    const MeshTopology mesh = MeshTopology::waferRow(3, 4);
+    EXPECT_EXIT(HierarchicalErMapping(mesh, ParallelismConfig{2, 3}),
+                ::testing::ExitedWithCode(1),
+                "^fatal: HER-Mapping: TP shape TP6\\(2x3\\) does not "
+                "divide the 4x4 wafer\n$");
+}
