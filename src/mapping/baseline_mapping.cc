@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
 #include "mapping/ring_order.hh"
 
 namespace moentwine {
@@ -11,15 +10,10 @@ BaselineMapping::BaselineMapping(const MeshTopology &mesh,
                                  ParallelismConfig par)
     : Mapping(mesh), mesh_(mesh), par_(par)
 {
-    const int rows = mesh.rows();
-    const int cols = mesh.cols();
-    if (rows % par.tpX != 0 || cols % par.tpY != 0) {
-        fatal("baseline mapping: TP shape " + par.label() +
-              " does not divide the " + std::to_string(rows) + "x" +
-              std::to_string(cols) + " mesh");
-    }
-    const int blocksX = rows / par.tpX; // blocks along rows
-    const int blocksY = cols / par.tpY; // blocks along cols
+    par.requireDivides(mesh.rows(), mesh.cols(), "baseline mapping",
+                       "mesh");
+    const int blocksX = mesh.rows() / par.tpX; // blocks along rows
+    const int blocksY = mesh.cols() / par.tpY; // blocks along cols
 
     // TP groups: one per contiguous block, members in ring order.
     const auto cycle = gridCycle(par.tpX, par.tpY);

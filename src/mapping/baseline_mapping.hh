@@ -38,12 +38,6 @@ class BaselineMapping : public Mapping
     /** Baseline rings are quadrant-local and need no staggering. */
     bool staggeredRings() const override { return false; }
 
-    /** The TP shape used. */
-    const ParallelismConfig &parallelism() const { return par_; }
-
-    /** The mesh this mapping is placed on. */
-    const MeshTopology &mesh() const { return mesh_; }
-
   protected:
     /**
      * @p expertDevice clamped into the group's tpX×tpY block: hops are

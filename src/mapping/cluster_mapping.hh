@@ -40,9 +40,6 @@ class ClusterMapping : public Mapping
     double dispatchDedupFactor(DeviceId src, DeviceId dst,
                                int topk) const override;
 
-    /** The cluster this mapping is placed on. */
-    const SwitchClusterTopology &cluster() const { return cluster_; }
-
   protected:
     /**
      * The nearest member: hops are 0, 2 (same node) or 4, so that is

@@ -1,35 +1,31 @@
 #include "mapping/er_mapping.hh"
 
-#include "common/logging.hh"
 #include "mapping/ring_order.hh"
 
 namespace moentwine {
 
-ErMapping::ErMapping(const MeshTopology &mesh, ParallelismConfig par)
-    : Mapping(mesh), mesh_(mesh), par_(par)
+void
+appendErTile(const MeshTopology &mesh, Coord origin, int rows, int cols,
+             const ParallelismConfig &par,
+             std::vector<std::vector<DeviceId>> &groups,
+             std::vector<std::vector<DeviceId>> &ftds)
 {
-    const int rows = mesh.rows();
-    const int cols = mesh.cols();
-    if (rows % par.tpX != 0 || cols % par.tpY != 0) {
-        fatal("ER-Mapping: TP shape " + par.label() +
-              " does not divide the " + std::to_string(rows) + "x" +
-              std::to_string(cols) + " mesh");
-    }
-    strideRows_ = rows / par.tpX; // a in the paper's algorithm
-    strideCols_ = cols / par.tpY; // b
+    const int strideRows = rows / par.tpX; // a in the paper's algorithm
+    const int strideCols = cols / par.tpY; // b
 
     // TP groups: residue classes (i, j) mod (a, b); members at
     // (i + s·a, j + t·b) visited in entwined-ring order.
     const auto cycle = gridCycle(par.tpX, par.tpY);
-    for (int i = 0; i < strideRows_; ++i) {
-        for (int j = 0; j < strideCols_; ++j) {
+    for (int i = 0; i < strideRows; ++i) {
+        for (int j = 0; j < strideCols; ++j) {
             std::vector<DeviceId> group;
             group.reserve(cycle.size());
             for (const auto &[s, t] : cycle) {
-                group.push_back(mesh.deviceAt(i + s * strideRows_,
-                                              j + t * strideCols_));
+                group.push_back(
+                    mesh.deviceAt(origin.row + i + s * strideRows,
+                                  origin.col + j + t * strideCols));
             }
-            tpGroups_.push_back(std::move(group));
+            groups.push_back(std::move(group));
         }
     }
 
@@ -38,16 +34,25 @@ ErMapping::ErMapping(const MeshTopology &mesh, ParallelismConfig par)
     for (int p = 0; p < par.tpX; ++p) {
         for (int q = 0; q < par.tpY; ++q) {
             std::vector<DeviceId> ftd;
-            ftd.reserve(
-                static_cast<std::size_t>(strideRows_ * strideCols_));
-            for (int i = 0; i < strideRows_; ++i)
-                for (int j = 0; j < strideCols_; ++j)
-                    ftd.push_back(mesh.deviceAt(p * strideRows_ + i,
-                                                q * strideCols_ + j));
-            ftds_.push_back(std::move(ftd));
+            ftd.reserve(static_cast<std::size_t>(strideRows * strideCols));
+            for (int i = 0; i < strideRows; ++i)
+                for (int j = 0; j < strideCols; ++j)
+                    ftd.push_back(
+                        mesh.deviceAt(origin.row + p * strideRows + i,
+                                      origin.col + q * strideCols + j));
+            ftds.push_back(std::move(ftd));
         }
     }
+}
 
+ErMapping::ErMapping(const MeshTopology &mesh, ParallelismConfig par)
+    : Mapping(mesh)
+{
+    par.requireDivides(mesh.rows(), mesh.cols(), "ER-Mapping", "mesh");
+    strideRows_ = mesh.rows() / par.tpX;
+    strideCols_ = mesh.cols() / par.tpY;
+    appendErTile(mesh, Coord{0, 0}, mesh.rows(), mesh.cols(), par,
+                 tpGroups_, ftds_);
     finalize();
 
     // Each block holds one device per residue class, i.e. exactly one

@@ -25,6 +25,18 @@
 namespace moentwine {
 
 /**
+ * ER-Mapping's layout of the @p rows × @p cols tile of @p mesh whose
+ * top-left device is at @p origin (the whole mesh, or one wafer under
+ * HER-Mapping). Appends the tile's strided TP groups, in entwined-ring
+ * order, to @p groups, then its contiguous a×b block FTDs to @p ftds.
+ * The shape must divide the tile.
+ */
+void appendErTile(const MeshTopology &mesh, Coord origin, int rows,
+                  int cols, const ParallelismConfig &par,
+                  std::vector<std::vector<DeviceId>> &groups,
+                  std::vector<std::vector<DeviceId>> &ftds);
+
+/**
  * Strided (entwined) TP placement on a mesh.
  */
 class ErMapping : public Mapping
@@ -47,12 +59,6 @@ class ErMapping : public Mapping
     /** Column stride between TP-group members (b = cols / tpY). */
     int strideCols() const { return strideCols_; }
 
-    /** The TP shape used. */
-    const ParallelismConfig &parallelism() const { return par_; }
-
-    /** The mesh this mapping is placed on. */
-    const MeshTopology &mesh() const { return mesh_; }
-
   protected:
     /**
      * The group's member inside @p expertDevice's FTD, even when a
@@ -63,8 +69,6 @@ class ErMapping : public Mapping
                                  DeviceId expertDevice) const override;
 
   private:
-    const MeshTopology &mesh_;
-    ParallelismConfig par_;
     int strideRows_;
     int strideCols_;
     // The member of TP group g inside FTD f, at [f · dp + g].

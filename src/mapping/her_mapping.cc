@@ -2,60 +2,21 @@
 
 #include "common/logging.hh"
 #include "mapping/er_mapping.hh"
-#include "mapping/ring_order.hh"
 
 namespace moentwine {
 
 HierarchicalErMapping::HierarchicalErMapping(const MeshTopology &mesh,
                                              ParallelismConfig par)
-    : Mapping(mesh), mesh_(mesh), par_(par)
+    : Mapping(mesh), mesh_(mesh)
 {
     const int wr = mesh.waferRows();
     const int wc = mesh.waferCols();
-    if (wr % par.tpX != 0 || wc % par.tpY != 0) {
-        fatal("HER-Mapping: TP shape " + par.label() +
-              " does not divide the " + std::to_string(wr) + "x" +
-              std::to_string(wc) + " wafer");
-    }
-    const int strideRows = wr / par.tpX;
-    const int strideCols = wc / par.tpY;
+    par.requireDivides(wr, wc, "HER-Mapping", "wafer");
 
-    // Per-wafer ER placement: strided TP groups and block FTDs, offset
-    // into each wafer tile of the global mesh.
-    const auto cycle = gridCycle(par.tpX, par.tpY);
-    for (int w = 0; w < mesh.numWafers(); ++w) {
-        const auto devs = mesh.waferDevices(w);
-        const Coord origin = mesh.coordOf(devs.front());
-        for (int i = 0; i < strideRows; ++i) {
-            for (int j = 0; j < strideCols; ++j) {
-                std::vector<DeviceId> group;
-                group.reserve(cycle.size());
-                for (const auto &[s, t] : cycle) {
-                    group.push_back(mesh.deviceAt(
-                        origin.row + i + s * strideRows,
-                        origin.col + j + t * strideCols));
-                }
-                tpGroups_.push_back(std::move(group));
-            }
-        }
-        for (int p = 0; p < par.tpX; ++p) {
-            for (int q = 0; q < par.tpY; ++q) {
-                std::vector<DeviceId> ftd;
-                ftd.reserve(
-                    static_cast<std::size_t>(strideRows * strideCols));
-                for (int i = 0; i < strideRows; ++i)
-                    for (int j = 0; j < strideCols; ++j)
-                        ftd.push_back(mesh.deviceAt(
-                            origin.row + p * strideRows + i,
-                            origin.col + q * strideCols + j));
-                ftds_.push_back(std::move(ftd));
-            }
-        }
-    }
-
-    // Inter-wafer all-gather rings: the devices at each within-wafer
-    // position across all wafers, in wafer order. The mirror tables
-    // hold the same data flat, plus each device's position and wafer.
+    // Each wafer is ER-mapped from its top-left device. The devices at
+    // each within-wafer position across all wafers, in wafer order,
+    // form the inter-wafer all-gather rings; the mirror tables hold the
+    // same data flat, plus each device's position and wafer.
     const auto perWafer = static_cast<std::size_t>(mesh.devicesPerWafer());
     const auto wafers = static_cast<std::size_t>(mesh.numWafers());
     localOf_.resize(perWafer * wafers);
@@ -64,6 +25,8 @@ HierarchicalErMapping::HierarchicalErMapping(const MeshTopology &mesh,
     interRings_.assign(perWafer, std::vector<DeviceId>(wafers));
     for (std::size_t w = 0; w < wafers; ++w) {
         const auto devs = mesh.waferDevices(static_cast<int>(w));
+        appendErTile(mesh, mesh.coordOf(devs.front()), wr, wc, par,
+                     tpGroups_, ftds_);
         for (std::size_t local = 0; local < perWafer; ++local) {
             const auto d = static_cast<std::size_t>(devs[local]);
             localOf_[d] = static_cast<int>(local);
@@ -73,7 +36,8 @@ HierarchicalErMapping::HierarchicalErMapping(const MeshTopology &mesh,
     }
 
     finalize();
-    assertFtdsHoldEachGroupOnce(strideRows * strideCols, "HER-Mapping");
+    assertFtdsHoldEachGroupOnce((wr / par.tpX) * (wc / par.tpY),
+                                "HER-Mapping");
 }
 
 double

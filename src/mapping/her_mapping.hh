@@ -41,7 +41,6 @@ class HierarchicalErMapping : public Mapping
 
     bool staggeredRings() const override { return true; }
 
-    using Mapping::allReduceInto;
     double allReduceInto(const Topology &onTopo, double bytesPerGroup,
                          bool withAllGather,
                          CollectiveScratch &scratch) const override;
@@ -61,9 +60,6 @@ class HierarchicalErMapping : public Mapping
         return interRings_;
     }
 
-    /** The TP shape used. */
-    const ParallelismConfig &parallelism() const { return par_; }
-
     /** The mesh this mapping is placed on. */
     const MeshTopology &mesh() const { return mesh_; }
 
@@ -82,7 +78,6 @@ class HierarchicalErMapping : public Mapping
     }
 
     const MeshTopology &mesh_;
-    ParallelismConfig par_;
     std::vector<std::vector<DeviceId>> interRings_;
     // Row-major within-wafer position and wafer of each device, and the
     // device at position p on wafer w at [p · wafers + w], so a mirror

@@ -51,15 +51,8 @@ Mapping::allReduce(double bytesPerGroup, bool withAllGather) const
 {
     CollectiveScratch scratch(topo_);
     const double time =
-        allReduceInto(bytesPerGroup, withAllGather, scratch);
+        allReduceInto(topo_, bytesPerGroup, withAllGather, scratch);
     return CollectiveTiming{time, std::move(scratch.traffic)};
-}
-
-double
-Mapping::allReduceInto(double bytesPerGroup, bool withAllGather,
-                       CollectiveScratch &scratch) const
-{
-    return allReduceInto(topo_, bytesPerGroup, withAllGather, scratch);
 }
 
 double

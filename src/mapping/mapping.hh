@@ -111,23 +111,15 @@ class Mapping
                                bool withAllGather) const;
 
     /**
-     * Allocation-free allReduce(): identical timing, with the per-link
-     * traffic accumulated into @p scratch (engine-owned, reused across
-     * iterations) instead of a freshly allocated PhaseTraffic.
-     * Forwards to the topology-explicit overload below with the
-     * construction topology.
-     */
-    double allReduceInto(double bytesPerGroup, bool withAllGather,
-                         CollectiveScratch &scratch) const;
-
-    /**
-     * allReduceInto() with this mapping's ring schedule charged over
-     * @p onTopo instead of the construction topology. The virtual
-     * customisation point (HER-Mapping overrides it with the
-     * hierarchical two-stage schedule). The fault layer passes the
-     * degraded overlay here — identical link ids, mutated bandwidths
-     * and routes — so all-reduce cost reacts to degraded links without
-     * rebuilding the mapping.
+     * Allocation-free allReduce() with this mapping's ring schedule
+     * charged over @p onTopo instead of the construction topology: the
+     * per-link traffic accumulates into @p scratch (engine-owned,
+     * reused across iterations) instead of a freshly allocated
+     * PhaseTraffic. The virtual customisation point (HER-Mapping
+     * overrides it with the hierarchical two-stage schedule). The
+     * fault layer passes the degraded overlay here — identical link
+     * ids, mutated bandwidths and routes — so all-reduce cost reacts to
+     * degraded links without rebuilding the mapping.
      */
     virtual double allReduceInto(const Topology &onTopo,
                                  double bytesPerGroup, bool withAllGather,

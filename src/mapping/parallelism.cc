@@ -13,6 +13,18 @@ ParallelismConfig::label() const
            std::to_string(tpY) + ")";
 }
 
+void
+ParallelismConfig::requireDivides(int rows, int cols,
+                                  const std::string &who,
+                                  const std::string &region) const
+{
+    if (rows % tpX != 0 || cols % tpY != 0) {
+        fatal(who + ": TP shape " + label() + " does not divide the " +
+              std::to_string(rows) + "x" + std::to_string(cols) + " " +
+              region);
+    }
+}
+
 ParallelismConfig
 decomposeTp(int tp, int rows, int cols)
 {

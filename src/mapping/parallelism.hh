@@ -33,6 +33,14 @@ struct ParallelismConfig
 
     /** "TPxXxY" label for bench output. */
     std::string label() const;
+
+    /**
+     * Fatal unless tpX divides @p rows and tpY divides @p cols. The
+     * message names the mapping (@p who) and the @p region ("mesh" or
+     * "wafer") the shape is placed on.
+     */
+    void requireDivides(int rows, int cols, const std::string &who,
+                        const std::string &region) const;
 };
 
 /**
