@@ -36,6 +36,27 @@ namespace {
  */
 constexpr double kFaultHostReloadBandwidth = 64e9;
 
+/** Trace pid the engine's spans are emitted under. */
+constexpr int kTracePid = 0;
+
+/**
+ * Time of expert transfers that run concurrently, each paying the
+ * Eq.(1) store-and-forward cost of its route: the larger of the
+ * slowest one and the phase time of their shared links. @p slowest
+ * seeds the maximum with transfers that bypass the network.
+ */
+double
+concurrentTransferTime(const Topology &topo, const std::vector<Flow> &flows,
+                       double slowest)
+{
+    PhaseTraffic traffic(topo);
+    for (const Flow &f : flows) {
+        traffic.addFlow(f.src, f.dst, f.bytes);
+        slowest = std::max(slowest, flowTime(topo, f.src, f.dst, f.bytes));
+    }
+    return std::max(slowest, traffic.phaseTime());
+}
+
 /** PipeMoE-style micro-batch overlap of a compute and a comm stream. */
 double
 overlap(double comp, double comm, int stages)
@@ -58,10 +79,8 @@ IterationStats::moePhase(int stages) const
     return overlap(moeTime, allToAll() + epAllReduce, stages);
 }
 
-InferenceEngine::InferenceEngine(const Mapping &mapping,
-                                 const EngineConfig &cfg)
-    : mapping_(mapping),
-      cfg_(cfg),
+EngineState::EngineState(const Mapping &mapping, const EngineConfig &cfg)
+    : cfg_(cfg),
       cost_(cfg.device, cfg.gemmEfficiency),
       workload_([&] {
           WorkloadConfig w = cfg.workload;
@@ -73,21 +92,9 @@ InferenceEngine::InferenceEngine(const Mapping &mapping,
                  cfg.shadowSlots),
       emaLoads_(static_cast<std::size_t>(cfg.model.expertsTotal), 0.0),
       trigger_(cfg.alpha,
-               cfg.balancer == BalancerKind::NonInvasive ? 0 : cfg.beta),
-      a2aTraffic_(mapping.topology()),
-      dispTraffic_(mapping.topology()),
-      combTraffic_(mapping.topology()),
-      arScratch_(mapping.topology())
+               cfg.balancer == BalancerKind::NonInvasive ? 0 : cfg.beta)
 {
-    makeBalancer();
-}
-
-void
-InferenceEngine::makeBalancer()
-{
-    invasive_.reset();
-    nonInvasive_.reset();
-    switch (cfg_.balancer) {
+    switch (cfg.balancer) {
       case BalancerKind::None:
         break;
       case BalancerKind::Greedy:
@@ -95,48 +102,35 @@ InferenceEngine::makeBalancer()
         break;
       case BalancerKind::TopologyAware:
         invasive_ =
-            std::make_unique<TopologyAwareBalancer>(mapping_.topology());
+            std::make_unique<TopologyAwareBalancer>(mapping.topology());
         break;
       case BalancerKind::NonInvasive:
         nonInvasive_ =
-            std::make_unique<NiBalancer>(mapping_, cfg_.model.expertBytes);
+            std::make_unique<NiBalancer>(mapping, cfg.model.expertBytes);
         break;
     }
+}
+
+InferenceEngine::InferenceEngine(const Mapping &mapping,
+                                 const EngineConfig &cfg)
+    : EngineState(mapping, cfg),
+      mapping_(mapping),
+      a2aTraffic_(mapping.topology()),
+      dispTraffic_(mapping.topology()),
+      combTraffic_(mapping.topology()),
+      arScratch_(mapping.topology())
+{
 }
 
 void
 InferenceEngine::reset(const EngineConfig &cfg)
 {
-    // Mirror of the constructor's member initialization, in place: the
-    // simulation state (config, cost model, workload stream, placement,
-    // EMA loads, trigger, balancers, iteration counter) is rebuilt from
-    // scratch; the per-iteration scratch members below them in the
-    // class are deliberately NOT touched — every step() overwrites
-    // their contents before reading them, so only their capacity
-    // survives, which is the reuse win and is unobservable in results.
-    cfg_ = cfg;
-    cost_ = CostModel(cfg.device, cfg.gemmEfficiency);
-    {
-        WorkloadConfig w = cfg.workload;
-        w.numExperts = cfg.model.expertsTotal;
-        w.topK = cfg.model.expertsActivated;
-        workload_ = WorkloadGenerator(w);
-    }
-    placement_ = ExpertPlacement(cfg.model.expertsTotal,
-                                 mapping_.numDevices(), cfg.shadowSlots);
-    emaLoads_.assign(static_cast<std::size_t>(cfg.model.expertsTotal),
-                     0.0);
-    trigger_ = RebalanceTrigger(
-        cfg.alpha,
-        cfg.balancer == BalancerKind::NonInvasive ? 0 : cfg.beta);
-    makeBalancer();
-    iteration_ = 0;
-    faults_ = nullptr;
-    faultTopoEpochSeen_ = 0;
-    faultLostSeen_ = 0;
-    obs_ = ObsHooks{};
-    traceNow_ = 0.0;
-    obsHandles_ = ObsHandles{};
+    // The simulation state is rebuilt from scratch; the per-iteration
+    // scratch members are deliberately NOT touched — every step()
+    // overwrites their contents before reading them, so only their
+    // capacity survives, which is the reuse win and is unobservable in
+    // results.
+    EngineState::operator=(EngineState(mapping_, cfg));
 }
 
 void
@@ -183,8 +177,8 @@ InferenceEngine::attachObs(const ObsHooks &obs)
             s.distribution("engine.fault.recovery_s");
     }
     if (obs_.trace != nullptr) {
-        obs_.trace->processName(obs_.tracePid, "engine");
-        obs_.trace->threadName(obs_.tracePid, 0, "iterations");
+        obs_.trace->processName(kTracePid, "engine");
+        obs_.trace->threadName(kTracePid, 0, "iterations");
     }
 }
 
@@ -212,7 +206,7 @@ InferenceEngine::publishObs(const IterationStats &stats)
     }
     if (obs_.trace != nullptr) {
         TraceSink &t = *obs_.trace;
-        const int pid = obs_.tracePid;
+        const int pid = kTracePid;
         double cursor = traceNow_;
         const double attn = stats.attnPhase(stages);
         const double moe = stats.moePhase(stages);
@@ -269,11 +263,10 @@ InferenceEngine::recoveryTime(
     if (rehomed.empty())
         return 0.0;
     const Topology &topo = activeTopology();
-    // Rare event: a fresh PhaseTraffic here is fine. Transfers run
-    // concurrently like invasive migration — Eq.(1) per flow plus
-    // shared-link serialisation.
-    PhaseTraffic recovery(topo);
-    double slowest = 0.0;
+    // Rare event: fresh buffers here are fine. Transfers run
+    // concurrently, like invasive migration.
+    std::vector<Flow> transfers;
+    double hostReload = 0.0;
     for (const ExpertRehoming &r : rehomed) {
         // Nearest reachable surviving replica supplies the weights;
         // lowest device id breaks hop-count ties.
@@ -292,18 +285,13 @@ InferenceEngine::recoveryTime(
             }
         }
         if (src >= 0) {
-            recovery.addFlow(src, r.to, cfg_.model.expertBytes);
-            slowest = std::max(slowest,
-                               flowTime(topo, src, r.to,
-                                        cfg_.model.expertBytes));
+            transfers.push_back(Flow{src, r.to, cfg_.model.expertBytes});
         } else {
             // No reachable replica: cold host reload.
-            slowest = std::max(slowest,
-                               cfg_.model.expertBytes /
-                                   kFaultHostReloadBandwidth);
+            hostReload = cfg_.model.expertBytes / kFaultHostReloadBandwidth;
         }
     }
-    return std::max(slowest, recovery.phaseTime());
+    return concurrentTransferTime(topo, transfers, hostReload);
 }
 
 IterationDemand
@@ -394,6 +382,11 @@ InferenceEngine::step(const IterationDemand &demand)
                 routedScratch_, cfg_.aggregateFlows);
     stats.dispatch = allToAllInto(routedScratch_.dispatch, dispTraffic_);
     stats.combine = allToAllInto(routedScratch_.combine, combTraffic_);
+    // Each combine flow carries its dispatch flow's bytes, in the same
+    // order, so the sums are bitwise equal.
+    MOE_ASSERT(dispTraffic_.totalFlowBytes() ==
+                   combTraffic_.totalFlowBytes(),
+               "dispatch and combine bytes differ");
     a2aTraffic_.clear();
     a2aTraffic_.merge(dispTraffic_);
     a2aTraffic_.merge(combTraffic_);
@@ -446,22 +439,16 @@ InferenceEngine::step(const IterationDemand &demand)
             const auto &steps =
                 invasive_->rebalance(emaLoads_, placement_);
             stats.migrationsPlanned = static_cast<int>(steps.size());
-            // Invasive migration interrupts inference: transfers run
-            // concurrently, each paying the Eq.(1) store-and-forward
-            // cost of its route; shared links add serialisation.
-            PhaseTraffic mig(activeTopology());
-            double slowest = 0.0;
-            for (const MigrationStep &s : steps) {
-                mig.addFlow(s.srcDevice, s.dstDevice,
-                            cfg_.model.expertBytes);
-                slowest = std::max(
-                    slowest, flowTime(activeTopology(), s.srcDevice,
-                                      s.dstDevice,
-                                      cfg_.model.expertBytes));
+            // Invasive migration interrupts inference for its
+            // concurrent transfers, unless they go over disk.
+            if (!cfg_.migrationViaDisk) {
+                std::vector<Flow> transfers;
+                for (const MigrationStep &s : steps)
+                    transfers.push_back(Flow{s.srcDevice, s.dstDevice,
+                                             cfg_.model.expertBytes});
+                stats.migrationOverhead =
+                    concurrentTransferTime(activeTopology(), transfers, 0.0);
             }
-            stats.migrationOverhead = cfg_.migrationViaDisk
-                ? 0.0
-                : std::max(slowest, mig.phaseTime());
         } else if (nonInvasive_) {
             stats.migrationsPlanned =
                 nonInvasive_->plan(emaLoads_, placement_);

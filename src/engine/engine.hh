@@ -196,9 +196,61 @@ struct IterationStats
 };
 
 /**
+ * The simulation state of an InferenceEngine: everything it derives
+ * from its configuration (cost model, workload stream, placement, EMA
+ * loads, trigger, balancers, iteration counter) plus its fault and
+ * observability attachments, detached. Its constructor is the one
+ * place that state is derived; the engine's constructor and reset()
+ * both run it. The engine's per-iteration scratch is not part of it.
+ */
+struct EngineState
+{
+    EngineState(const Mapping &mapping, const EngineConfig &cfg);
+
+    EngineConfig cfg_;
+    CostModel cost_;
+    WorkloadGenerator workload_;
+    ExpertPlacement placement_;
+    std::vector<double> emaLoads_;
+    RebalanceTrigger trigger_;
+    std::unique_ptr<Balancer> invasive_;
+    std::unique_ptr<NiBalancer> nonInvasive_;
+    int iteration_ = 0;
+
+    // Fault state: null (the guaranteed-identical fast path) unless a
+    // non-empty injector is attached. The engine reacts to injector
+    // *state* — the topology epoch and the lost-device list — so a
+    // serving layer sharing the injector may advance it first.
+    FaultInjector *faults_ = nullptr;
+    int faultTopoEpochSeen_ = 0;
+    std::size_t faultLostSeen_ = 0;
+
+    // Observability: null hooks are the guaranteed-identical fast path
+    // (one pointer test per step). Handles are resolved at attach time
+    // so the per-iteration publish is allocation- and lookup-free.
+    ObsHooks obs_{};
+    double traceNow_ = 0.0;
+    struct ObsHandles
+    {
+        StatRegistry::Handle iterations;
+        StatRegistry::Handle attnCompute;
+        StatRegistry::Handle allReduce;
+        StatRegistry::Handle dispatch;
+        StatRegistry::Handle combine;
+        StatRegistry::Handle moe;
+        StatRegistry::Handle layer;
+        StatRegistry::Handle imbalance;
+        StatRegistry::Handle migPlanned;
+        StatRegistry::Handle migCompleted;
+        StatRegistry::Handle migPending;
+        StatRegistry::Handle faultRecovery;
+    } obsHandles_{};
+};
+
+/**
  * Multi-iteration MoE serving simulator.
  */
-class InferenceEngine
+class InferenceEngine : private EngineState
 {
   public:
     /**
@@ -280,14 +332,11 @@ class InferenceEngine
      * without, and ObsHooks{} (all-null) detaches. Stat names live
      * under "engine."; trace spans are emitted on the engine's own
      * virtual clock (cumulative layerTime of the stepped iterations)
-     * under the hooks' tracePid.
+     * under trace pid 0.
      */
     void attachObs(const ObsHooks &obs);
 
   private:
-    /** (Re)create the balancer objects for cfg_.balancer. */
-    void makeBalancer();
-
     /** Apply the fault boundary of the current iteration. */
     void syncFaults(IterationStats &stats);
 
@@ -303,48 +352,10 @@ class InferenceEngine
     IterationDemand configuredDemand() const;
 
     const Mapping &mapping_;
-    EngineConfig cfg_;
-    CostModel cost_;
-    WorkloadGenerator workload_;
-    ExpertPlacement placement_;
-    std::vector<double> emaLoads_;
-    RebalanceTrigger trigger_;
-    std::unique_ptr<Balancer> invasive_;
-    std::unique_ptr<NiBalancer> nonInvasive_;
-    int iteration_ = 0;
-
-    // Fault state: null (the guaranteed-identical fast path) unless a
-    // non-empty injector is attached. The engine reacts to injector
-    // *state* — the topology epoch and the lost-device list — so a
-    // serving layer sharing the injector may advance it first.
-    FaultInjector *faults_ = nullptr;
-    int faultTopoEpochSeen_ = 0;
-    std::size_t faultLostSeen_ = 0;
-
-    // Observability: null hooks are the guaranteed-identical fast path
-    // (one pointer test per step). Handles are resolved at attach time
-    // so the per-iteration publish is allocation- and lookup-free.
-    ObsHooks obs_{};
-    double traceNow_ = 0.0;
-    struct ObsHandles
-    {
-        StatRegistry::Handle iterations;
-        StatRegistry::Handle attnCompute;
-        StatRegistry::Handle allReduce;
-        StatRegistry::Handle dispatch;
-        StatRegistry::Handle combine;
-        StatRegistry::Handle moe;
-        StatRegistry::Handle layer;
-        StatRegistry::Handle imbalance;
-        StatRegistry::Handle migPlanned;
-        StatRegistry::Handle migCompleted;
-        StatRegistry::Handle migPending;
-        StatRegistry::Handle faultRecovery;
-    } obsHandles_{};
 
     // Per-iteration scratch, reused across step() calls so the hot
     // path performs no steady-state allocation. All mutable state of a
-    // simulation lives here (or in the members above): the mapping and
+    // simulation lives here (or in EngineState): the mapping and
     // topology are only ever read, which is what lets sweep workers
     // share one const System across threads.
     std::vector<std::vector<int>> countsScratch_;

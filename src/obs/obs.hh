@@ -28,8 +28,6 @@ struct ObsHooks
     StatRegistry *stats = nullptr;
     /** Trace destination; null disables trace emission. */
     TraceSink *trace = nullptr;
-    /** Component track (pid) trace events are emitted under. */
-    int tracePid = 0;
 };
 
 } // namespace moentwine
