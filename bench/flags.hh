@@ -18,12 +18,11 @@
 #ifndef MOENTWINE_BENCH_FLAGS_HH
 #define MOENTWINE_BENCH_FLAGS_HH
 
-#include <climits>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace moentwine {
 namespace benchflags {
@@ -63,15 +62,14 @@ stringFlag(int argc, char **argv, const std::string &name)
     return value;
 }
 
-/** strtol-validated positive int; fatal() on garbage or overflow. */
+/** parsePositiveInt() of @p text; fatal() on garbage or overflow. */
 inline int
 positiveInt(const std::string &text, const std::string &what)
 {
-    char *end = nullptr;
-    const long v = std::strtol(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || v <= 0 || v > INT_MAX)
+    const int v = parsePositiveInt(text);
+    if (v < 0)
         fatal(what + " expects a positive integer, got '" + text + "'");
-    return static_cast<int>(v);
+    return v;
 }
 
 /**

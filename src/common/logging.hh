@@ -8,7 +8,7 @@
  *   - fatal():   the user supplied an impossible configuration; exits
  *                with a non-zero status after printing the reason.
  *
- * warn() and inform() print non-fatal status messages to stderr. Each
+ * warn() prints a non-fatal status message to stderr. Each
  * message goes out as ONE stdio call carrying the complete line,
  * newline included: POSIX stdio streams lock around every call, so
  * concurrent sweep workers may interleave whole lines but never the
@@ -71,14 +71,6 @@ inline void
 warn(const std::string &msg)
 {
     logLine("warn: ", msg);
-}
-
-/** Print an informational status message to stderr (thread-safe,
- *  line-atomic). */
-inline void
-inform(const std::string &msg)
-{
-    logLine("info: ", msg);
 }
 
 /**

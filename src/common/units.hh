@@ -19,8 +19,6 @@
 namespace moentwine {
 namespace units {
 
-/** Kilobyte (decimal, 1e3 bytes) — network convention. */
-constexpr double KB = 1e3;
 /** Megabyte (decimal, 1e6 bytes). */
 constexpr double MB = 1e6;
 /** Gigabyte (decimal, 1e9 bytes). */
@@ -37,8 +35,6 @@ constexpr double GiB = 1024.0 * MiB;
 constexpr double NANO = 1e-9;
 /** Microseconds expressed in seconds. */
 constexpr double MICRO = 1e-6;
-/** Milliseconds expressed in seconds. */
-constexpr double MILLI = 1e-3;
 
 /** TeraFLOP/s expressed in FLOP/s. */
 constexpr double TFLOPS = 1e12;

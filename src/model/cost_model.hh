@@ -94,9 +94,6 @@ class CostModel
     /** The device specification. */
     const DeviceSpec &spec() const { return spec_; }
 
-    /** The GEMM efficiency factor. */
-    double efficiency() const { return efficiency_; }
-
   private:
     DeviceSpec spec_;
     double efficiency_;

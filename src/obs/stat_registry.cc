@@ -200,12 +200,7 @@ StatRegistry::toJson() const
                           s.sum);
             break;
           case StatKind::Distribution: {
-            DistributionView v;
-            v.count = s.count;
-            v.sum = s.sum;
-            v.sumSquares = s.sumSquares;
-            v.min = s.min;
-            v.max = s.max;
+            const DistributionView v = distributionView(s.name);
             std::snprintf(
                 buf, sizeof(buf),
                 "{\"kind\": \"distribution\", \"count\": %lld, "

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
-#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -17,33 +14,11 @@
 #endif
 
 #include "common/logging.hh"
-#include "obs/stat_registry.hh"
+#include "common/parse.hh"
 
 namespace moentwine {
 
 namespace {
-
-/**
- * Strict base-10 parse of a positive int: the whole string must be
- * consumed (no "4abc"), and the value must fit. Returns -1 on any
- * violation so callers reject loudly instead of running a sweep with
- * an atoi-truncated job count.
- */
-int
-parsePositiveInt(const char *text)
-{
-    if (text == nullptr || *text == '\0')
-        return -1;
-    char *end = nullptr;
-    errno = 0;
-    const long value = std::strtol(text, &end, 10);
-    if (errno == ERANGE || end == text || *end != '\0')
-        return -1;
-    if (value <= 0 ||
-        value > static_cast<long>(std::numeric_limits<int>::max()))
-        return -1;
-    return static_cast<int>(value);
-}
 
 double
 secondsSince(const std::chrono::steady_clock::time_point &t0)
@@ -54,25 +29,6 @@ secondsSince(const std::chrono::steady_clock::time_point &t0)
 }
 
 } // namespace
-
-void
-SweepRunStats::publishTo(StatRegistry &registry) const
-{
-    registry.add(registry.counter("sweep.cells"), cells);
-    registry.add(registry.counter("sweep.steals"), steals);
-    registry.add(registry.counter("sweep.engine.builds"), engineBuilds);
-    registry.add(registry.counter("sweep.engine.reuses"), engineReuses);
-    registry.set(registry.gauge("sweep.workers"),
-                 static_cast<double>(workers));
-    const StatRegistry::Handle busy =
-        registry.distribution("sweep.worker.busy_s");
-    for (double s : workerBusySeconds)
-        registry.observe(busy, s);
-    const StatRegistry::Handle items =
-        registry.distribution("sweep.worker.items");
-    for (std::int64_t n : workerItems)
-        registry.observe(items, static_cast<double>(n));
-}
 
 SweepRunner::SweepRunner(int jobs)
 {

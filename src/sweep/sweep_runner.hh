@@ -49,8 +49,6 @@
 
 namespace moentwine {
 
-class StatRegistry;
-
 /** One unit of work handed to a sweep cell function. */
 struct SweepCell
 {
@@ -101,14 +99,6 @@ struct SweepRunStats
     std::vector<std::int64_t> workerItems;
     /** Per-worker busy seconds (sum of cell execution times). */
     std::vector<double> workerBusySeconds;
-
-    /**
-     * Publish the counters under "sweep." into @p registry
-     * (sweep.cells, sweep.steals, sweep.engine.builds,
-     * sweep.engine.reuses, the sweep.workers gauge, and the
-     * sweep.worker.busy_s / sweep.worker.items distributions).
-     */
-    void publishTo(StatRegistry &registry) const;
 };
 
 /**

@@ -500,13 +500,6 @@ WorkloadGenerator::setScenarioMix(const std::vector<double> &weights)
 }
 
 void
-WorkloadGenerator::clearScenarioMix()
-{
-    externalMix_.clear();
-    mixDirty_ = true;
-}
-
-void
 WorkloadGenerator::mixtureWeightsInto(int iteration,
                                       std::vector<double> &mix) const
 {

@@ -265,7 +265,7 @@ class WorkloadGenerator
      * layer's live mix of admitted requests) instead of the internal
      * cyclic drift. @p weights are unnormalised non-negative weights
      * over allScenarios() (Σ > 0); they stay in effect until the next
-     * setScenarioMix() or clearScenarioMix() call. The gating sampler
+     * setScenarioMix() call. The gating sampler
      * adopts the change on its rebuild cadence (workload.cc):
      * immediately when the mixture moved more than kDriftTolerance
      * since the last build, else within kRebuildPeriod iterations. Only
@@ -273,9 +273,6 @@ class WorkloadGenerator
      * ignores mixtures).
      */
     void setScenarioMix(const std::vector<double> &weights);
-
-    /** Return to the internally generated scenario mixture. */
-    void clearScenarioMix();
 
     /** Aggregate expert loads (column sums of sampleCounts output). */
     static std::vector<double> expertLoads(
