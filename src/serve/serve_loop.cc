@@ -138,13 +138,15 @@ ServeLoop::faultBoundary()
 }
 
 void
-ServeLoop::assertRequestsConserved() const
+ServeLoop::assertBoundaryInvariants() const
 {
     MOE_ASSERT(sched_.arrivedCount() ==
                    sched_.finishedCount() + sched_.queueDepth() +
                        sched_.runningCount() + sched_.retryPending(),
                "arrived requests must be finished, queued, running or "
                "retrying");
+    MOE_ASSERT(sched_.kvReserved() <= cfg_.scheduler.kvBudgetTokens,
+               "reserved KV tokens exceed the KV budget");
 }
 
 void
@@ -217,7 +219,7 @@ ServeLoop::beginIteration()
                 sched_.tickIdle();
                 continue;
             }
-            assertRequestsConserved();
+            assertBoundaryInvariants();
             return false; // idle: the caller advances the clock
         }
         // Couple the engine's gating mixture to the live batch mix.
@@ -230,7 +232,7 @@ ServeLoop::beginIteration()
         iterStart_ = now_;
         iterEnd_ = now_ + pendingStats_.layerTime(stages_) * layers_;
         inFlight_ = true;
-        assertRequestsConserved();
+        assertBoundaryInvariants();
         return true;
     }
 }
@@ -244,7 +246,7 @@ ServeLoop::finishIteration()
     const double iterStart = iterStart_;
     now_ = iterEnd_;
     sched_.complete(now_);
-    assertRequestsConserved();
+    assertBoundaryInvariants();
     ++report_.iterations;
     if (trace_ != nullptr) {
         // Engine phases stretched to the serve clock: one stepped

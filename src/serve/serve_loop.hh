@@ -155,9 +155,10 @@ class ServeLoop
     /**
      * Assert, in O(1), that every arrived request is finished
      * (completed, shed or failed), queued, running or waiting out a
-     * retry backoff. Checked at every boundary.
+     * retry backoff, and that the reserved KV tokens fit the configured
+     * KV budget. Checked at every boundary.
      */
-    void assertRequestsConserved() const;
+    void assertBoundaryInvariants() const;
 
     /**
      * Home every homeless running request on the live device with the
