@@ -363,7 +363,7 @@ main(int argc, char **argv)
     const auto poolRows = pool.run(grid, cell);
     for (std::size_t i = 0; i < serialRows.size(); ++i) {
         const double layer = serialRows[i].metric("layer_sum_s");
-        std::printf("cell %zu: layer_sum %.6e s\n", i, layer);
+        std::printf("cell %zu: layer_sum %.17g s\n", i, layer);
         if (!(layer > 0.0) || !std::isfinite(layer)) {
             std::fprintf(stderr, "FAIL: non-finite layer time\n");
             return 1;

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/moentwine.hh"
+#include "digest.hh"
 #include "fault/fault.hh"
 #include "serve/serve_sim.hh"
 
@@ -465,6 +466,50 @@ TEST(EngineFaultTest, NodeLossChargesRecoveryAndDrainsDevice)
     EXPECT_EQ(run[4].faultRecoveryTime, 0.0); // one-time charge
     EXPECT_TRUE(engine.placement().deviceLost(5));
     EXPECT_TRUE(engine.placement().expertsOn(5).empty());
+}
+
+TEST(FaultDigest, BareEngineUnderCascade)
+{
+    // A bare engine under the staged Cascade plan (degrade, cut and
+    // straggler, device loss, restore), with the injector advanced
+    // before every step as ServeLoop advances it. Pins every
+    // IterationStats field but faultEventsApplied.
+    const System sys = System::make(smallWsc());
+    EngineConfig ec;
+    ec.model = qwen3();
+    ec.decodeTokensPerGroup = 64;
+    ec.workload.mode = GatingMode::MixedScenario;
+    ec.workload.seed = 7;
+    ec.balancer = BalancerKind::NonInvasive;
+    ec.beta = 3;
+
+    FaultScenarioSpec spec;
+    spec.startIteration = 3;
+    spec.spacing = 4;
+    FaultInjector inj(sys.mapping().topology(),
+                      makeFaultScenario(FaultScenarioKind::Cascade,
+                                        sys.mapping().topology(), spec));
+    InferenceEngine engine(sys.mapping(), ec);
+    engine.attachFaults(&inj);
+
+    std::uint64_t h = digest::kOffset;
+    for (int i = 0; i < 24; ++i) {
+        inj.advanceTo(i);
+        const IterationStats s = engine.step();
+        for (const double v :
+             {s.attnCompute, s.allReduce, s.dispatch, s.combine, s.moeTime,
+              s.moeComputeOnly, s.moeMemoryOnly, s.epAllReduce,
+              s.migrationOverhead, s.loadMax, s.loadAvg, s.imbalance,
+              s.faultRecoveryTime})
+            digest::mixDouble(h, v);
+        for (const int v : {s.migrationsPlanned, s.migrationsCompleted,
+                            s.migrationsPending})
+            digest::mixInt(h, v);
+    }
+    EXPECT_EQ(inj.appliedEvents(),
+              static_cast<int>(inj.plan().events.size()));
+    EXPECT_TRUE(engine.placement().deviceLost(8));
+    EXPECT_EQ(h, 0x4e763dcc0070eac1ULL);
 }
 
 TEST(ServeFaultTest, EmptyPlanReportIsBitwiseIdentical)

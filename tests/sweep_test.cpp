@@ -35,6 +35,7 @@
 #endif
 
 #include "core/moentwine.hh"
+#include "digest.hh"
 #include "sweep/sweep.hh"
 #include "watchdog.hh"
 
@@ -539,6 +540,73 @@ TEST(SweepGridTest, FaultAxisIsInnermostAndPreservesSeeds)
     EXPECT_EQ(faultFree.pointAt(1).seed(), seed1);
     // And swept fault cells get distinct streams per scenario.
     EXPECT_NE(grid.pointAt(0).seed(), grid.pointAt(1).seed());
+}
+
+// ------------------------------------------------ pinned digests ----
+
+namespace {
+
+/**
+ * Digest of every cell of @p grid: each pointAt(i)'s linear index and
+ * 11 axis coordinates, then seed(42) and seed(0xF1EE7). Also checks
+ * that at() maps every point's coordinates back to its index.
+ */
+std::uint64_t
+gridDigest(const SweepGrid &grid)
+{
+    std::uint64_t h = digest::kOffset;
+    for (std::size_t i = 0; i < grid.cells(); ++i) {
+        const SweepPoint p = grid.pointAt(i);
+        EXPECT_EQ(grid.at(p.model, p.system, p.tp, p.balancer, p.schedule,
+                          p.gating, p.param, p.arrival, p.fault,
+                          p.replicas, p.router),
+                  i);
+        digest::mix(h, p.index);
+        for (const int c : {p.model, p.system, p.tp, p.balancer,
+                            p.schedule, p.gating, p.param, p.arrival,
+                            p.fault, p.replicas, p.router})
+            digest::mixInt(h, c);
+        digest::mix(h, p.seed(42));
+        digest::mix(h, p.seed(0xF1EE7));
+    }
+    return h;
+}
+
+/** A grid sweeping the first eight axes, each of length 2 or 3. */
+SweepGrid
+eightAxisGrid()
+{
+    SweepGrid grid;
+    grid.models = {qwen3(), deepseekV3(), qwen3()};
+    grid.systems = {SystemConfig{}, SystemConfig{}};
+    grid.tpDegrees = {1, 4};
+    grid.balancers = {BalancerKind::None, BalancerKind::Greedy,
+                      BalancerKind::NonInvasive};
+    grid.schedules = {SchedulingMode::DecodeOnly, SchedulingMode::Hybrid};
+    grid.gatings = {GatingMode::Balanced, GatingMode::MixedScenario};
+    grid.params = {0.5, 1.0, 2.0};
+    grid.arrivals = {ArrivalKind::Poisson, ArrivalKind::Bursty};
+    return grid;
+}
+
+} // namespace
+
+TEST(SweepDigest, AllElevenAxes)
+{
+    SweepGrid grid = eightAxisGrid();
+    grid.faultScenarios = {FaultScenarioKind::None,
+                           FaultScenarioKind::Cascade};
+    grid.replicaCounts = {1, 2, 4};
+    grid.routers = {RouterPolicy::RoundRobin, RouterPolicy::PowerOfTwo};
+    ASSERT_EQ(grid.cells(), 10368u);
+    EXPECT_EQ(gridDigest(grid), 0x563a2b230a780646ULL);
+}
+
+TEST(SweepDigest, FirstEightAxes)
+{
+    const SweepGrid grid = eightAxisGrid();
+    ASSERT_EQ(grid.cells(), 864u);
+    EXPECT_EQ(gridDigest(grid), 0x9864a70003462fc3ULL);
 }
 
 // ------------------------------------------- shared-system safety ----
