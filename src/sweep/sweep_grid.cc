@@ -1,10 +1,54 @@
 #include "sweep/sweep_grid.hh"
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/logging.hh"
 
 namespace moentwine {
 
 namespace {
+
+/** Length of one SweepGrid axis vector. */
+template <auto SweepGrid::*Axis>
+std::size_t
+axisSize(const SweepGrid &grid)
+{
+    return (grid.*Axis).size();
+}
+
+/** One grid axis: its length in a grid and its SweepPoint coordinate. */
+struct AxisSpec
+{
+    std::size_t (*size)(const SweepGrid &);
+    int SweepPoint::*coord;
+};
+
+/**
+ * The axes in row-major order, models outermost, router policies
+ * innermost. cells(), pointAt(), at() and SweepPoint::seed() all walk
+ * this one table.
+ */
+constexpr AxisSpec kAxes[] = {
+    {axisSize<&SweepGrid::models>, &SweepPoint::model},
+    {axisSize<&SweepGrid::systems>, &SweepPoint::system},
+    {axisSize<&SweepGrid::tpDegrees>, &SweepPoint::tp},
+    {axisSize<&SweepGrid::balancers>, &SweepPoint::balancer},
+    {axisSize<&SweepGrid::schedules>, &SweepPoint::schedule},
+    {axisSize<&SweepGrid::gatings>, &SweepPoint::gating},
+    {axisSize<&SweepGrid::params>, &SweepPoint::param},
+    {axisSize<&SweepGrid::arrivals>, &SweepPoint::arrival},
+    {axisSize<&SweepGrid::faultScenarios>, &SweepPoint::fault},
+    {axisSize<&SweepGrid::replicaCounts>, &SweepPoint::replicas},
+    {axisSize<&SweepGrid::routers>, &SweepPoint::router},
+};
+
+/**
+ * The fault, replica and router axes (kAxes[kLateAxes..]) joined the
+ * grid after seeds were baked into goldens; seed() mixes them only
+ * when swept, so every grid without them keeps its exact seed stream.
+ */
+constexpr std::size_t kLateAxes = 8;
 
 /** Effective length of an axis: empty axes are one wildcard cell. */
 std::size_t
@@ -13,24 +57,15 @@ axisLen(std::size_t size)
     return size == 0 ? 1 : size;
 }
 
-/** Axis index for a cell: -1 marks an unswept axis. */
-int
-axisIndex(std::size_t size, std::size_t i)
-{
-    return size == 0 ? -1 : static_cast<int>(i);
-}
-
 } // namespace
 
 std::size_t
 SweepGrid::cells() const
 {
-    return axisLen(models.size()) * axisLen(systems.size()) *
-        axisLen(tpDegrees.size()) * axisLen(balancers.size()) *
-        axisLen(schedules.size()) * axisLen(gatings.size()) *
-        axisLen(params.size()) * axisLen(arrivals.size()) *
-        axisLen(faultScenarios.size()) * axisLen(replicaCounts.size()) *
-        axisLen(routers.size());
+    std::size_t n = 1;
+    for (const AxisSpec &a : kAxes)
+        n *= axisLen(a.size(*this));
+    return n;
 }
 
 SweepPoint
@@ -40,41 +75,14 @@ SweepGrid::pointAt(std::size_t index) const
     SweepPoint p;
     p.grid = this;
     p.index = index;
-
-    // Row-major: models outermost, router policies innermost.
+    // Row-major: peel the innermost axis first; -1 marks an unswept
+    // axis.
     std::size_t rest = index;
-    const std::size_t nRouter = axisLen(routers.size());
-    const std::size_t nReplicas = axisLen(replicaCounts.size());
-    const std::size_t nFault = axisLen(faultScenarios.size());
-    const std::size_t nArrival = axisLen(arrivals.size());
-    const std::size_t nParam = axisLen(params.size());
-    const std::size_t nGating = axisLen(gatings.size());
-    const std::size_t nSchedule = axisLen(schedules.size());
-    const std::size_t nBalancer = axisLen(balancers.size());
-    const std::size_t nTp = axisLen(tpDegrees.size());
-    const std::size_t nSystem = axisLen(systems.size());
-
-    p.router = axisIndex(routers.size(), rest % nRouter);
-    rest /= nRouter;
-    p.replicas = axisIndex(replicaCounts.size(), rest % nReplicas);
-    rest /= nReplicas;
-    p.fault = axisIndex(faultScenarios.size(), rest % nFault);
-    rest /= nFault;
-    p.arrival = axisIndex(arrivals.size(), rest % nArrival);
-    rest /= nArrival;
-    p.param = axisIndex(params.size(), rest % nParam);
-    rest /= nParam;
-    p.gating = axisIndex(gatings.size(), rest % nGating);
-    rest /= nGating;
-    p.schedule = axisIndex(schedules.size(), rest % nSchedule);
-    rest /= nSchedule;
-    p.balancer = axisIndex(balancers.size(), rest % nBalancer);
-    rest /= nBalancer;
-    p.tp = axisIndex(tpDegrees.size(), rest % nTp);
-    rest /= nTp;
-    p.system = axisIndex(systems.size(), rest % nSystem);
-    rest /= nSystem;
-    p.model = axisIndex(models.size(), rest);
+    for (std::size_t k = std::size(kAxes); k-- > 0;) {
+        const std::size_t size = kAxes[k].size(*this);
+        p.*kAxes[k].coord = size == 0 ? -1 : static_cast<int>(rest % size);
+        rest /= axisLen(size);
+    }
     return p;
 }
 
@@ -83,32 +91,21 @@ SweepGrid::at(int model, int system, int tp, int balancer, int schedule,
               int gating, int param, int arrival, int fault, int replicas,
               int router) const
 {
-    const auto clamp = [](std::size_t size, int i) -> std::size_t {
-        if (size == 0) {
+    const SweepPoint q{this,     0,        model,  system, tp,
+                       balancer, schedule, gating, param,  arrival,
+                       fault,    replicas, router};
+    std::size_t index = 0;
+    for (const AxisSpec &a : kAxes) {
+        const std::size_t size = a.size(*this);
+        const int i = q.*a.coord;
+        if (size == 0)
             MOE_ASSERT(i <= 0, "axis index into an unswept axis");
-            return 0;
-        }
-        MOE_ASSERT(i >= 0 && static_cast<std::size_t>(i) < size,
-                   "axis index out of range");
-        return static_cast<std::size_t>(i);
-    };
-    std::size_t index = clamp(models.size(), model);
-    index = index * axisLen(systems.size()) + clamp(systems.size(), system);
-    index = index * axisLen(tpDegrees.size()) +
-        clamp(tpDegrees.size(), tp);
-    index = index * axisLen(balancers.size()) +
-        clamp(balancers.size(), balancer);
-    index = index * axisLen(schedules.size()) +
-        clamp(schedules.size(), schedule);
-    index = index * axisLen(gatings.size()) + clamp(gatings.size(), gating);
-    index = index * axisLen(params.size()) + clamp(params.size(), param);
-    index = index * axisLen(arrivals.size()) +
-        clamp(arrivals.size(), arrival);
-    index = index * axisLen(faultScenarios.size()) +
-        clamp(faultScenarios.size(), fault);
-    index = index * axisLen(replicaCounts.size()) +
-        clamp(replicaCounts.size(), replicas);
-    index = index * axisLen(routers.size()) + clamp(routers.size(), router);
+        else
+            MOE_ASSERT(i >= 0 && static_cast<std::size_t>(i) < size,
+                       "axis index out of range");
+        index = index * axisLen(size) +
+            static_cast<std::size_t>(std::max(i, 0));
+    }
     return index;
 }
 
@@ -206,27 +203,14 @@ SweepPoint::seed(uint64_t base) const
     // and thread schedules. The linear index is deliberately excluded
     // so a cell keeps its seed when an unrelated axis grows.
     uint64_t h = 0xCBF29CE484222325ULL ^ base;
-    const auto mix = [&h](uint64_t v) {
-        h ^= v + 1; // +1 so index 0 and "unswept" (-1 → 0) differ
+    for (std::size_t k = 0; k < std::size(kAxes); ++k) {
+        const int c = this->*kAxes[k].coord;
+        if (k >= kLateAxes && c < 0)
+            continue;
+        // +1 so index 0 and "unswept" (-1 → 0) differ.
+        h ^= static_cast<uint64_t>(static_cast<int64_t>(c)) + 1;
         h *= 0x100000001B3ULL;
-    };
-    mix(static_cast<uint64_t>(static_cast<int64_t>(model)));
-    mix(static_cast<uint64_t>(static_cast<int64_t>(system)));
-    mix(static_cast<uint64_t>(static_cast<int64_t>(tp)));
-    mix(static_cast<uint64_t>(static_cast<int64_t>(balancer)));
-    mix(static_cast<uint64_t>(static_cast<int64_t>(schedule)));
-    mix(static_cast<uint64_t>(static_cast<int64_t>(gating)));
-    mix(static_cast<uint64_t>(static_cast<int64_t>(param)));
-    mix(static_cast<uint64_t>(static_cast<int64_t>(arrival)));
-    // The fault, replica, and router axes joined the grid after seeds
-    // were baked into goldens: mix each only when actually swept so
-    // every pre-existing grid keeps its exact seed stream.
-    if (fault >= 0)
-        mix(static_cast<uint64_t>(static_cast<int64_t>(fault)));
-    if (replicas >= 0)
-        mix(static_cast<uint64_t>(static_cast<int64_t>(replicas)));
-    if (router >= 0)
-        mix(static_cast<uint64_t>(static_cast<int64_t>(router)));
+    }
     return h;
 }
 
