@@ -236,7 +236,8 @@ InferenceEngine::publishObs(const IterationStats &stats)
 void
 InferenceEngine::syncFaults(IterationStats &stats)
 {
-    stats.faultEventsApplied = faults_->advanceTo(iteration_);
+    stats.faultEventsApplied = faults_->appliedEvents() - faultEventsSeen_;
+    faultEventsSeen_ = faults_->appliedEvents();
     if (faults_->topologyEpoch() != faultTopoEpochSeen_) {
         // Link state changed: re-point every traffic accumulator at
         // the overlay (same link ids, so buffers survive). Safe at the

@@ -172,8 +172,8 @@ struct IterationStats
     int migrationsCompleted = 0;
     /** Hidden migrations still pending (NI only). */
     int migrationsPending = 0;
-    /** Fault events this step() applied at its boundary (0 when an
-     *  outer layer advanced the shared injector first). */
+    /** Fault events the injector applied since the engine's previous
+     *  step() (since attachFaults() for the first step). */
     int faultEventsApplied = 0;
     /** Critical-path expert re-homing time after device loss. */
     double faultRecoveryTime = 0.0;
@@ -218,10 +218,12 @@ struct EngineState
     int iteration_ = 0;
 
     // Fault state: null (the guaranteed-identical fast path) unless a
-    // non-empty injector is attached. The engine reacts to injector
-    // *state* — the topology epoch and the lost-device list — so a
-    // serving layer sharing the injector may advance it first.
+    // non-empty injector is attached. The engine never advances the
+    // injector; its owner (ServeLoop) does, and the engine reacts to
+    // injector *state*: the applied-event count, the topology epoch
+    // and the lost-device list.
     FaultInjector *faults_ = nullptr;
+    int faultEventsSeen_ = 0;
     int faultTopoEpochSeen_ = 0;
     std::size_t faultLostSeen_ = 0;
 
@@ -310,12 +312,14 @@ class InferenceEngine : private EngineState
     int tokensPerGroup() const;
 
     /**
-     * Attach a fault injector (src/fault/) whose events this engine
-     * consumes at iteration boundaries: traffic retargets onto the
-     * degraded topology, stragglers scale per-device compute, and lost
-     * devices get their experts re-homed (recovery charged to the
-     * iteration). Must be called before the first step(); the injector
-     * must shadow this engine's topology and outlive it. A null or
+     * Attach a fault injector (src/fault/) whose state this engine
+     * reacts to at the start of every step(): traffic retargets onto
+     * the degraded topology, stragglers scale per-device compute, and
+     * lost devices get their experts re-homed (recovery charged to the
+     * iteration). The engine does not advance the injector: its owner
+     * calls advanceTo() before each step(), as ServeLoop does. Must be
+     * called before the first step(); the injector must shadow this
+     * engine's topology and outlive it. A null or
      * empty-plan injector detaches — the engine then runs the exact
      * fault-free code path, bitwise identical to an unattached run.
      */
@@ -337,7 +341,7 @@ class InferenceEngine : private EngineState
     void attachObs(const ObsHooks &obs);
 
   private:
-    /** Apply the fault boundary of the current iteration. */
+    /** React to the injector's state at this step's boundary. */
     void syncFaults(IterationStats &stats);
 
     /** Publish stats/trace for the iteration just computed. */

@@ -7,11 +7,12 @@
  * first link event; topology() serves the base until then) and the
  * per-device straggler/lost state. advanceTo(iteration) applies every
  * not-yet-applied event stamped <= iteration, in plan order, and is
- * idempotent: the serving simulator advances before admission and the
- * engine advances again inside step() at the same iteration — the
- * second call is a no-op. Consumers therefore react to *state* (the
- * topologyEpoch() counter, the lostDevices() list), never to call-
- * specific deltas.
+ * idempotent. The fault-plan clock is the serving scheduler's iteration
+ * index: ServeLoop advances the injector once per iteration, before
+ * admission, and is its only caller. The engine reads the resulting
+ * *state* (appliedEvents(), the topologyEpoch() counter, the
+ * lostDevices() list) at the start of its next step() and never
+ * advances the plan itself.
  *
  * Device loss (NodeFail, or isolation by link failures) is monotone:
  * restored links return capacity, but a drained device stays lost.

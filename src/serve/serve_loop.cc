@@ -99,9 +99,9 @@ ServeLoop::faultBoundary()
     if (!injector_)
         return;
     // Fault boundary, ahead of admission so this iteration's admits
-    // already see the degraded system. The engine reacts to the
-    // injector state this advance produces (its own advanceTo is a
-    // no-op at an equal-or-older iteration).
+    // already see the degraded system. This is the one advance of the
+    // plan; the engine reacts to the state it produces in its next
+    // step().
     injector_->advanceTo(sched_.iterationIndex());
     for (; faultsTraced_ < injector_->appliedEvents(); ++faultsTraced_) {
         if (trace_ != nullptr) {

@@ -433,6 +433,7 @@ TEST(EngineFaultTest, StragglerScalesComputeExactly)
     FaultInjector inj(sys.mapping().topology(), plan);
     InferenceEngine slowed(sys.mapping(), ec);
     slowed.attachFaults(&inj);
+    inj.advanceTo(0);
     const IterationStats hit = slowed.step();
 
     // Attention runs in TP lockstep: the slowest device sets the pace.
@@ -459,7 +460,11 @@ TEST(EngineFaultTest, NodeLossChargesRecoveryAndDrainsDevice)
     InferenceEngine engine(sys.mapping(), ec);
     engine.attachFaults(&inj);
 
-    const auto run = engine.run(6);
+    std::vector<IterationStats> run;
+    for (int i = 0; i < 6; ++i) {
+        inj.advanceTo(i);
+        run.push_back(engine.step());
+    }
     EXPECT_EQ(run[2].faultRecoveryTime, 0.0);
     EXPECT_EQ(run[3].faultEventsApplied, 1);
     EXPECT_GT(run[3].faultRecoveryTime, 0.0);

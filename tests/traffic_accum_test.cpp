@@ -271,14 +271,16 @@ namespace {
 /**
  * Step @p engine @p iterations times and, before each step, route a
  * decode batch on the engine's current placement under both storages.
- * @p onPlacement sees every placement routed.
+ * @p onPlacement sees every placement routed. A non-null @p faults is
+ * the engine's injector, advanced to each iteration before its step.
  */
 template <typename OnPlacement>
 void
 expectEnginePlacementsRouteIdentically(InferenceEngine &engine,
                                        const Mapping &mapping,
                                        int iterations,
-                                       OnPlacement &&onPlacement)
+                                       OnPlacement &&onPlacement,
+                                       FaultInjector *faults = nullptr)
 {
     const EngineConfig &ec = engine.config();
     WorkloadConfig wc = ec.workload;
@@ -292,6 +294,8 @@ expectEnginePlacementsRouteIdentically(InferenceEngine &engine,
             mapping, engine.placement(),
             gen.sampleCounts(i, 0, ec.decodeTokensPerGroup, mapping.dp()),
             ec.model.tokenBytes(), ec.retainAllGather, wc.topK);
+        if (faults != nullptr)
+            faults->advanceTo(i);
         engine.step();
     }
 }
@@ -352,9 +356,9 @@ TEST(TrafficAccum, FaultedEngineRunPlacementsRouteIdenticallyAcrossStorages)
 
     bool sawLoss = false;
     expectEnginePlacementsRouteIdentically(
-        engine, sys.mapping(), 10, [&](const ExpertPlacement &p) {
-            sawLoss |= p.deviceLost(7);
-        });
+        engine, sys.mapping(), 10,
+        [&](const ExpertPlacement &p) { sawLoss |= p.deviceLost(7); },
+        &inj);
     EXPECT_TRUE(sawLoss) << "no routed placement had device 7 lost";
 }
 
