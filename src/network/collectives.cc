@@ -1,6 +1,7 @@
 #include "network/collectives.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.hh"
 
@@ -179,6 +180,10 @@ allToAllInto(const std::vector<Flow> &flows, PhaseTraffic &traffic)
 {
     traffic.clear();
     traffic.addFlows(flows);
+    const double linkTotal = traffic.totalByteHops();
+    MOE_ASSERT(std::abs(linkTotal - traffic.flowByteHops()) <=
+                   1e-9 * linkTotal,
+               "all-to-all link volumes do not sum to flow bytes x hops");
     return traffic.phaseTime();
 }
 

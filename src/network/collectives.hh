@@ -144,7 +144,8 @@ CollectiveTiming allToAll(const Topology &topo,
  * Allocation-free all-to-all: clears @p traffic (which keeps its
  * volume buffer), accumulates @p flows into it, and returns the phase
  * time. The engine reuses one PhaseTraffic per phase across
- * iterations through this entry point.
+ * iterations through this entry point. Asserts byte conservation: the
+ * link volumes sum to Σ flow bytes × hops, to a relative 1e-9.
  */
 double allToAllInto(const std::vector<Flow> &flows, PhaseTraffic &traffic);
 

@@ -39,6 +39,7 @@ PhaseTraffic::clear()
     std::fill(volume_.begin(), volume_.end(), 0.0);
     maxPathLatency_ = 0.0;
     totalFlowBytes_ = 0.0;
+    flowByteHops_ = 0.0;
 }
 
 void
@@ -51,14 +52,17 @@ PhaseTraffic::addFlow(DeviceId src, DeviceId dst, double bytes)
     // the link order, and therefore the latency summation, is the
     // route's, and no allocation happens.
     double pathLatency = 0.0;
+    int hops = 0;
     for (const LinkId l : topo_->walk(src, dst)) {
         MOE_ASSERT(l >= 0 && static_cast<std::size_t>(l) < volume_.size(),
                    "bad link id in route walk");
         volume_[static_cast<std::size_t>(l)] += bytes;
         pathLatency += topo_->links()[static_cast<std::size_t>(l)].latency;
+        ++hops;
     }
     maxPathLatency_ = std::max(maxPathLatency_, pathLatency);
     totalFlowBytes_ += bytes;
+    flowByteHops_ += bytes * hops;
 }
 
 void
@@ -77,6 +81,7 @@ PhaseTraffic::merge(const PhaseTraffic &other)
         volume_[i] += other.volume_[i];
     maxPathLatency_ = std::max(maxPathLatency_, other.maxPathLatency_);
     totalFlowBytes_ += other.totalFlowBytes_;
+    flowByteHops_ += other.flowByteHops_;
 }
 
 double

@@ -111,6 +111,13 @@ class PhaseTraffic
     /** Sum of injected flow bytes (volume not multiplied by hops). */
     double totalFlowBytes() const { return totalFlowBytes_; }
 
+    /**
+     * Σ flow bytes × route hops, counted per flow as addFlow() walks
+     * its route. Byte conservation makes it equal totalByteHops() up
+     * to rounding; allToAllInto() asserts that.
+     */
+    double flowByteHops() const { return flowByteHops_; }
+
     /** Number of links carrying non-zero volume. */
     int busyLinkCount() const;
 
@@ -152,6 +159,7 @@ class PhaseTraffic
     std::vector<double> volume_;
     double maxPathLatency_ = 0.0;
     double totalFlowBytes_ = 0.0;
+    double flowByteHops_ = 0.0;
 };
 
 } // namespace moentwine
