@@ -473,14 +473,6 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadConfig &cfg)
     MOE_ASSERT(cfg.mixPeriod > 0, "mixPeriod must be positive");
 }
 
-std::vector<double>
-WorkloadGenerator::mixtureWeights(int iteration) const
-{
-    std::vector<double> mix;
-    mixtureWeightsInto(iteration, mix);
-    return mix;
-}
-
 void
 WorkloadGenerator::setScenarioMix(const std::vector<double> &weights)
 {
@@ -547,13 +539,13 @@ WorkloadGenerator::affinityInto(int iteration, int layer,
                     s, layer, cfg_.numExperts, kZipf, cfg_.seed));
             cachedLayer_ = layer;
         }
-        const auto mix = mixtureWeights(iteration);
+        mixtureWeightsInto(iteration, affinityMix_);
         for (std::size_t s = 0; s < scenarios.size(); ++s) {
-            if (mix[s] <= 0.0)
+            if (affinityMix_[s] <= 0.0)
                 continue;
             const auto &base = scenarioBase_[s];
             for (std::size_t e = 0; e < weights.size(); ++e)
-                weights[e] += mix[s] * base[e];
+                weights[e] += affinityMix_[s] * base[e];
         }
     }
     double total = 0.0;
@@ -598,10 +590,10 @@ WorkloadGenerator::sampleCountsInto(int iteration, int layer,
     // a boundedly stale distribution (the balancers react on EMAs far
     // slower than that).
     // The mixture moves when MixedScenario rotates it, or when an
-    // external mix is (or just stopped being) imposed; a dirty mix must
-    // be drift-checked even at an unchanged iteration index.
+    // external mix is imposed; a newly set mix must be drift-checked
+    // even at an unchanged iteration index.
     const bool drifting = cfg_.mode == GatingMode::MixedScenario ||
-        !externalMix_.empty() || mixDirty_;
+        !externalMix_.empty();
     bool rebuild = sampler_.size() == 0 || layer != builtLayer_;
     bool mixInScratch = false;
     if (!rebuild && drifting &&

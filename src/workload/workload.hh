@@ -282,10 +282,8 @@ class WorkloadGenerator
     const WorkloadConfig &config() const { return cfg_; }
 
   private:
-    /** Mixture weight of each scenario at the given iteration. */
-    std::vector<double> mixtureWeights(int iteration) const;
-
-    /** In-place mixtureWeights() (reuses @p mix storage). */
+    /** Mixture weight of each scenario at the given iteration, into
+     *  @p mix (its storage is reused). */
     void mixtureWeightsInto(int iteration,
                             std::vector<double> &mix) const;
 
@@ -305,6 +303,8 @@ class WorkloadGenerator
     // per-iteration sampling does not recompute the Zipf tables.
     mutable int cachedLayer_ = -1;
     mutable std::vector<std::vector<double>> scenarioBase_;
+    // The mixture affinityInto() weights the base affinities by.
+    mutable std::vector<double> affinityMix_;
     // Scratch affinity plus the sampler sampleCountsInto() draws from;
     // the sampler is rebuilt only when the affinity changes: once per
     // layer in the fixed regimes, and on the coarse
