@@ -218,10 +218,8 @@ struct EngineState
     int iteration_ = 0;
 
     // Fault state: null (the guaranteed-identical fast path) unless a
-    // non-empty injector is attached. The engine never advances the
-    // injector; its owner (ServeLoop) does, and the engine reacts to
-    // injector *state*: the applied-event count, the topology epoch
-    // and the lost-device list.
+    // non-empty injector is attached. Its owner advances it; the engine
+    // reads its applied-event count, topology epoch and lost devices.
     FaultInjector *faults_ = nullptr;
     int faultEventsSeen_ = 0;
     int faultTopoEpochSeen_ = 0;
@@ -312,14 +310,13 @@ class InferenceEngine : private EngineState
     int tokensPerGroup() const;
 
     /**
-     * Attach a fault injector (src/fault/) whose state this engine
-     * reacts to at the start of every step(): traffic retargets onto
-     * the degraded topology, stragglers scale per-device compute, and
-     * lost devices get their experts re-homed (recovery charged to the
-     * iteration). The engine does not advance the injector: its owner
-     * calls advanceTo() before each step(), as ServeLoop does. Must be
-     * called before the first step(); the injector must shadow this
-     * engine's topology and outlive it. A null or
+     * Attach a fault injector (src/fault/) whose state each step()
+     * reacts to: traffic retargets onto the degraded topology,
+     * stragglers scale per-device compute, and lost devices get their
+     * experts re-homed (recovery charged to the iteration). The owner
+     * advances the injector before each step(), as ServeLoop does.
+     * Must be called before the first step(); the injector must shadow
+     * this engine's topology and outlive it. A null or
      * empty-plan injector detaches — the engine then runs the exact
      * fault-free code path, bitwise identical to an unattached run.
      */

@@ -7,12 +7,10 @@
  * first link event; topology() serves the base until then) and the
  * per-device straggler/lost state. advanceTo(iteration) applies every
  * not-yet-applied event stamped <= iteration, in plan order, and is
- * idempotent. The fault-plan clock is the serving scheduler's iteration
- * index: ServeLoop advances the injector once per iteration, before
- * admission, and is its only caller. The engine reads the resulting
- * *state* (appliedEvents(), the topologyEpoch() counter, the
- * lostDevices() list) at the start of its next step() and never
- * advances the plan itself.
+ * idempotent. Its clock is the serving scheduler's iteration index:
+ * ServeLoop, its one caller, advances it before admission. The engine
+ * reacts to the resulting *state* (appliedEvents(), topologyEpoch(),
+ * lostDevices()) in its next step() and never advances the plan.
  *
  * Device loss (NodeFail, or isolation by link failures) is monotone:
  * restored links return capacity, but a drained device stays lost.

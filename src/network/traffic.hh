@@ -111,11 +111,8 @@ class PhaseTraffic
     /** Sum of injected flow bytes (volume not multiplied by hops). */
     double totalFlowBytes() const { return totalFlowBytes_; }
 
-    /**
-     * Σ flow bytes × route hops, counted per flow as addFlow() walks
-     * its route. Byte conservation makes it equal totalByteHops() up
-     * to rounding; allToAllInto() asserts that.
-     */
+    /** Σ flow bytes × route hops, counted per flow by addFlow(); equals
+     *  totalByteHops() up to rounding (allToAllInto() asserts it). */
     double flowByteHops() const { return flowByteHops_; }
 
     /** Number of links carrying non-zero volume. */

@@ -16,12 +16,11 @@ namespace moentwine {
 
 /**
  * Optional observability attachments handed to the engine
- * (InferenceEngine::attachObs). The serving layer takes the same two
- * separately: ServeSimulator::setTrace() attaches a sink, and
- * ServeSimulator::stats() returns the registry the run published into.
- * Null members are the compiled-in no-op path: every publish site
- * guards with one pointer test, observation never changes a simulation
- * result, and a run with both members null is byte-identical to one
+ * (InferenceEngine::attachObs; ServeSimulator instead takes a sink via
+ * setTrace() and publishes into its own stats()). Null members are the
+ * compiled-in no-op path: every publish site guards with one pointer
+ * test, observation never changes a simulation result, and a run
+ * with both members null is byte-identical to one
  * on a build without the obs layer.
  */
 struct ObsHooks

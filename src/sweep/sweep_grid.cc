@@ -75,8 +75,7 @@ SweepGrid::pointAt(std::size_t index) const
     SweepPoint p;
     p.grid = this;
     p.index = index;
-    // Row-major: peel the innermost axis first; -1 marks an unswept
-    // axis.
+    // Row-major: peel the innermost axis first; -1 marks unswept.
     std::size_t rest = index;
     for (std::size_t k = std::size(kAxes); k-- > 0;) {
         const std::size_t size = kAxes[k].size(*this);
@@ -98,11 +97,9 @@ SweepGrid::at(int model, int system, int tp, int balancer, int schedule,
     for (const AxisSpec &a : kAxes) {
         const std::size_t size = a.size(*this);
         const int i = q.*a.coord;
-        if (size == 0)
-            MOE_ASSERT(i <= 0, "axis index into an unswept axis");
-        else
-            MOE_ASSERT(i >= 0 && static_cast<std::size_t>(i) < size,
-                       "axis index out of range");
+        MOE_ASSERT(size > 0 || i <= 0, "axis index into an unswept axis");
+        MOE_ASSERT(size == 0 || (i >= 0 && static_cast<std::size_t>(i) < size),
+                   "axis index out of range");
         index = index * axisLen(size) +
             static_cast<std::size_t>(std::max(i, 0));
     }

@@ -65,6 +65,7 @@ TEST(PhaseTraffic, SingleFlowVolumeOnEveryRouteLink)
     EXPECT_EQ(phase.busyLinkCount(), 3);
     EXPECT_DOUBLE_EQ(phase.maxLinkVolume(), 5e5);
     EXPECT_DOUBLE_EQ(phase.totalByteHops(), 1.5e6);
+    EXPECT_DOUBLE_EQ(phase.flowByteHops(), 1.5e6);
     EXPECT_DOUBLE_EQ(phase.totalFlowBytes(), 5e5);
 }
 
@@ -122,11 +123,12 @@ TEST(PhaseTraffic, MergeAddsVolumes)
     PhaseTraffic a(mesh);
     PhaseTraffic b(mesh);
     a.addFlow(0, 1, 1e6);
-    b.addFlow(0, 1, 2e6);
+    b.addFlow(0, 2, 2e6);
     a.merge(b);
     const LinkId l = mesh.linkBetween(0, 1);
     EXPECT_DOUBLE_EQ(a.linkVolume(l), 3e6);
     EXPECT_DOUBLE_EQ(a.totalFlowBytes(), 3e6);
+    EXPECT_DOUBLE_EQ(a.flowByteHops(), 5e6); // 1e6 × 1 + 2e6 × 2
 }
 
 TEST(PhaseTraffic, HotLinksThreshold)
