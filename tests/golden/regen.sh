@@ -19,10 +19,11 @@
 #    byte-equal; serve_slo, fleet_slo and fig16_balancing write it in
 #    their --jobs 2 run, so their goldens also show that tracing
 #    changes no result;
-#  - every trace must parse as JSON (python3 -m json.tool, when python3
-#    exists) and carry its driver's events: decode and fault for
-#    fault_slo, decode for serve_slo, dispatch for fleet_slo, the cell
-#    spans of fig16_balancing and the engine's moe spans of scale_smoke;
+#  - every trace and STATS file must parse as JSON (python3 -m
+#    json.tool, when python3 exists), and every trace must carry its
+#    driver's events: decode and fault for fault_slo, decode for
+#    serve_slo, dispatch for fleet_slo, the cell spans of
+#    fig16_balancing and the engine's moe spans of scale_smoke;
 #  - scale_smoke --jobs 2 --trace must pass its own checks, and its
 #    "cell N:" lines must match SCALE_smoke.txt.
 #
@@ -144,16 +145,24 @@ fi
 
 cmp -s "$out/jobs1/TRACE_fault_slo.json" "$out/jobs2/TRACE_fault_slo.json" ||
     fail "trace differs between --jobs 1 and 2: fault_slo"
+# json FILE: FILE must parse (when python3 exists).
+json() {
+    if command -v python3 > /dev/null &&
+        ! python3 -m json.tool "$1" > /dev/null; then
+        fail "not JSON: $1"
+    fi
+}
+
+for f in STATS_serve_slo.json STATS_fault_slo.json STATS_fleet_slo.json; do
+    json "$out/jobs2/$f"
+done
 for t in "jobs2 fault_slo decode fault" "jobs1 fault_slo decode fault" \
          "jobs2 serve_slo decode" "jobs2 fleet_slo dispatch" \
          "jobs2 fig16_balancing cell" "scale scale_smoke moe"; do
     set -- $t
     trace=$out/$1/TRACE_$2.json
     shift 2
-    if command -v python3 > /dev/null &&
-        ! python3 -m json.tool "$trace" > /dev/null; then
-        fail "trace is not JSON: $trace"
-    fi
+    json "$trace"
     for event in "$@"; do
         grep -q "\"$event\"" "$trace" ||
             fail "trace has no \"$event\" event: $trace"
