@@ -84,15 +84,11 @@ runAll() {
     done
 }
 
-scale() {
-    drive scale scale_smoke "$build/scale_smoke" --jobs 2 \
-        --trace TRACE_scale_smoke.json
-    grep '^cell ' "$out/scale/scale_smoke.out" > "$out/scale/SCALE_smoke.txt"
-}
-
 jobs=2 traced="fig16_balancing serve_slo fault_slo fleet_slo"
 runAll
-scale
+drive scale scale_smoke "$build/scale_smoke" --jobs 2 \
+    --trace TRACE_scale_smoke.json
+grep '^cell ' "$out/scale/scale_smoke.out" > "$out/scale/SCALE_smoke.txt"
 
 if [ "$check" -eq 0 ]; then
     for f in $files; do
