@@ -211,7 +211,7 @@ runSparseScalePoint(int devices, int meshN, const std::string &tracePath)
     }
     for (const auto &s : engine.run(2)) {
         const double layer = s.layerTime(ec.pipelineStages);
-        std::printf("iteration: layer %.6e s\n", layer);
+        std::printf("iteration: layer %.17g s\n", layer);
         if (!(layer > 0.0) || !std::isfinite(layer)) {
             std::fprintf(stderr, "FAIL: non-finite layer time\n");
             return 1;

@@ -13,6 +13,8 @@
  *    multi-wafer batch, a fig-style comm-eval cell, and every placement
  *    a balanced and a faulted engine run visit. The engine reaches the
  *    storage only through these flow lists;
+ *  - pin: a digest of one decode batch routed by device count on the
+ *    smallest system that selects the sparse storage (4,096 devices);
  *  - footprint: the sparse per-iteration path (reset/add/forEachTiled)
  *    is allocation-free in steady state;
  *  - concurrency: sweep workers routing through pinned sparse
@@ -29,6 +31,7 @@
 
 #include "core/moentwine.hh"
 #include "counting_alloc.hh"
+#include "digest.hh"
 #include "fault/fault.hh"
 #include "sweep/sweep.hh"
 #include "watchdog.hh"
@@ -264,6 +267,49 @@ TEST(TrafficAccum, FigCellRoutesIdenticallyAcrossStorages)
     expectRoutesMatchAcrossStorages(sys.mapping(), p, counts,
                                     model.tokenBytes(), true,
                                     model.expertsActivated);
+}
+
+TEST(TrafficAccum, SparseRouteDigestAt4096Devices)
+{
+    // 4×(32×32) HER, tp 4, one routed expert per device: the smallest
+    // system that selects the sparse storage by device count. Pins the
+    // emitted (src, dst, bytes) sequence, the device loads and the
+    // occupancy of one decode batch.
+    SystemConfig sc;
+    sc.platform = PlatformKind::WscHer;
+    sc.meshN = 32;
+    sc.wafers = 4;
+    sc.tp = 4;
+    const System sys = System::make(sc);
+    const Mapping &mapping = sys.mapping();
+    const int devices = mapping.numDevices();
+    ASSERT_EQ(devices, TrafficAccumulator::kSparseThreshold);
+
+    MoEModelConfig model = qwen3();
+    model.expertsTotal = devices;
+    const ExpertPlacement p(model.expertsTotal, devices, 1);
+    WorkloadConfig wc;
+    wc.numExperts = model.expertsTotal;
+    wc.topK = model.expertsActivated;
+    wc.mode = GatingMode::MixedScenario;
+    WorkloadGenerator gen(wc);
+    RoutedTraffic routed;
+    routeTokens(mapping, p, gen.sampleCounts(0, 0, 16, mapping.dp()),
+                model.tokenBytes(), true, wc.topK, routed, true);
+    ASSERT_EQ(routed.pairBytes.activeKind(), TrafficStorageKind::Sparse);
+
+    std::uint64_t h = digest::kOffset;
+    digest::mixInt(h, static_cast<std::int64_t>(routed.dispatch.size()));
+    for (const Flow &f : routed.dispatch) {
+        digest::mixInt(h, f.src);
+        digest::mixInt(h, f.dst);
+        digest::mixDouble(h, f.bytes);
+    }
+    for (const double t : routed.tokensPerDevice)
+        digest::mixDouble(h, t);
+    digest::mixInt(h, static_cast<std::int64_t>(
+                          routed.pairBytes.occupancy()));
+    EXPECT_EQ(h, 0x024b99f0c7ee7f30ULL);
 }
 
 namespace {
