@@ -17,14 +17,21 @@
  *    serving simulator;
  *  - degraded serving: node loss under load produces retries/shedding,
  *    every request ends in exactly one outcome, and fault runs are
- *    deterministic end to end.
+ *    deterministic end to end;
+ *  - randomized plans: seeded plans of all five event kinds serve to
+ *    completion, and at every boundary reachable() and walk() agree
+ *    with a breadth-first search over the live links.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "core/moentwine.hh"
 #include "digest.hh"
 #include "fault/fault.hh"
@@ -79,6 +86,155 @@ expectIdenticalStats(const IterationStats &a, const IterationStats &b)
     EXPECT_EQ(a.loadMax, b.loadMax);
     EXPECT_EQ(a.loadAvg, b.loadAvg);
     EXPECT_EQ(a.imbalance, b.imbalance);
+}
+
+/**
+ * Seeded random plan of at least @p events events over @p topo, of all
+ * five kinds, at non-decreasing iterations in [0, @p lastIteration]; a
+ * draw may fail one link, both directions of one, or every link of one
+ * device. Every plan passes FaultPlan::validate(), and a draw is kept
+ * only when a FaultInjector replaying the plan up to it still has at
+ * least half the devices live and, unless @p allowIsolation, every
+ * device pair reachable.
+ */
+FaultPlan
+randomFaultPlan(const Topology &topo, std::uint64_t seed, int events,
+                int lastIteration, bool allowIsolation)
+{
+    Rng rng(seed);
+    const auto &links = topo.links();
+    const int devices = topo.numDevices();
+    FaultPlan plan;
+    std::vector<LinkId> failed;
+    int iteration = 0;
+    while (static_cast<int>(plan.events.size()) < events) {
+        iteration = std::min(lastIteration,
+                             iteration + static_cast<int>(rng.range(0, 5)));
+        const auto link = static_cast<LinkId>(rng.below(links.size()));
+        const auto dev = static_cast<DeviceId>(
+            rng.below(static_cast<std::uint64_t>(devices)));
+        const std::size_t before = plan.events.size();
+        switch (rng.below(7)) {
+        case 0:
+            plan.events.push_back(FaultEvent::linkDegrade(
+                iteration, link, rng.uniform(0.1, 1.0)));
+            break;
+        case 1:
+            plan.events.push_back(FaultEvent::linkFail(iteration, link));
+            break;
+        case 2: {
+            // Both directions: the cut that can isolate a device.
+            const Link &l = links[static_cast<std::size_t>(link)];
+            plan.events.push_back(FaultEvent::linkFail(iteration, link));
+            plan.events.push_back(FaultEvent::linkFail(
+                iteration, topo.linkBetween(l.dst, l.src)));
+            break;
+        }
+        case 3:
+            plan.events.push_back(FaultEvent::linkRestore(
+                iteration,
+                failed.empty() ? link : failed[rng.below(failed.size())]));
+            break;
+        case 4:
+            plan.events.push_back(FaultEvent::slowNode(
+                iteration, dev, rng.uniform(1.0, 3.0)));
+            break;
+        case 5:
+            plan.events.push_back(FaultEvent::nodeFail(iteration, dev));
+            break;
+        default:
+            // Every link touching one device: a dead die's router.
+            for (std::size_t l = 0; l < links.size(); ++l) {
+                if (links[l].src == dev || links[l].dst == dev) {
+                    plan.events.push_back(FaultEvent::linkFail(
+                        iteration, static_cast<LinkId>(l)));
+                }
+            }
+            break;
+        }
+        FaultInjector replay(topo, plan);
+        replay.advanceTo(iteration);
+        bool connected = true;
+        for (DeviceId a = 0; a < devices && connected; ++a) {
+            for (DeviceId b = 0; b < devices && connected; ++b)
+                connected = replay.reachable(a, b);
+        }
+        if (2 * replay.liveDeviceCount() < devices ||
+            !(connected || allowIsolation)) {
+            plan.events.resize(before);
+            continue;
+        }
+        for (std::size_t i = before; i < plan.events.size(); ++i) {
+            const FaultEvent &e = plan.events[i];
+            const auto it = std::find(failed.begin(), failed.end(),
+                                      static_cast<LinkId>(e.target));
+            if (e.kind == FaultEventKind::LinkFail && it == failed.end())
+                failed.push_back(static_cast<LinkId>(e.target));
+            else if (e.kind == FaultEventKind::LinkRestore &&
+                     it != failed.end())
+                failed.erase(it);
+        }
+    }
+    return plan;
+}
+
+/**
+ * Check every ordered device pair of @p inj's current topology against
+ * a breadth-first search over the links @p failed leaves live:
+ * reachable() must equal BFS reachability, and a reachable pair's
+ * walk() must use live links only, end at its destination and take the
+ * BFS hop count.
+ */
+void
+expectRoutesMatchLiveBfs(const FaultInjector &inj,
+                         const std::vector<char> &failed)
+{
+    const Topology &topo = inj.topology();
+    const auto &links = topo.links();
+    const auto nodes = static_cast<std::size_t>(topo.numNodes());
+    std::vector<std::vector<LinkId>> out(nodes);
+    for (std::size_t l = 0; l < links.size(); ++l) {
+        if (!failed[l])
+            out[static_cast<std::size_t>(links[l].src)].push_back(
+                static_cast<LinkId>(l));
+    }
+    std::vector<int> dist(nodes);
+    std::vector<NodeId> queue;
+    for (DeviceId s = 0; s < topo.numDevices(); ++s) {
+        std::fill(dist.begin(), dist.end(), -1);
+        dist[static_cast<std::size_t>(s)] = 0;
+        queue.assign(1, s);
+        for (std::size_t q = 0; q < queue.size(); ++q) {
+            const NodeId v = queue[q];
+            for (const LinkId l : out[static_cast<std::size_t>(v)]) {
+                const NodeId u = links[static_cast<std::size_t>(l)].dst;
+                if (dist[static_cast<std::size_t>(u)] < 0) {
+                    dist[static_cast<std::size_t>(u)] =
+                        dist[static_cast<std::size_t>(v)] + 1;
+                    queue.push_back(u);
+                }
+            }
+        }
+        for (DeviceId d = 0; d < topo.numDevices(); ++d) {
+            const int hops = dist[static_cast<std::size_t>(d)];
+            ASSERT_EQ(inj.reachable(s, d), hops >= 0)
+                << "pair " << s << "->" << d;
+            if (hops <= 0)
+                continue;
+            NodeId at = s;
+            int walked = 0;
+            for (const LinkId l : topo.walk(s, d)) {
+                EXPECT_FALSE(failed[static_cast<std::size_t>(l)])
+                    << "route " << s << "->" << d << " uses failed link "
+                    << l;
+                EXPECT_EQ(links[static_cast<std::size_t>(l)].src, at);
+                at = links[static_cast<std::size_t>(l)].dst;
+                ++walked;
+            }
+            EXPECT_EQ(at, d) << "route " << s << "->" << d;
+            EXPECT_EQ(walked, hops) << "route " << s << "->" << d;
+        }
+    }
 }
 
 } // namespace
@@ -640,4 +796,89 @@ TEST(FaultScenarioTest, GeneratorsProduceValidPlans)
             EXPECT_EQ(plan.events[i].factor, again.events[i].factor);
         }
     }
+}
+
+namespace {
+
+/**
+ * Replay @p plan boundary by boundary up to its last event and check
+ * every device pair of each new fault state against a BFS over the live
+ * links (expectRoutesMatchLiveBfs), tracking the failed links from the
+ * plan itself. Fault state is a pure function of the plan and the
+ * iteration, so these are exactly the states a run of the plan routes
+ * over.
+ */
+void
+expectEveryBoundaryRoutesOverLiveLinks(const Topology &topo,
+                                       const FaultPlan &plan)
+{
+    FaultInjector inj(topo, plan);
+    std::vector<char> failed(topo.links().size(), 0);
+    std::size_t next = 0;
+    for (int i = 0; i <= plan.events.back().iteration; ++i) {
+        if (inj.advanceTo(i) == 0 && i > 0)
+            continue;
+        for (; next < plan.events.size() &&
+             plan.events[next].iteration <= i;
+             ++next) {
+            const FaultEvent &e = plan.events[next];
+            if (e.kind == FaultEventKind::LinkFail)
+                failed[static_cast<std::size_t>(e.target)] = 1;
+            else if (e.kind == FaultEventKind::LinkRestore)
+                failed[static_cast<std::size_t>(e.target)] = 0;
+        }
+        SCOPED_TRACE("boundary " + std::to_string(i));
+        EXPECT_GE(2 * inj.liveDeviceCount(), topo.numDevices());
+        expectRoutesMatchLiveBfs(inj, failed);
+    }
+}
+
+} // namespace
+
+TEST(FaultRandomPlanTest, SeededPlansServeAndRouteOverLiveLinks)
+{
+    // Each seed's plan serves to completion on 4×4 ER (the run asserts
+    // request, KV and byte conservation at every boundary), and every
+    // boundary state it routed over is checked against a BFS. Served
+    // plans keep every device connected: a device cut off by link
+    // failures still sits in its TP all-reduce ring, and the engine's
+    // ring walk to it asserts (IsolatingPlansReportUnreachablePairs
+    // checks such plans' reachability without serving them).
+    const System sys = System::make(smallWsc());
+    const Topology &topo = sys.mapping().topology();
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        ServeConfig sc = loadedServeConfig(32);
+        sc.faults = randomFaultPlan(topo, seed, 16, 40, false);
+        sc.faults.validate(topo);
+        const ServeReport r = ServeSimulator(sys.mapping(), sc).run();
+        EXPECT_EQ(r.faultEventsApplied,
+                  static_cast<int>(sc.faults.events.size()));
+        EXPECT_GE(2.0 * r.liveDeviceFractionMin, 1.0);
+        expectEveryBoundaryRoutesOverLiveLinks(topo, sc.faults);
+    }
+}
+
+TEST(FaultRandomPlanTest, IsolatingPlansReportUnreachablePairs)
+{
+    // Plans whose link failures cut devices off: reachable() must match
+    // the BFS on the unreachable pairs too, and the cut-off devices are
+    // lost.
+    const MeshTopology mesh = MeshTopology::singleWafer(4);
+    int isolatingSeeds = 0;
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const FaultPlan plan = randomFaultPlan(mesh, seed, 16, 40, true);
+        plan.validate(mesh);
+        expectEveryBoundaryRoutesOverLiveLinks(mesh, plan);
+        FaultInjector inj(mesh, plan);
+        inj.advanceTo(plan.events.back().iteration);
+        for (DeviceId d = 0; d < mesh.numDevices(); ++d) {
+            if (!inj.reachable(0, d) || !inj.reachable(d, 0)) {
+                ++isolatingSeeds;
+                break;
+            }
+        }
+    }
+    EXPECT_GT(isolatingSeeds, 0) << "no seed cut a device off";
 }
