@@ -128,8 +128,6 @@ FaultTopology::buildRerouteTrees()
     towardDst_.assign(nodes * devices, -1);
     std::vector<int> dist(nodes);
     std::deque<NodeId> queue;
-    // reach[src × devices + dst]: a live path src → dst exists.
-    std::vector<char> reach(devices * devices, 0);
 
     for (DeviceId dst = 0; dst < devices_; ++dst) {
         // Reverse BFS from dst: dist[n] = live hops n → dst.
@@ -153,9 +151,6 @@ FaultTopology::buildRerouteTrees()
             const int d = dist[static_cast<std::size_t>(n)];
             if (d == kUnreached || n == dst)
                 continue;
-            if (n < devices_)
-                reach[static_cast<std::size_t>(n) * devices +
-                      static_cast<std::size_t>(dst)] = 1;
             // Lowest-id live out-link one hop closer to dst.
             for (const LinkId l : out[static_cast<std::size_t>(n)]) {
                 const NodeId head =
@@ -167,23 +162,18 @@ FaultTopology::buildRerouteTrees()
                 }
             }
         }
-        reach[static_cast<std::size_t>(dst) * devices +
-              static_cast<std::size_t>(dst)] = 1;
     }
 
-    // Partition devices into mutual-reachability components: rep(d) =
-    // smallest q mutually reachable with d. Keep the largest component
-    // (ties: smallest representative) as the live fleet; everyone else
-    // is isolated.
+    // Partition devices into mutual-reachability components (the trees
+    // above answer reachable()): rep(d) = smallest q mutually reachable
+    // with d. Keep the largest component (ties: smallest representative)
+    // as the live fleet; everyone else is isolated.
     std::vector<DeviceId> rep(devices);
     std::vector<int> compSize(devices, 0);
     for (DeviceId d = 0; d < devices_; ++d) {
         DeviceId r = d;
         for (DeviceId q = 0; q < d; ++q) {
-            if (reach[static_cast<std::size_t>(d) * devices +
-                      static_cast<std::size_t>(q)] &&
-                reach[static_cast<std::size_t>(q) * devices +
-                      static_cast<std::size_t>(d)]) {
+            if (reachable(d, q) && reachable(q, d)) {
                 r = q;
                 break;
             }

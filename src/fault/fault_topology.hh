@@ -21,8 +21,9 @@
  *    the transfer as free.
  *
  * Devices cut off from the largest mutually-reachable component
- * (smallest lowest-member tie-break) are reported as isolated; the
- * FaultInjector treats them as lost.
+ * (smallest lowest-member tie-break; mutual reachability is two
+ * reachable() answers) are reported as isolated; the FaultInjector
+ * treats them as lost.
  */
 
 #ifndef MOENTWINE_FAULT_FAULT_TOPOLOGY_HH
@@ -116,7 +117,9 @@ class FaultTopology final : public Topology
 
     // Reroute state, valid only while failedLinkCount_ > 0: for each
     // (node, dst device), the first link of the min-hop live path, or
-    // -1 when none exists.
+    // -1 when none exists. The one statement of reachability:
+    // reachable() reads it, and the isolation partition asks
+    // reachable().
     std::vector<LinkId> towardDst_;
     std::vector<DeviceId> isolated_;
 };
