@@ -3,9 +3,10 @@
  * Autoscaler: reactive replica-count control against the offered load.
  *
  * The fleet evaluates the autoscaler on a fixed virtual-time cadence.
- * The control signal is the mean outstanding work (queued + running
- * requests) per admitting replica — the quantity a diurnal arrival
- * curve modulates directly. Crossing the high watermark wakes the
+ * The control signal is the mean of the router's
+ * ReplicaPressure::outstanding() (queued + running requests) over the
+ * admitting replicas — the same per-replica load the router reads, and
+ * the quantity a diurnal arrival curve modulates directly. Crossing the high watermark wakes the
  * lowest-id parked replica (charged a configurable cold-start delay
  * before it becomes routable); crossing the low watermark drains the
  * highest-id admitting replica (it stops receiving dispatches,

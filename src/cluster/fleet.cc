@@ -128,6 +128,22 @@ FleetSimulator::run()
     RequestRouter router(cfg_.router, cfg_.routerSeed);
     Autoscaler scaler(cfg_.autoscaler);
 
+    // Replica i's router-visible load: the one statement of replica
+    // load, read by the router at every dispatch and, through
+    // outstanding(), by the autoscaler at every evaluation.
+    const auto pressureOf = [&](int i) {
+        const Replica &rep = reps[static_cast<std::size_t>(i)];
+        const ContinuousBatchScheduler &sched = rep.loop->scheduler();
+        ReplicaPressure p;
+        p.replica = i;
+        p.queueDepth = sched.queueDepth();
+        p.runningCount = sched.runningCount();
+        p.kvFraction = sched.kvReservedFraction();
+        p.kvBudgetTokens = rep.loop->config().scheduler.kvBudgetTokens;
+        p.routable = rep.state == ReplicaState::Active;
+        return p;
+    };
+
     FleetReport report;
     report.totalRequests = static_cast<int>(stream.size());
     report.dispatched.assign(static_cast<std::size_t>(n), 0);
@@ -206,22 +222,10 @@ FleetSimulator::run()
                         activateStat);
         } else if (tArr <= tStart && tArr <= tComp && tArr <= tEval) {
             const ServeRequest &req = stream[nextDispatch++];
-            std::vector<ReplicaPressure> pressures(
-                static_cast<std::size_t>(n));
-            for (int i = 0; i < n; ++i) {
-                const Replica &rep = reps[static_cast<std::size_t>(i)];
-                const ContinuousBatchScheduler &sched =
-                    rep.loop->scheduler();
-                ReplicaPressure &p =
-                    pressures[static_cast<std::size_t>(i)];
-                p.replica = i;
-                p.queueDepth = sched.queueDepth();
-                p.runningCount = sched.runningCount();
-                p.kvFraction = sched.kvReservedFraction();
-                p.kvBudgetTokens =
-                    rep.loop->config().scheduler.kvBudgetTokens;
-                p.routable = rep.state == ReplicaState::Active;
-            }
+            std::vector<ReplicaPressure> pressures;
+            pressures.reserve(static_cast<std::size_t>(n));
+            for (int i = 0; i < n; ++i)
+                pressures.push_back(pressureOf(i));
             const int target = router.route(req, pressures);
             if (target < 0) {
                 // Front-door shed: no routable replica can ever fit
@@ -288,12 +292,11 @@ FleetSimulator::run()
             int wakeable = 0;
             int starting = 0;
             double outstanding = 0.0;
-            for (const Replica &rep : reps) {
-                switch (rep.state) {
+            for (int i = 0; i < n; ++i) {
+                switch (reps[static_cast<std::size_t>(i)].state) {
                 case ReplicaState::Active:
                     ++admitting;
-                    outstanding += rep.loop->scheduler().queueDepth() +
-                        rep.loop->scheduler().runningCount();
+                    outstanding += pressureOf(i).outstanding();
                     break;
                 case ReplicaState::Parked:
                     ++wakeable;

@@ -21,6 +21,11 @@
  * pure function of the configuration: equal configs produce byte-
  * identical fleet reports for any host, worker count, or run.
  *
+ * Replica load is stated once: run() builds each replica's
+ * ReplicaPressure in one function, which the router reads at every
+ * dispatch and whose outstanding() the autoscaler averages at every
+ * evaluation.
+ *
  * The fleet score is scoreRequests() over every replica's requests,
  * concatenated in replica-id order, against FleetConfig::slo, with
  * all generated requests (front-door sheds included) as the SLO
