@@ -80,12 +80,4 @@ maxOf(const std::vector<double> &xs)
     return *std::max_element(xs.begin(), xs.end());
 }
 
-double
-imbalanceDegree(const std::vector<double> &loads)
-{
-    const double mu = meanOf(loads);
-    MOE_ASSERT(mu > 0.0, "imbalanceDegree requires a positive mean load");
-    return (maxOf(loads) - mu) / mu;
-}
-
 } // namespace moentwine

@@ -2,7 +2,9 @@
  * @file
  * Lightweight statistics helpers used by the engine and benches:
  * running summaries (min/max/mean/stddev) and percentiles over retained
- * samples.
+ * samples. The Eq.(2) imbalance degree has no helper here: the engine
+ * computes it over live devices in InferenceEngine::step
+ * (IterationStats::imbalance).
  */
 
 #ifndef MOENTWINE_COMMON_STATS_HH
@@ -61,13 +63,6 @@ double meanOf(const std::vector<double> &xs);
 
 /** Maximum of a vector; panics when empty. */
 double maxOf(const std::vector<double> &xs);
-
-/**
- * Imbalance degree of a load vector, as used in Eq.(2) of the paper:
- * (max - mean) / mean. Zero for a perfectly balanced vector; panics on
- * an empty vector or a zero mean.
- */
-double imbalanceDegree(const std::vector<double> &loads);
 
 } // namespace moentwine
 

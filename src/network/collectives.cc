@@ -155,19 +155,6 @@ hierarchicalAllReduceInto(const Topology &topo,
 }
 
 CollectiveTiming
-hierarchicalAllReduce(const Topology &topo,
-                      const std::vector<std::vector<DeviceId>> &intraRings,
-                      const std::vector<std::vector<DeviceId>> &interRings,
-                      double bytes)
-{
-    CollectiveScratch scratch(topo);
-    const double time = hierarchicalAllReduceInto(topo, intraRings,
-                                                  interRings, bytes,
-                                                  scratch);
-    return CollectiveTiming{time, std::move(scratch.traffic)};
-}
-
-CollectiveTiming
 allToAll(const Topology &topo, const std::vector<Flow> &flows)
 {
     PhaseTraffic traffic(topo);

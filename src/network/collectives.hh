@@ -114,18 +114,11 @@ double ringCollectiveInto(const Topology &topo,
  * Hierarchical all-reduce for multi-wafer systems (Fig. 10(c)): an
  * intra-wafer reduce-scatter over @p intraRings followed by an
  * inter-wafer all-gather over @p interRings. Used by Hierarchical
- * ER-Mapping; both stages use the staggered entwined schedule.
+ * ER-Mapping; both stages use the staggered entwined schedule. Like
+ * ringCollectiveInto(), it clears @p scratch (keeping its buffers),
+ * leaves both stages' per-link traffic in scratch.traffic and returns
+ * the completion time; there is no allocating form.
  */
-CollectiveTiming hierarchicalAllReduce(const Topology &topo,
-                                       const std::vector<
-                                           std::vector<DeviceId>>
-                                           &intraRings,
-                                       const std::vector<
-                                           std::vector<DeviceId>>
-                                           &interRings,
-                                       double bytes);
-
-/** Allocation-free hierarchicalAllReduce() (see ringCollectiveInto). */
 double hierarchicalAllReduceInto(const Topology &topo,
                                  const std::vector<std::vector<DeviceId>>
                                      &intraRings,

@@ -15,25 +15,25 @@
  *  - Dense: a devices² double matrix (today's representation; O(1)
  *    add, O(devices²) memory and clear);
  *  - Sparse: an append-only buffer of (pair, bytes) entries compacted
+ *    once, when forEachTiled() or occupancy() first needs sorted pairs,
  *    by a stable radix sort — add() is a sequential push (no hashing,
- *    no random cache-line touches), duplicates merge at compaction in
- *    arrival order, and memory stays O(distinct pairs) because the
- *    buffer self-compacts whenever it doubles past the last distinct
- *    count. Steady-state allocation-free once the buffers reach the
- *    workload's high-water mark.
+ *    no random cache-line touches), duplicates merge at that one
+ *    compaction in arrival order, and memory is O(adds per iteration).
+ *    Steady-state allocation-free once the buffers reach the
+ *    workload's high-water mark. Systems of up to 16,384 devices.
  *
  * An accumulator picks Dense below kSparseThreshold devices and Sparse
  * at or above it; tests and BM_TrafficReduce construct one pinned to a
- * storage to compare the two on the same system.
+ * storage to compare the two on the same system. There is no point
+ * query: the accumulated bytes are read only as the emitted flows.
  *
  * Both storages are bitwise equivalent: per-pair byte sums accumulate
  * in identical arrival order — the sparse merge is a left fold over
- * entries kept in arrival order by the *stable* sort, and folding via
- * an intermediate partial sum (compaction) is the same double-addition
- * sequence as dense's in-place `+=` — and forEachTiled() emits the
- * non-zero pairs of either storage in the same deterministic
- * tile-major order: (src-tile, dst-tile, src, dst) with
- * kTileDevices×kTileDevices tiles. The tiling is what blocks the
+ * entries kept in arrival order by the *stable* sort, the same
+ * double-addition sequence as dense's in-place `+=` — and
+ * forEachTiled() emits the non-zero pairs of either storage in the
+ * same deterministic tile-major order: (src-tile, dst-tile, src, dst)
+ * with kTileDevices×kTileDevices tiles. The tiling is what blocks the
  * matrix→PhaseTraffic::addFlow reduction for cache locality: flows of
  * one (src, dst) block walk neighbouring routes, so they touch a small
  * set of link volumes instead of striding the whole mesh. Systems with
@@ -65,7 +65,7 @@ enum class TrafficStorageKind
 {
     /** Explicit devices×devices byte matrix. */
     Dense,
-    /** Self-compacting append buffer of touched (src, dst) pairs. */
+    /** Append buffer of touched (src, dst) pairs, sorted at emission. */
     Sparse,
 };
 
@@ -118,7 +118,8 @@ class TrafficAccumulator
      * storage by device count unless pinned. Buffers keep their
      * capacity, so repeated resets at a fixed size allocate nothing
      * (dense) or nothing once the buffers reached the workload's
-     * high-water entry count (sparse).
+     * high-water entry count (sparse). The sparse storage asserts
+     * @p devices <= 16384.
      */
     void reset(int devices);
 
@@ -133,19 +134,14 @@ class TrafficAccumulator
         }
         entries_.emplace_back(tileOrderKey(src, dst), bytes);
         sorted_ = false;
-        if (entries_.size() >= compactLimit_)
-            compact();
     }
-
-    /** Accumulated bytes of one pair (0 when never touched). */
-    double at(DeviceId src, DeviceId dst) const;
 
     /**
      * Number of distinct pairs holding a positive byte sum (sparse:
      * compacts, then counts, O(entries); dense: counted by scan,
      * O(devices²)).
      */
-    std::size_t occupancy() const;
+    std::size_t occupancy();
 
     /** The storage in use since the last reset(). */
     TrafficStorageKind activeKind() const { return active_; }
@@ -205,9 +201,9 @@ class TrafficAccumulator
      * Pack a pair so plain ascending order equals tile-major order:
      * [src-tile : tileBits_][dst-tile : tileBits_][src-in-tile : 6]
      * [dst-in-tile : 6] (kTileDevices = 64 fixes the 6-bit fields;
-     * tileBits_ is sized to the device count at reset()). Keeping the
-     * two tile fields adjacent lets the radix sort cover both in one
-     * counting pass on systems up to 16k devices.
+     * tileBits_ is sized to the device count at reset(), at most 8).
+     * Keeping the two tile fields adjacent lets the radix sort cover
+     * both in one counting pass.
      */
     std::uint64_t tileOrderKey(DeviceId src, DeviceId dst) const
     {
@@ -232,19 +228,17 @@ class TrafficAccumulator
     using Entry = std::pair<std::uint64_t, double>;
 
     /**
-     * Compact the append buffer: stable-radix-sort the entries by
-     * tile-order key (LSD counting passes: in-tile digit, then
-     * dst-tile, then src-tile) and left-fold duplicate keys in arrival
-     * order. Logically a no-op — every observable per-pair value is
-     * bit-identical before and after (hence const + mutable buffers) —
-     * so it doubles as the emission sort and as the mid-stream memory
-     * bound. O(entries), allocation-free at steady state.
+     * Sort the append buffer once per iteration: stable-radix-sort the
+     * entries by tile-order key (LSD counting passes: the in-tile
+     * digit, then both tile fields) and left-fold duplicate keys in
+     * arrival order. A no-op once sorted. O(entries), allocation-free
+     * at steady state.
      */
-    void compact() const;
+    void compact();
 
     /** One stable counting pass on digit (key >> shift) & (buckets-1). */
     void radixPass(const Entry *src, Entry *dst, std::size_t n,
-                   unsigned shift, std::size_t buckets) const;
+                   unsigned shift, std::size_t buckets);
 
     int devices_ = 0;
     std::optional<TrafficStorageKind> pinned_;
@@ -254,15 +248,12 @@ class TrafficAccumulator
     std::vector<double> dense_;
 
     // Sparse storage: append buffer of (tile-order key, bytes) entries
-    // plus the radix ping-pong scratch and digit histogram. compact()
-    // folds duplicates whenever the buffer doubles past the last
-    // distinct count, so memory tracks distinct pairs, not adds. All
-    // mutable: compaction never changes an observable value.
-    mutable std::vector<Entry> entries_;
-    mutable std::vector<Entry> scratch_;
-    mutable std::vector<std::uint32_t> hist_;
-    mutable std::size_t compactLimit_ = 0;
-    mutable bool sorted_ = false;
+    // plus the radix ping-pong scratch and digit histogram. sorted_
+    // holds from compact() to the next add().
+    std::vector<Entry> entries_;
+    std::vector<Entry> scratch_;
+    std::vector<std::uint32_t> hist_;
+    bool sorted_ = false;
     unsigned tileBits_ = 0;
 };
 

@@ -165,9 +165,10 @@ TEST(HierarchicalAllReduce, CheaperThanFlatOnMultiWafer)
         inter.push_back(
             {mesh.deviceAt(0, c), mesh.deviceAt(0, c + 4)});
     }
-    const auto hier =
-        hierarchicalAllReduce(mesh, {intra1, intra2}, inter, 8e6);
-    EXPECT_LT(hier.time, flatAr.time);
+    CollectiveScratch scratch(mesh);
+    const double hier = hierarchicalAllReduceInto(
+        mesh, {intra1, intra2}, inter, 8e6, scratch);
+    EXPECT_LT(hier, flatAr.time);
 }
 
 TEST(HierarchicalAllReduce, TrafficCoversBothStages)
@@ -183,7 +184,8 @@ TEST(HierarchicalAllReduce, TrafficCoversBothStages)
     const std::vector<std::vector<DeviceId>> inter{
         {mesh.deviceAt(0, 0), mesh.deviceAt(0, 2)},
         {mesh.deviceAt(0, 1), mesh.deviceAt(0, 3)}};
-    const auto hier = hierarchicalAllReduce(mesh, intra, inter, 2e6);
-    EXPECT_GT(hier.time, 0.0);
-    EXPECT_GT(hier.traffic.busyLinkCount(), 2);
+    CollectiveScratch scratch(mesh);
+    EXPECT_GT(hierarchicalAllReduceInto(mesh, intra, inter, 2e6, scratch),
+              0.0);
+    EXPECT_GT(scratch.traffic.busyLinkCount(), 2);
 }

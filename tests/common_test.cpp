@@ -232,17 +232,6 @@ TEST(StatsHelpers, MeanMax)
     EXPECT_DOUBLE_EQ(maxOf(xs), 5.0);
 }
 
-TEST(StatsHelpers, ImbalanceDegreeBalanced)
-{
-    EXPECT_DOUBLE_EQ(imbalanceDegree({2.0, 2.0, 2.0}), 0.0);
-}
-
-TEST(StatsHelpers, ImbalanceDegreeMatchesEq2)
-{
-    // max = 6, mean = 3 → (6-3)/3 = 1.
-    EXPECT_DOUBLE_EQ(imbalanceDegree({6.0, 2.0, 1.0, 3.0}), 1.0);
-}
-
 // --------------------------------------------------------------- Table --
 
 TEST(Table, RendersAlignedColumns)
