@@ -13,11 +13,10 @@
  *    one per device): the sparse-traffic scale point. The Auto traffic
  *    policy must resolve to the sparse accumulator, a short engine run
  *    must complete with finite positive layer times (printed with
- *    %.17g), the sparse
- *    accumulator must undercut the analytic dense matrix by ≥ 10×, and
- *    peak RSS must stay under a pinned ceiling that the dense matrix
- *    would provably blow through (checked via VmHWM; skipped under
- *    sanitizers and off Linux).
+ *    %.17g), the sparse accumulator must undercut the analytic dense
+ *    matrix by ≥ 10×, and peak RSS must stay under a pinned ceiling
+ *    that the dense matrix would provably blow through (checked via
+ *    VmHWM; skipped under sanitizers and off Linux).
  *
  * Both points build their system through System::make and print how
  * long that took, and both check sampled XY walks against their
