@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 
 #include "core/moentwine.hh"
 
@@ -100,13 +101,15 @@ BENCHMARK(BM_Gating)
  * split their tokens over several replicas. Args: 0 ER 4×4, 1 ER 8×8,
  * 2 Baseline 8×8, 3 HER 2×(8×8), 4 NVL72 (cluster), all Qwen3 (128
  * experts); 5 ER 4×4 with DeepSeek-V3 (256 experts), paper_grid's
- * heavier model. All at tp 4.
+ * heavier model; 6 ER 4×4 with Qwen3 at 8 tokens per group, the
+ * serving shape (serve_bursty's decode batches), where most of a
+ * group's counts are zero. All at tp 4.
  */
 void
 BM_TokenRouting(benchmark::State &state)
 {
     constexpr int kRoutedIterations = 8;
-    constexpr int kTokensPerGroup = 128;
+    const int tokensPerGroup = state.range(0) == 6 ? 8 : 128;
     SystemConfig sc;
     sc.tp = 4;
     MoEModelConfig model = qwen3();
@@ -130,9 +133,12 @@ BM_TokenRouting(benchmark::State &state)
       case 4:
         sc.platform = PlatformKind::Nvl72;
         break;
-      default:
+      case 5:
         sc.platform = PlatformKind::WscEr;
         model = deepseekV3();
+        break;
+      default:
+        sc.platform = PlatformKind::WscEr;
         break;
     }
     const System sys = System::make(sc);
@@ -147,7 +153,7 @@ BM_TokenRouting(benchmark::State &state)
     std::vector<double> loads(std::size_t(model.expertsTotal), 0.0);
     for (int i = 0; i < kRoutedIterations; ++i) {
         auto &counts = rows[std::size_t(i)];
-        gen.sampleCountsInto(i, 0, kTokensPerGroup, m.dp(), counts);
+        gen.sampleCountsInto(i, 0, tokensPerGroup, m.dp(), counts);
         const auto column = WorkloadGenerator::expertLoads(
             counts, model.expertsTotal);
         for (std::size_t e = 0; e < loads.size(); ++e)
@@ -169,11 +175,12 @@ BM_TokenRouting(benchmark::State &state)
         benchmark::DoNotOptimize(routed.dispatch.data());
         benchmark::ClobberMemory();
     }
-    state.SetLabel(sys.name() + " " + model.name);
+    state.SetLabel(sys.name() + " " + model.name + " " +
+                   std::to_string(tokensPerGroup) + " tok/group");
 }
 BENCHMARK(BM_TokenRouting)
     ->ArgName("system")
-    ->DenseRange(0, 5)
+    ->DenseRange(0, 6)
     ->Unit(benchmark::kMicrosecond);
 
 /**

@@ -19,14 +19,32 @@
  * radix-sorted append buffer of touched pairs at/above (see
  * network/traffic_accum.hh) — and materialises the non-zero pairs as
  * dispatch flows in cache-blocked tile-major order (combine is the
- * transpose). Both storages yield bitwise identical flow lists. The
- * aggregated path asks the mapping for each (group, rank, device)
- * dispatch source and dedup factor once per call, on the device's
- * first replica in the group, and keeps the answers in a per-device
- * table for the group's other experts. The unaggregated per-triple
- * flow list, which asks the mapping for every triple, is kept behind
- * an `aggregate` toggle as the reference that
- * tests/flow_aggregation_test.cpp checks the aggregated path against.
+ * transpose). Both storages yield bitwise identical flow lists.
+ *
+ * The aggregated path fills the accumulator by one of two walks, which
+ * give the same bits:
+ *  - The device walk, for rows whose slots cover every expert and every
+ *    device (prefill-sized batches) on mappings whose (src, dst) pairs
+ *    are each fed by one (group, rank)
+ *    (Mapping::dispatchPairsSingleSourced). It indexes each device's
+ *    hosted experts (ascending id, from the placement's replica lists)
+ *    once per call. Per group it sums each device's token load and each
+ *    rank's dispatch bytes over its hosted experts in registers, with
+ *    no branch on a count (a zero count adds +0.0), asks the mapping
+ *    for the rank's source and dedup factor once, and issues one add
+ *    per (group, rank, device). With one feeder per pair, that add
+ *    equals the per-expert adds bit for bit; dispatch_source_test
+ *    checks the claim on every mapping.
+ *  - The contribution walk, for sparser rows (decode batches,
+ *    wafer-scale systems) and HER-Mapping's mirrored sources: one add
+ *    per non-zero (group, expert, replica[, rank]), with each
+ *    (group, rank, device) source and dedup factor asked once, on the
+ *    device's first replica in the group.
+ * The unaggregated per-triple flow list, which asks the mapping for
+ * every triple, is kept behind an `aggregate` toggle as the reference
+ * that tests/flow_aggregation_test.cpp checks the aggregated path
+ * against, alongside a per-expert fold of the pair bytes that both
+ * walks must equal exactly.
  */
 
 #ifndef MOENTWINE_ENGINE_TOKEN_ROUTER_HH
@@ -61,13 +79,26 @@ struct RoutedTraffic
     /** Per-expert total token counts summed over DP groups. */
     std::vector<double> expertLoads;
 
-    // Aggregated-path scratch, reused across calls: the dispatch source
-    // and dedup factor of each (device, rank) for the group being
-    // routed, at device · ranks + rank (ranks is 1 when the sources
-    // ignore the rank), and per device the group they hold (-1: none).
+    // Aggregated-path scratch, reused across calls.
+    /** Contribution walk: the dispatch source and dedup factor of
+     *  each (device, rank) for the group being routed, at
+     *  device · ranks + rank (ranks is 1 when the sources ignore the
+     *  rank), and per device the group they hold (-1: none). */
     std::vector<int> sourceGroup;
     std::vector<DeviceId> sources;
     std::vector<double> dedupFactors;
+    /** Device walk: device d's hosted experts in ascending id at
+     *  hostedExperts[hostedStart[d], hostedStart[d + 1]). */
+    std::vector<int> hostedStart;
+    std::vector<int> hostedExperts;
+    /** Device walk, per expert: the reciprocal of its replica count
+     *  (0.0 when that is no power of two, for the experts listed in
+     *  unevenExperts), and the routed group's tokens per replica and
+     *  dispatch bytes per rank. */
+    std::vector<double> replicaScale;
+    std::vector<int> unevenExperts;
+    std::vector<double> perReplica;
+    std::vector<double> rankBytes;
 };
 
 /**

@@ -51,6 +51,14 @@ class HierarchicalErMapping : public Mapping
         return false;
     }
 
+    /** Without the all-gather the owner serves; with it, the mirror of
+     *  a local position on the expert's wafer serves one group of
+     *  every wafer. */
+    bool dispatchPairsSingleSourced(bool allGatherRetained) const override
+    {
+        return !allGatherRetained;
+    }
+
     /** Mirror of device @p d on wafer @p wafer (same local coordinate). */
     DeviceId mirrorOn(DeviceId d, int wafer) const;
 

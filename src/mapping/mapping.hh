@@ -169,6 +169,21 @@ class Mapping
     }
 
     /**
+     * True when each remote (source, expert device) pair of the
+     * dispatch is served by one (group, rank) only, ranks counted once
+     * where dispatchSourceRankInvariant() holds. The token router then
+     * adds a (group, rank, device)'s bytes to its pair pre-summed over
+     * the device's experts, which equals the per-expert adds bit for
+     * bit only under this property. Sources drawn from the token's own
+     * group have it; HER-Mapping's cross-wafer mirrors serve a pair for
+     * one group per wafer and must override to return false.
+     */
+    virtual bool dispatchPairsSingleSourced(bool /*allGatherRetained*/) const
+    {
+        return true;
+    }
+
+    /**
      * Volume reduction factor for a dispatch/combine flow, modelling
      * hierarchical all-to-all optimisations (DeepSpeed-MoE style): on
      * switch clusters, tokens heading to several experts on the same

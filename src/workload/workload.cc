@@ -261,18 +261,22 @@ AliasTable::addDraws(Rng &rng, int draws, int *counts) const
     const std::size_t n = slots_.size();
     MOE_ASSERT(n > 0, "sampling an unbuilt alias table");
 
-    // Signed conversions throughout: scaled lies in [0, n], where the
-    // int64_t conversions are exact single instructions (the unsigned
-    // ones need a fix-up sequence), so indices and fractions are
-    // bitwise those of the plain size_t arithmetic.
+    // One multiply takes the uniform's raw 53 bits v to v·(n·2⁻⁵³).
+    // Scaling by a power of two is exact, so scaled is bitwise
+    // rng.uniform() · n. It needs no clamp: the largest uniform,
+    // 1 − 2⁻⁵³, times n lies n·2⁻⁵³ below n, more than half the spacing
+    // of the doubles just below n (exactly one spacing when n is a
+    // power of two), so it rounds to a double below n and truncates to
+    // n − 1 (AliasTable.LargestUniformTimesNStaysBelowN). Signed
+    // conversions: v and scaled fit int64_t, whose conversions are
+    // exact single instructions (unsigned ones need a fix-up).
     const Slot *slots = slots_.data();
-    const std::int64_t last = static_cast<std::int64_t>(n) - 1;
-    const double width = static_cast<double>(n);
+    const double scale = static_cast<double>(n) * 0x1.0p-53;
     for (int d = 0; d < draws; ++d) {
-        const double scaled = rng.uniform() * width;
-        std::int64_t idx = static_cast<std::int64_t>(scaled);
-        // u < 1, but u·n can round up to exactly n.
-        idx = idx < last ? idx : last;
+        const double scaled =
+            static_cast<double>(static_cast<std::int64_t>(rng.next() >> 11)) *
+            scale;
+        const auto idx = static_cast<std::int64_t>(scaled);
         const double frac = scaled - static_cast<double>(idx);
         const Slot &slot = slots[idx];
         // All ones when the draw lands on the alias part of the
@@ -357,10 +361,11 @@ GatingSampler::prepareCut(int cut)
     // order and the cut's own from its end, so p_i ≤ Σ_{j≥i} p_j holds
     // in floating point, and the last positive rank gets exactly 1: a
     // row's head walk always ends with every slot placed.
+    // The unplaced mass takes no branch: a placed expert adds
+    // weight · 0.0 = +0.0, which leaves the non-negative sum unchanged.
     double rest = 0.0;
     for (std::size_t e = 0; e < n; ++e)
-        if (!placed_[e])
-            rest += weights_[e];
+        rest += weights_[e] * static_cast<double>(1 - placed_[e]);
     double cutMass = 0.0;
     for (std::size_t j = size; j-- > 0;) {
         const auto [w, e] = cutTop_[j];

@@ -9,7 +9,11 @@
  *  - an exhaustive differential check of every query against the
  *    test-only nearest-member reference (dispatch_reference.hh), on
  *    those systems plus DGX(3) at tp 6;
- *  - dispatchSourceRankInvariant() holds wherever a mapping claims it.
+ *  - dispatchSourceRankInvariant() holds wherever a mapping claims it;
+ *  - dispatchPairsSingleSourced() holds wherever a mapping claims it
+ *    (each remote (src, dst) pair has one (group, rank) feeder, which
+ *    the token router's device walk relies on), and HER-Mapping with
+ *    the all-gather does not claim it.
  *
  * The pinned constants were derived from the nearest-member scan the
  * closed-form rules replaced; they must never be regenerated to make a
@@ -19,7 +23,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 
 #include "digest.hh"
 #include "dispatch_reference.hh"
@@ -139,5 +145,64 @@ TEST(DispatchReference, RankInvariantClaimsHold)
                             << s.label << " g" << g << " r" << r
                             << " d" << d;
         }
+    }
+}
+
+// Where a mapping claims single-sourced pairs, the token router's
+// device walk adds a (group, rank, device)'s bytes to the
+// (source, device) pair once, pre-summed over the device's experts,
+// which equals the per-expert adds bit for bit only if no other
+// (group, rank) feeds the pair. Check the claim for every query; ranks
+// collapse to rank 0 where the router collapses them, and a source
+// equal to its destination carries no flow.
+TEST(DispatchReference, SingleSourcedClaimsHold)
+{
+    std::size_t remotePairs = 0;
+    for (const auto &s : reference::dispatchSystems()) {
+        const Mapping &m = *s.mapping;
+        for (const bool ag : {false, true}) {
+            if (!m.dispatchPairsSingleSourced(ag))
+                continue;
+            const int ranks =
+                m.dispatchSourceRankInvariant(ag) ? 1 : m.tp();
+            std::map<std::pair<DeviceId, DeviceId>, std::pair<int, int>>
+                feeder;
+            int clashes = 0;
+            for (int g = 0; g < m.dp(); ++g)
+                for (int r = 0; r < ranks; ++r)
+                    for (DeviceId d = 0; d < m.numDevices(); ++d) {
+                        const DeviceId src = m.dispatchSource(g, r, d, ag);
+                        if (src != d &&
+                            !feeder.try_emplace({src, d}, g, r).second)
+                            ++clashes;
+                    }
+            EXPECT_EQ(clashes, 0)
+                << s.label << (ag ? " all-gather" : " owner-only");
+            remotePairs += feeder.size();
+        }
+    }
+    EXPECT_GT(remotePairs, 0u);
+}
+
+// HER-Mapping's mirrors are why the claim exists: with the all-gather
+// a local position's mirror on a wafer serves that position's owner
+// of every wafer, so it must not claim single-sourced pairs.
+TEST(DispatchReference, HerMirrorsFeedPairsFromEveryWafer)
+{
+    for (const auto &s : reference::dispatchSystems()) {
+        if (s.label.rfind("her_", 0) != 0)
+            continue;
+        const Mapping &m = *s.mapping;
+        EXPECT_TRUE(m.dispatchPairsSingleSourced(false)) << s.label;
+        EXPECT_FALSE(m.dispatchPairsSingleSourced(true)) << s.label;
+        // Group 0's rank-0 owner and the same position's owner on the
+        // last wafer share a mirror on every wafer.
+        const DeviceId d = m.numDevices() - 1;
+        int feeders = 0;
+        for (int g = 0; g < m.dp(); ++g)
+            for (int r = 0; r < m.tp(); ++r)
+                feeders += m.dispatchSource(g, r, d, true) ==
+                    m.dispatchSource(0, 0, d, true);
+        EXPECT_GT(feeders, 1) << s.label;
     }
 }

@@ -5,10 +5,14 @@
  * matrix must preserve every quantity the congestion model reads —
  * per-link volumes (totalByteHops, maxLinkVolume), injected bytes,
  * per-device token loads, and per-expert loads. Also checks that a
- * full engine run is invariant under the aggregation toggle.
+ * full engine run is invariant under the aggregation toggle, and that
+ * the aggregated pair bytes equal a per-expert fold bit for bit.
  */
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <utility>
 
 #include "core/moentwine.hh"
 
@@ -70,6 +74,98 @@ expectAggregationPreservesTraffic(const Mapping &mapping,
         EXPECT_NEAR(aggTraffic.linkVolume(static_cast<LinkId>(l)),
                     flatTraffic.linkVolume(static_cast<LinkId>(l)),
                     1e-9 * scale);
+}
+
+/**
+ * Dispatch bytes per (src, dst) pair as a per-expert walk folds them:
+ * each (group, expert, replica, rank) in that order adds its bytes to
+ * the pair, ranks collapsed where the sources ignore them. The
+ * aggregated path sums per device and must reproduce every pair's
+ * left fold bit for bit.
+ */
+std::map<std::pair<DeviceId, DeviceId>, double>
+perExpertPairBytes(const Mapping &m, const ExpertPlacement &p,
+                   const std::vector<std::vector<int>> &counts,
+                   double tokenBytes, bool retainAllGather, int topk)
+{
+    const bool collapse = m.dispatchSourceRankInvariant(retainAllGather);
+    const int ranks = collapse ? 1 : m.tp();
+    std::map<std::pair<DeviceId, DeviceId>, double> pairs;
+    for (int g = 0; g < m.dp(); ++g) {
+        for (int e = 0; e < p.numExperts(); ++e) {
+            const int count = counts[std::size_t(g)][std::size_t(e)];
+            if (count == 0)
+                continue;
+            const auto &replicas = p.replicasOf(e);
+            const double perReplica =
+                static_cast<double>(count) / double(replicas.size());
+            const double rankBytes =
+                (collapse ? perReplica : perReplica / m.tp()) * tokenBytes;
+            for (const DeviceId dev : replicas) {
+                for (int r = 0; r < ranks; ++r) {
+                    const DeviceId src =
+                        m.dispatchSource(g, r, dev, retainAllGather);
+                    const double bytes =
+                        rankBytes * m.dispatchDedupFactor(src, dev, topk);
+                    if (src != dev && bytes > 0.0)
+                        pairs[{src, dev}] += bytes;
+                }
+            }
+        }
+    }
+    return pairs;
+}
+
+/**
+ * Route @p counts both ways and require the aggregated path to equal
+ * the per-expert fold (pair bytes) and the per-triple reference
+ * (token and expert loads) exactly, on top of the traffic checks.
+ */
+void
+expectExactAggregation(const Mapping &m, const ExpertPlacement &p,
+                       const std::vector<std::vector<int>> &counts,
+                       int topk, bool retainAllGather)
+{
+    // Not a power of two times a small integer, so the per-rank shares
+    // round and a sum taken in another order shows in the last bits.
+    constexpr double kTokenBytes = 7168.3;
+    RoutedTraffic agg;
+    routeTokens(m, p, counts, kTokenBytes, retainAllGather, topk, agg,
+                true);
+    RoutedTraffic flat;
+    routeTokens(m, p, counts, kTokenBytes, retainAllGather, topk, flat,
+                false);
+    EXPECT_EQ(agg.tokensPerDevice, flat.tokensPerDevice);
+    EXPECT_EQ(agg.expertLoads, flat.expertLoads);
+    EXPECT_EQ(agg.activeExpertsPerDevice, flat.activeExpertsPerDevice);
+
+    const auto pairs = perExpertPairBytes(m, p, counts, kTokenBytes,
+                                          retainAllGather, topk);
+    ASSERT_EQ(agg.dispatch.size(), pairs.size());
+    for (const Flow &f : agg.dispatch) {
+        const auto at = pairs.find({f.src, f.dst});
+        ASSERT_NE(at, pairs.end()) << f.src << "->" << f.dst;
+        EXPECT_EQ(f.bytes, at->second) << f.src << "->" << f.dst;
+    }
+    expectAggregationPreservesTraffic(m, p, counts, topk,
+                                      retainAllGather);
+}
+
+/**
+ * Native experts plus the shadow replicas a balancer might place: one
+ * expert on three devices (so its per-replica share is inexact), two
+ * on two.
+ */
+ExpertPlacement
+shadowedPlacement(int experts, int devices)
+{
+    ExpertPlacement p(experts, devices, 2);
+    p.addReplica(1, devices - 1);
+    p.addReplica(1, devices / 2);
+    p.addReplica(2, devices - 2);
+    p.addReplica(5, 0);
+    EXPECT_EQ(p.numReplicas(1), 3);
+    return p;
 }
 
 } // namespace
@@ -223,5 +319,45 @@ TEST(FlowAggregation, EngineInvariantUnderPerfToggles)
         EXPECT_NEAR(a.combine, b.combine, 1e-9 * (1.0 + b.combine));
         EXPECT_NEAR(a.imbalance, b.imbalance, 1e-9);
         EXPECT_EQ(a.migrationsPlanned, b.migrationsPlanned);
+    }
+}
+
+// Decode-sized rows (1 and 8 tokens per group over 64 experts) are
+// mostly zeros, so most devices take no tokens from a group; 64 tokens
+// fill nearly every expert. The router walks sparse rows by their
+// contributions and dense ones by device, and both must match the
+// per-expert fold bit for bit: on every mapping family, in both
+// all-gather modes, and across wafers, where HER-Mapping's mirrors
+// feed one pair from several groups.
+TEST(FlowAggregation, RowsOfEveryDensityMatchPerExpertFold)
+{
+    const MeshTopology mesh = MeshTopology::singleWafer(4);
+    const MeshTopology wafers = MeshTopology::waferRow(2, 4);
+    const SwitchClusterTopology dgx = SwitchClusterTopology::dgx(2);
+    const ErMapping er(mesh, ParallelismConfig{2, 2});
+    const BaselineMapping base(mesh, ParallelismConfig{2, 2});
+    const HierarchicalErMapping her(wafers, ParallelismConfig{2, 2});
+    const ClusterMapping cm(dgx, 4);
+    constexpr int kExperts = 64;
+    WorkloadConfig wc;
+    wc.numExperts = kExperts;
+    wc.topK = 8;
+    wc.mode = GatingMode::SingleScenario;
+    WorkloadGenerator gen(wc);
+    for (const Mapping *m : {static_cast<const Mapping *>(&er),
+                             static_cast<const Mapping *>(&base),
+                             static_cast<const Mapping *>(&her),
+                             static_cast<const Mapping *>(&cm)}) {
+        const ExpertPlacement p =
+            shadowedPlacement(kExperts, m->numDevices());
+        for (const int tokens : {1, 8, 64}) {
+            const auto counts = gen.sampleCounts(3, 0, tokens, m->dp());
+            for (const bool ag : {true, false}) {
+                SCOPED_TRACE(m->name() + " tokens " +
+                             std::to_string(tokens) +
+                             (ag ? " all-gather" : " owner-only"));
+                expectExactAggregation(*m, p, counts, wc.topK, ag);
+            }
+        }
     }
 }

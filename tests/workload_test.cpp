@@ -553,6 +553,61 @@ TEST(GatingSampler, KeyedStreamIsPerIterationAndGroup)
     }
 }
 
+// A sampler's rows depend only on the weights of its last build and on
+// the streams, never on what earlier builds ranked or tabled: build()
+// must reset the lazily prepared cuts and tail tables. Rebuild one
+// sampler over drifting weights with exact ties (a block of equal
+// weights that straddles the cuts) and a zero weight, and compare its
+// rows with a fresh sampler's on the same weights. With these weights
+// the slot counts walk the head to the first cut, to four or five of
+// the sixteen cuts, and through every cut.
+TEST(GatingSampler, RowsDoNotDependOnEarlierBuilds)
+{
+    constexpr int kExperts = 128;
+    constexpr int kGroups = 3;
+    constexpr int kFirstCutSlots = 200;
+    constexpr int kFewCutsSlots = 2200;
+    constexpr int kEveryCutSlots = 1 << 20;
+    const auto base =
+        scenarioAffinity(ScenarioKind::Coding, 0, kExperts, 1.0, 17);
+    GatingSampler reused;
+    for (int build = 0; build < 12; ++build) {
+        // Drift: rotate the affinity, then tie a block of twelve
+        // experts at one weight and zero one expert.
+        std::vector<double> weights(kExperts);
+        for (int e = 0; e < kExperts; ++e)
+            weights[std::size_t(e)] =
+                base[std::size_t((e + 5 * build) % kExperts)];
+        const double tie = weights[std::size_t(build)];
+        for (int e = 40; e < 52; ++e)
+            weights[std::size_t(e)] = tie;
+        weights[std::size_t((7 * build) % kExperts)] = 0.0;
+
+        reused.build(weights);
+        GatingSampler fresh;
+        fresh.build(weights);
+        for (const int slots : {kFirstCutSlots, kFewCutsSlots,
+                                kEveryCutSlots}) {
+            std::vector<Rng> a;
+            std::vector<Rng> b;
+            for (int g = 0; g < kGroups; ++g) {
+                const auto seed =
+                    std::uint64_t(build * 1000 + slots + g);
+                a.emplace_back(seed);
+                b.emplace_back(seed);
+            }
+            std::vector<std::vector<int>> rowsA(kGroups);
+            std::vector<std::vector<int>> rowsB(kGroups);
+            reused.sampleRowsInto(a.data(), rowsA.data(), kGroups, slots);
+            fresh.sampleRowsInto(b.data(), rowsB.data(), kGroups, slots);
+            EXPECT_EQ(rowsA, rowsB)
+                << "build " << build << ", " << slots << " slots";
+            for (const auto &row : rowsA)
+                EXPECT_EQ(row[std::size_t((7 * build) % kExperts)], 0);
+        }
+    }
+}
+
 // Every draw consumes exactly one uniform; zero draws consume none
 // and a single category takes every draw.
 TEST(AliasKernel, OneUniformPerDraw)
@@ -573,6 +628,24 @@ TEST(AliasKernel, OneUniformPerDraw)
                 reference.uniform();
             EXPECT_EQ(rng.next(), reference.next());
         }
+    }
+}
+
+// The alias kernel scales a draw's raw 53 bits v by n·2⁻⁵³ in one
+// multiply and takes no clamp. Both rest on the largest uniform: for
+// every table size, (1 − 2⁻⁵³)·n must truncate to n − 1, and the
+// one-multiply form must give the same double as uniform() · n.
+TEST(AliasTable, LargestUniformTimesNStaysBelowN)
+{
+    constexpr std::int64_t kLargest = (std::int64_t{1} << 53) - 1;
+    const double largest = static_cast<double>(kLargest) * 0x1.0p-53;
+    for (std::int64_t n = 1; n <= (std::int64_t{1} << 20); ++n) {
+        const double width = static_cast<double>(n);
+        const double scaled = largest * width;
+        const double oneMultiply =
+            static_cast<double>(kLargest) * (width * 0x1.0p-53);
+        ASSERT_EQ(static_cast<std::int64_t>(scaled), n - 1) << "n " << n;
+        ASSERT_EQ(oneMultiply, scaled) << "n " << n;
     }
 }
 
