@@ -144,6 +144,9 @@ FleetSimulator::run()
         return p;
     };
 
+    // The router's view at each dispatch, refilled in place.
+    std::vector<ReplicaPressure> pressures(static_cast<std::size_t>(n));
+
     FleetReport report;
     report.totalRequests = static_cast<int>(stream.size());
     report.dispatched.assign(static_cast<std::size_t>(n), 0);
@@ -222,10 +225,8 @@ FleetSimulator::run()
                         activateStat);
         } else if (tArr <= tStart && tArr <= tComp && tArr <= tEval) {
             const ServeRequest &req = stream[nextDispatch++];
-            std::vector<ReplicaPressure> pressures;
-            pressures.reserve(static_cast<std::size_t>(n));
             for (int i = 0; i < n; ++i)
-                pressures.push_back(pressureOf(i));
+                pressures[static_cast<std::size_t>(i)] = pressureOf(i);
             const int target = router.route(req, pressures);
             if (target < 0) {
                 // Front-door shed: no routable replica can ever fit
